@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import DEFAULT_ORDER_CAP
 from .errors import LatticeCapExceeded, OrderCapExceeded, RinglabError, RingValidationError
-from .predicates import PredicateVector, predicate_vector
+from .predicates import PREDICATE_NAMES, PredicateVector, predicate_vector
 from .sources import parse_ring_source
 from .verify import ALL_SUITE_IDS, RunConfig, ring_report, run_verify
 from . import construct
@@ -36,9 +36,12 @@ EXIT_IO = 5
 
 def _order_cap(args) -> int:
     env = os.environ.get("RINGLAB_CAP")
-    if env:
-        return int(env)
-    return args.order_cap
+    if not env:
+        return args.order_cap
+    cap = int(env) if env.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"RINGLAB_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -54,7 +57,11 @@ def _witness_text(ring, indices) -> str:
 
 
 def cmd_analyze(args) -> int:
-    cap = _order_cap(args)
+    try:
+        cap = _order_cap(args)
+    except ValueError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         ring = parse_ring_source(args.ring, order_cap=cap)
     except OrderCapExceeded as exc:
@@ -228,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("catalog", help="list or export the catalog")
     subc = pc.add_subparsers(dest="catalog_cmd", required=True)
     pcl = subc.add_parser("list", help="list entries")
-    pcl.add_argument("--filter", default=None, help="keep rings where this predicate holds")
+    pcl.add_argument("--filter", default=None, choices=PREDICATE_NAMES, metavar="PREDICATE",
+                     help=f"keep rings where this predicate holds; one of {', '.join(PREDICATE_NAMES)}")
     pcl.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pcl.add_argument("--out", default=None)
     pcl.set_defaults(func=cmd_catalog)

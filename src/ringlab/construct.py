@@ -1,17 +1,33 @@
 """Ring constructors and the default verification catalog.
 
-Every constructor emits canonical tables: deterministic element encoding
-(documented per constructor), zero at index 0, one at index 1, and stable
-human-readable element names.  Rebuilding any catalog entry reproduces
+Every constructor emits canonical tables: zero at index 0, one at index 1, and
+stable human-readable element names.  Rebuilding any catalog entry reproduces
 byte-identical tables, so golden files and cross-run diffs stay stable.
 
-Matrix-shaped rings encode an element as the row-major tuple of its entry
-indices; tuples are ordered lexicographically (first entry most significant)
-and the identity is then moved to index 1 by the normalization pass.
+Structured rings share one digit encoding (``_digits`` / ``_encode``): an
+element is a tuple of m coordinates in 0..q-1 and its index is the base-q
+number they spell, most significant first.  Tables are computed a whole
+coordinate at a time with numpy and folded into indices Horner style, so one
+n-by-n coordinate table is live per step.  Two builders use it:
+
+- ``_quotient_poly_ring`` builds Z/p[x] modulo a monic polynomial (``gf``,
+  ``zn_alpha``).  The coordinates are the coefficients, highest degree first,
+  so index = sum a_i p^i is little-endian in the degree and puts 0 and 1 at
+  indices 0 and 1 directly.
+- ``_matrix_tables`` builds a family of k-by-k matrices over a table ring
+  (``matrix_ring``, ``upper_triangular``, ``equal_diagonal_subring``,
+  ``gf4_triangular_example``, ``strict_upper_bimodule``).  Coordinate t is
+  read from its *home* cell; homes are listed row-major.  A *tied* cell holds
+  a fixed image of one coordinate (the shared diagonal of the equal-diagonal
+  ring, the Frobenius-twisted middle entry of the GF(4) showcase), and every
+  other cell is zero.  Closure is verified cell by cell, not assumed: each
+  product cell that is not a home must equal zero or its tie image.  The
+  identity matrix is then moved to index 1 by the normalization pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,18 +42,39 @@ from .errors import (
     OrderCapExceeded,
     UnsupportedFieldOrder,
 )
-from .subsets import Ideal, jacobson_radical
+from .subsets import Ideal, idempotents, jacobson_radical
 from . import subsets
 
-# Lower coefficients (c_0, ..., c_{d-1}) of a monic irreducible
-# x^d + c_{d-1} x^(d-1) + ... + c_0 over Z/p.
+# Field order q -> (p, lower coefficients c_0, ..., c_{d-1} of a monic
+# irreducible x^d + c_{d-1} x^(d-1) + ... + c_0 over Z/p), in catalog order.
 IRREDUCIBLE = {
+    2: (2, (0,)),
+    3: (3, (0,)),
     4: (2, (1, 1)),      # x^2 + x + 1 over Z/2
+    5: (5, (0,)),
+    7: (7, (0,)),
     8: (2, (1, 1, 0)),   # x^3 + x + 1 over Z/2
     9: (3, (1, 0)),      # x^2 + 1 over Z/3
 }
 
-SUPPORTED_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9)
+SUPPORTED_FIELD_ORDERS = tuple(IRREDUCIBLE)
+
+
+def _digits(index, q: int, m: int) -> list:
+    """The m base-q digits of ``index`` (an int or int array), most significant first."""
+    return [index // q ** (m - 1 - t) % q for t in range(m)]
+
+
+def _encode(digits, q: int):
+    """Inverse of ``_digits``: fold digits, most significant first.
+
+    ``digits`` may be a generator of equal-shape tables, so folding a whole
+    table keeps one coordinate table live per step.
+    """
+    index = 0
+    for d in digits:
+        index = index * q + d
+    return index
 
 
 def zmod(n: int) -> FiniteRing:
@@ -47,91 +84,54 @@ def zmod(n: int) -> FiniteRing:
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
-    names = tuple(str(i) for i in range(n))
+    names = tuple(idx.astype(str).tolist())
     return FiniteRing.from_tables(f"Z/{n}", add, mul, 0, 1 % n, names)
 
 
-def _poly_name(coeffs: tuple[int, ...], var: str = "t") -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
+def _poly_names(coeffs: list[np.ndarray], var: str) -> tuple[str, ...]:
+    """Names such as ``2t^2+t+1``, from the little-endian coefficient arrays."""
+    names = np.full(len(coeffs[0]), "", dtype=object)
+    for k in reversed(range(len(coeffs))):
         c = coeffs[k]
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            terms.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
-    return "+".join(terms) if terms else "0"
+        term = c.astype(str).astype(object)
+        if k:
+            term = np.where(c == 1, "", term) + var + (f"^{k}" if k > 1 else "")
+        names = np.where(c == 0, names, np.where(names == "", term, names + "+" + term))
+    return tuple(np.where(names == "", "0", names).tolist())
 
 
-def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str = "t") -> FiniteRing:
+def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str) -> FiniteRing:
     """Z/p[x] mod a monic polynomial with the given lower coefficients.
 
     ``modulus`` lists c_0..c_{d-1} of x^d = -(c_{d-1} x^{d-1} + ... + c_0).
-    Elements are little-endian digit tuples; index = sum c_i * p^i, which puts
-    0 at index 0 and 1 at index 1 directly.
+    The coefficient a_i of every element is digit d-1-i of its index.
     """
     d = len(modulus)
-    n = p ** d
-    elems = [tuple(reversed(div)) for div in itertools.product(range(p), repeat=d)]
-    elems.sort(key=lambda c: sum(ci * p ** i for i, ci in enumerate(c)))
-
-    def reduce_prod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i, mi in enumerate(modulus):
-                    prod[k - d + i] = (prod[k - d + i] - c * mi) % p
-        return tuple(prod[:d])
-
-    pos = {e: i for i, e in enumerate(elems)}
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            add[i, j] = pos[tuple((x + y) % p for x, y in zip(a, b))]
-            mul[i, j] = pos[reduce_prod(a, b)]
-    names = tuple(_poly_name(e, var) for e in elems)
-    return FiniteRing.from_tables(label, add, mul, pos[(0,) * d],
-                                  pos[(1,) + (0,) * (d - 1)], names)
+    coeffs = _digits(np.arange(p ** d, dtype=np.int32), p, d)[::-1]
+    # shifted[j][i]: coefficient i of a * x^j, for every element a
+    shifted = [coeffs]
+    for _ in range(d - 1):
+        prev = shifted[-1]
+        shifted.append([(low - prev[-1] * c) % p for low, c in zip([0] + prev[:-1], modulus)])
+    add = _encode(((a[:, None] + a[None, :]) % p for a in reversed(coeffs)), p)
+    mul = _encode((sum(shifted[j][i][:, None] * coeffs[j][None, :] for j in range(d)) % p
+                   for i in reversed(range(d))), p)
+    return FiniteRing.from_tables(label, add, mul, 0, 1, _poly_names(coeffs, var))
 
 
 def gf(q: int) -> FiniteRing:
     """Finite field of order q, for q in the supported list."""
     if q not in SUPPORTED_FIELD_ORDERS:
         raise UnsupportedFieldOrder(f"gf({q}) not supported; choose from {SUPPORTED_FIELD_ORDERS}")
-    if q in IRREDUCIBLE:
-        p, modulus = IRREDUCIBLE[q]
-        return _quotient_poly_ring(f"GF({q})", p, modulus)
-    base = zmod(q)
-    return FiniteRing(f"GF({q})", base.order, base.add_table, base.mul_table,
-                      base.zero, base.one, base.elem_names)
+    p, modulus = IRREDUCIBLE[q]
+    return _quotient_poly_ring(f"GF({q})", p, modulus, "t")
 
 
 def zn_alpha(n: int) -> FiniteRing:
-    """Z/n adjoined a primitive cube root of unity: Z/n[x]/(x^2 + x + 1)."""
+    """Z/n adjoined a primitive cube root of unity: Z/n[w]/(w^2 + w + 1)."""
     if n < 2:
         raise ValueError(f"zn_alpha needs n >= 2, got {n}")
-    size = n * n
-    add = np.empty((size, size), dtype=np.int32)
-    mul = np.empty((size, size), dtype=np.int32)
-    # element a + b*w at index a + n*b, with w^2 = -w - 1
-    for i in range(size):
-        a1, b1 = i % n, i // n
-        for j in range(size):
-            a2, b2 = j % n, j // n
-            add[i, j] = (a1 + a2) % n + n * ((b1 + b2) % n)
-            re = (a1 * a2 - b1 * b2) % n
-            im = (a1 * b2 + b1 * a2 - b1 * b2) % n
-            mul[i, j] = re + n * im
-    names = tuple(_poly_name((i % n, i // n), "w") for i in range(size))
-    return FiniteRing.from_tables(f"Z/{n}[w]", add, mul, 0, 1, names)
+    return _quotient_poly_ring(f"Z/{n}[w]", n, (1, 1), "w")
 
 
 def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -142,170 +142,134 @@ def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP)
     ri, si = np.divmod(np.arange(n, dtype=np.int64), s.order)
     add = r.add_table[np.ix_(ri, ri)].astype(np.int64) * s.order + s.add_table[np.ix_(si, si)]
     mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * s.order + s.mul_table[np.ix_(si, si)]
-    names = tuple(f"({r.name_of(int(a))},{s.name_of(int(b))})" for a, b in zip(ri, si))
+    names = "(" + r.name_array()[ri] + "," + s.name_array()[si] + ")"
     return FiniteRing.from_tables(f"{r.label} x {s.label}", add, mul,
-                                  0, r.one * s.order + s.one, names, order_cap=order_cap)
+                                  0, r.one * s.order + s.one, tuple(names.tolist()),
+                                  order_cap=order_cap)
 
 
 # ---------------------------------------------------------------------------
 # matrix-shaped rings
 
 
-def _tuple_ring(
+def _matrix_tables(
     label: str,
     base: FiniteRing,
-    coords: list[tuple[int, int]],
     k: int,
-    names_fn,
+    homes: list[tuple[int, int]],
+    ties: list[tuple[tuple[int, int], int, np.ndarray]] = (),
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Addition and multiplication tables of a family of k-by-k matrices over ``base``.
+
+    Coordinate t is read from cell ``homes[t]``; each ``(cell, t, image)`` in
+    ``ties`` makes ``cell`` hold ``image[coordinate t]``; every other cell is
+    zero.  Also returns the entries of every element: cell -> index array.
+    Raises ``ClosureViolation`` when a product leaves the family.
+    """
+    q, m = base.order, len(homes)
+    digits = _digits(np.arange(q ** m, dtype=np.int32), q, m)
+    cells = dict(zip(homes, digits))
+    cells.update({cell: image[digits[t]] for cell, t, image in ties})
+
+    def product_cell(r: int, c: int) -> np.ndarray | None:
+        """Cell (r, c) of every product, or None where it is zero by support."""
+        acc = None
+        for mid in range(k):
+            if (r, mid) in cells and (mid, c) in cells:
+                term = base.mul_table[cells[r, mid][:, None], cells[mid, c][None, :]]
+                acc = term if acc is None else base.add_table[acc, term]
+        return acc
+
+    tie_of = {cell: (t, image) for cell, t, image in ties}
+    held = dict.fromkeys(t for t, _ in tie_of.values())  # what tied cells must match
+
+    def coordinate(t: int) -> np.ndarray:
+        tab = product_cell(*homes[t])
+        if tab is None:
+            tab = np.full((q ** m, q ** m), base.zero, dtype=np.int32)
+        if t in held:
+            held[t] = tab
+        return tab
+
+    add = _encode((base.add_table[d[:, None], d[None, :]] for d in digits), q)
+    mul = _encode(map(coordinate, range(m)), q)
+    for cell in itertools.product(range(k), repeat=2):
+        tab = None if cell in homes else product_cell(*cell)
+        if tab is None:
+            continue
+        want = base.zero
+        if cell in tie_of:
+            t, image = tie_of[cell]
+            want = image[held[t]]
+        if (tab != want).any():
+            raise ClosureViolation(f"{label}: products leave the family at cell {cell}")
+    return add, mul, cells
+
+
+def _matrix_ring(
+    label: str,
+    base: FiniteRing,
+    k: int,
+    homes: list[tuple[int, int]],
+    ties: list[tuple[tuple[int, int], int, np.ndarray]] = (),
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteRing:
-    """Ring of k-by-k matrices over ``base`` supported on the given positions.
-
-    ``coords`` lists the (row, col) cells allowed to be nonzero; the cell list
-    must be closed under matrix multiplication.  Elements encode as the tuple
-    of entries in coords order, most significant first.
-    """
-    m = len(coords)
-    n = base.order ** m
+    """The matrix family of ``_matrix_tables`` as a ring, with matrix element names."""
+    n = base.order ** len(homes)
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
+    add, mul, cells = _matrix_tables(label, base, k, homes, ties)
+    one = _encode((base.one if r == c else base.zero for r, c in homes), base.order)
+    names = base.name_array()
 
-    def decode(index: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(m):
-            index, rem = divmod(index, base.order)
-            digits.append(rem)
-        return tuple(reversed(digits))
+    def joined(parts):
+        return "[" + functools.reduce(lambda a, b: a + "," + b, parts) + "]"
 
-    def encode(entries: dict[tuple[int, int], int]) -> int:
-        index = 0
-        for pos in coords:
-            index = index * base.order + entries.get(pos, 0)
-        return index
-
-    tuples = [decode(i) for i in range(n)]
-    as_mat = [dict(zip(coords, t)) for t in tuples]
-    coord_set = set(coords)
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, A in enumerate(as_mat):
-        for j, B in enumerate(as_mat):
-            add[i, j] = encode({pos: base.add(A[pos], B[pos]) for pos in coords})
-            prod: dict[tuple[int, int], int] = {}
-            for (ra, ca), av in A.items():
-                if av == base.zero:
-                    continue
-                for (rb, cb), bv in B.items():
-                    if ca != rb or bv == base.zero:
-                        continue
-                    pos = (ra, cb)
-                    term = base.mul(av, bv)
-                    if pos not in coord_set:
-                        if term != base.zero:
-                            raise ClosureViolation(
-                                f"{label}: product leaves the support at {pos}")
-                        continue
-                    prod[pos] = base.add(prod.get(pos, base.zero), term)
-            mul[i, j] = encode(prod)
-    one = encode({(d, d): base.one for d in range(k) if (d, d) in coord_set})
-    names = tuple(names_fn(dict(zip(coords, t))) for t in tuples)
-    return FiniteRing.from_tables(label, add, mul, 0, one, names, order_cap=order_cap)
-
-
-def _matrix_name(base: FiniteRing, k: int):
-    def fn(entries: dict[tuple[int, int], int]) -> str:
-        rows = []
-        for r_ in range(k):
-            cells = [base.name_of(entries.get((r_, c), base.zero)) for c in range(k)]
-            rows.append("[" + ",".join(cells) + "]")
-        return "[" + ",".join(rows) + "]"
-    return fn
+    rows = [joined([names[cells[r, c]] if (r, c) in cells else names[base.zero]
+                    for c in range(k)]) for r in range(k)]
+    return FiniteRing.from_tables(label, add, mul, 0, one, tuple(joined(rows).tolist()),
+                                  order_cap=order_cap)
 
 
 def matrix_ring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Full k-by-k matrix ring over a table ring."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
-    coords = [(i, j) for i in range(k) for j in range(k)]
-    return _tuple_ring(f"M{k}({base.label})", base, coords, k,
-                       _matrix_name(base, k), order_cap=order_cap)
+    homes = [(i, j) for i in range(k) for j in range(k)]
+    return _matrix_ring(f"M{k}({base.label})", base, k, homes, order_cap=order_cap)
 
 
 def upper_triangular(base: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Upper triangular k-by-k matrices over a table ring."""
     if k < 1:
         raise ValueError("matrix size must be >= 1")
-    coords = [(i, j) for i in range(k) for j in range(i, k)]
-    return _tuple_ring(f"T{k}({base.label})", base, coords, k,
-                       _matrix_name(base, k), order_cap=order_cap)
+    homes = [(i, j) for i in range(k) for j in range(i, k)]
+    return _matrix_ring(f"T{k}({base.label})", base, k, homes, order_cap=order_cap)
 
 
 def equal_diagonal_subring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Upper triangular matrices with constant diagonal.
 
-    Encoded on 1 + k(k-1)/2 coordinates: the shared diagonal value first, then
+    Encoded on 1 + k(k-1)/2 coordinates: the shared diagonal value first (its
+    home is the top-left cell, the other diagonal cells are tied to it), then
     the strict-upper entries row-major.
     """
     if k < 2:
         raise ValueError("equal-diagonal subring needs k >= 2")
-    strict = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    m = 1 + len(strict)
-    n = base.order ** m
-    if n > order_cap:
-        raise OrderCapExceeded(n, order_cap)
-
-    def decode(index: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(m):
-            index, rem = divmod(index, base.order)
-            digits.append(rem)
-        return tuple(reversed(digits))
-
-    def entries_of(t: tuple[int, ...]) -> dict[tuple[int, int], int]:
-        ent = {(d, d): t[0] for d in range(k)}
-        ent.update(dict(zip(strict, t[1:])))
-        return ent
-
-    def encode(ent: dict[tuple[int, int], int]) -> int:
-        index = ent[(0, 0)]
-        for pos in strict:
-            index = index * base.order + ent.get(pos, 0)
-        return index
-
-    tuples = [decode(i) for i in range(n)]
-    mats = [entries_of(t) for t in tuples]
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    allpos = [(d, d) for d in range(k)] + strict
-    for i, A in enumerate(mats):
-        for j, B in enumerate(mats):
-            add[i, j] = encode({pos: base.add(A.get(pos, 0), B.get(pos, 0)) for pos in allpos})
-            prod: dict[tuple[int, int], int] = {}
-            for ra in range(k):
-                for cb in range(k):
-                    if cb < ra:
-                        continue
-                    acc = base.zero
-                    for mid in range(ra, cb + 1):
-                        acc = base.add(acc, base.mul(A.get((ra, mid), base.zero),
-                                                     B.get((mid, cb), base.zero)))
-                    prod[(ra, cb)] = acc
-            mul[i, j] = encode(prod)
-    name_fn = _matrix_name(base, k)
-    names = tuple(name_fn(entries_of(t)) for t in tuples)
-    one = encode({(d, d): base.one for d in range(k)} | {pos: base.zero for pos in strict})
-    return FiniteRing.from_tables(f"T{k}^const({base.label})", add, mul, 0, one, names,
-                                  order_cap=order_cap)
+    homes = [(0, 0)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+    ties = [((d, d), 0, np.arange(base.order)) for d in range(1, k)]
+    return _matrix_ring(f"T{k}^const({base.label})", base, k, homes, ties, order_cap=order_cap)
 
 
 def corner(r: FiniteRing, e: int, label: str | None = None) -> FiniteRing:
     """The corner ring eRe with identity e."""
+    if not 0 <= e < r.order:
+        raise ValueError(f"{r.label}: element index {e} out of range [0, {r.order})")
     if r.mul(e, e) != e:
         raise NotIdempotent(f"{r.label}: element {e} is not idempotent")
     exe = np.unique(r.mul_table[r.mul_table[e, :], e])
-    return r.subring([int(x) for x in exe], e,
-                     label if label is not None else f"e{e}({r.label})e{e}")
+    return r.subring(exe, e, label if label is not None else f"e{e}({r.label})e{e}")
 
 
 def quotient(r: FiniteRing, ideal: Ideal | tuple[int, ...], label: str | None = None) -> FiniteRing:
@@ -404,22 +368,14 @@ class BimoduleSpec:
 
     def s_has_quasi_inverses(self) -> bool:
         """Every s admits s' with s*s' = s'*s and s + s' + s*s' = 0."""
-        for s in range(self.s_order):
-            if not any(
-                self.s_mul[s, t] == self.s_mul[t, s]
-                and self.s_add[self.s_add[s, t], self.s_mul[s, t]] == 0
-                for t in range(self.s_order)
-            ):
-                return False
-        return True
+        s_add, s_mul = np.asarray(self.s_add), np.asarray(self.s_mul)
+        ok = (s_mul == s_mul.T) & (s_add[s_add, s_mul] == 0)
+        return bool(ok.any(axis=1).all())
 
     def idempotents_act_centrally(self) -> bool:
         """e*s = s*e for every idempotent e of the base ring and every s."""
-        idem = [e for e in range(self.base.order) if self.base.mul(e, e) == e]
-        return all(
-            self.left[e, s] == self.right[s, e]
-            for e in idem for s in range(self.s_order)
-        )
+        idem = list(idempotents(self.base).members)
+        return np.array_equal(np.asarray(self.left)[idem, :], np.asarray(self.right)[:, idem].T)
 
 
 def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -441,9 +397,9 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
         spec.right[np.ix_(si, ri)],
     ]
     mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * ns + s_part
-    names = tuple(f"({r.name_of(int(a))};s{int(b)})" for a, b in zip(ri, si))
+    names = "(" + r.name_array()[ri] + ";s" + si.astype(str).astype(object) + ")"
     return FiniteRing.from_tables(f"I({r.label};{spec.label})", add, mul,
-                                  0, r.one * ns, names, order_cap=order_cap)
+                                  0, r.one * ns, tuple(names.tolist()), order_cap=order_cap)
 
 
 def strict_upper_bimodule(base: FiniteRing, k: int, label: str | None = None) -> BimoduleSpec:
@@ -452,45 +408,14 @@ def strict_upper_bimodule(base: FiniteRing, k: int, label: str | None = None) ->
     S multiplies as matrices (nilpotent, no identity); the base ring acts by
     scalar multiplication on entries, i.e. through the diagonal embedding.
     """
+    if k < 2:
+        raise ValueError("strict upper bimodule needs k >= 2")
+    label = label if label is not None else f"N{k}({base.label})"
     strict = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    m = len(strict)
-    ns = base.order ** m
-
-    def decode(index: int) -> dict[tuple[int, int], int]:
-        digits = []
-        for _ in range(m):
-            index, rem = divmod(index, base.order)
-            digits.append(rem)
-        return dict(zip(strict, reversed(digits)))
-
-    def encode(ent: dict[tuple[int, int], int]) -> int:
-        index = 0
-        for pos in strict:
-            index = index * base.order + ent.get(pos, 0)
-        return index
-
-    mats = [decode(i) for i in range(ns)]
-    s_add = np.empty((ns, ns), dtype=np.int32)
-    s_mul = np.empty((ns, ns), dtype=np.int32)
-    for i, A in enumerate(mats):
-        for j, B in enumerate(mats):
-            s_add[i, j] = encode({p: base.add(A[p], B[p]) for p in strict})
-            prod: dict[tuple[int, int], int] = {}
-            for (ra, ca), av in A.items():
-                for (rb, cb), bv in B.items():
-                    if ca != rb:
-                        continue
-                    pos = (ra, cb)
-                    prod[pos] = base.add(prod.get(pos, base.zero), base.mul(av, bv))
-            s_mul[i, j] = encode(prod)
-    left = np.empty((base.order, ns), dtype=np.int32)
-    right = np.empty((ns, base.order), dtype=np.int32)
-    for rv in range(base.order):
-        for i, A in enumerate(mats):
-            left[rv, i] = encode({p: base.mul(rv, A[p]) for p in strict})
-            right[i, rv] = encode({p: base.mul(A[p], rv) for p in strict})
-    return BimoduleSpec(label if label is not None else f"N{k}({base.label})",
-                        base, s_add, s_mul, left, right)
+    s_add, s_mul, cells = _matrix_tables(label, base, k, strict)
+    left = _encode((base.mul_table[:, cells[cell]] for cell in strict), base.order)
+    right = _encode((base.mul_table[cells[cell], :] for cell in strict), base.order)
+    return BimoduleSpec(label, base, s_add, s_mul, left, right)
 
 
 def gf4_triangular_example() -> FiniteRing:
@@ -501,33 +426,9 @@ def gf4_triangular_example() -> FiniteRing:
     products -- closure is still verified cell by cell, not assumed).
     """
     f = gf(4)
-    frob = np.array([f.mul(x, x) for x in range(4)], dtype=np.int32)
-    elems = list(itertools.product(range(4), repeat=3))  # (x, y, z), x most significant
-
-    def encode(x: int, y: int, z: int) -> int:
-        return (x << 4) | (y << 2) | z
-
-    n = 64
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, (x1, y1, z1) in enumerate(elems):
-        for j, (x2, y2, z2) in enumerate(elems):
-            add[i, j] = encode(f.add(x1, x2), f.add(y1, y2), f.add(z1, z2))
-            # full 3x3 product of the displayed matrices
-            px = f.mul(x1, x2)
-            py = f.add(f.mul(x1, y2), f.mul(y1, int(frob[x2])))
-            pz = f.add(f.mul(x1, z2), f.mul(z1, x2))
-            pmid = f.mul(int(frob[x1]), int(frob[x2]))
-            if pmid != frob[px]:
-                raise ClosureViolation("middle diagonal leaves the matrix family")
-            mul[i, j] = encode(px, py, pz)
-    names = tuple(
-        f"[[{f.name_of(x)},{f.name_of(y)},{f.name_of(z)}],"
-        f"[0,{f.name_of(int(frob[x]))},0],[0,0,{f.name_of(x)}]]"
-        for (x, y, z) in elems
-    )
-    return FiniteRing.from_tables("GF(4) twisted triangular (order 64)", add, mul,
-                                  0, encode(1, 0, 0), names)
+    ties = [((1, 1), 0, f.mul_table.diagonal()), ((2, 2), 0, np.arange(4))]
+    return _matrix_ring("GF(4) twisted triangular (order 64)", f, 3,
+                        [(0, 0), (0, 1), (0, 2)], ties)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +448,14 @@ def _projection_through(base: FiniteRing, e: int) -> np.ndarray:
     corner ring eRe has order 2, which is how the mutated specs below build
     their one-dimensional actions.
     """
-    return np.array([1 if base.mul(base.mul(e, x), e) == e else 0
-                     for x in range(base.order)], dtype=np.int32)
+    return (base.mul_table[base.mul_table[e, :], e] == e).astype(np.int32)
 
 
 def t41_break_central_action_spec() -> BimoduleSpec:
     """Z/2 x Z/2 acting on a square-zero S through complementary coordinates on
     the two sides, so each nontrivial idempotent acts non-centrally."""
     base = product(zmod(2), zmod(2))
-    e1, e2 = [e for e in range(4) if base.mul(e, e) == e and e not in (0, base.one)]
+    e1, e2 = [e for e in idempotents(base).members if e not in (0, base.one)]
     s_add = np.array([[0, 1], [1, 0]], dtype=np.int32)
     s_mul = np.zeros((2, 2), dtype=np.int32)
     left = np.stack([np.zeros(4, np.int32), _projection_through(base, e1)], axis=1)
@@ -675,8 +575,7 @@ def default_catalog() -> list[RingCatalogEntry]:
     derived: list[RingCatalogEntry] = []
     for entry in entries:
         r = entry.ring
-        idem = [e for e in range(r.order) if r.mul(e, e) == e]
-        for e in idem:
+        for e in idempotents(r).members:
             c = corner(r, e, f"corner {e} of {r.label}")
             key = c.table_bytes()
             if key not in seen:

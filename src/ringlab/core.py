@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ClosureViolation,
     NoIdentity,
     NonAssociativeMul,
     NotAbelianGroupUnderAdd,
@@ -299,6 +300,12 @@ class FiniteRing:
             return self.elem_names[index]
         return str(index)
 
+    def name_array(self) -> np.ndarray:
+        """Every element's ``name_of``, as an object array indexed by element."""
+        if self.elem_names is not None:
+            return np.array(self.elem_names, dtype=object)
+        return np.arange(self.order).astype(str).astype(object)
+
     # -- relabeling and derived tables ----------------------------------------
 
     def normalized(self) -> "FiniteRing":
@@ -333,19 +340,18 @@ class FiniteRing:
         """Ring on a subset closed under both operations, with its own identity.
 
         Used for corners eRe (where ``one`` is the idempotent e). The result is
-        normalized and re-validated.
+        normalized and re-validated; a member set that does not contain zero
+        and ``one`` or is not closed raises ``ClosureViolation``.
         """
-        members = sorted(int(m) for m in members)
-        pos = {m: k for k, m in enumerate(members)}
-        k = len(members)
-        add = np.empty((k, k), dtype=np.int32)
-        mul = np.empty((k, k), dtype=np.int32)
-        for i, mi in enumerate(members):
-            for j, mj in enumerate(members):
-                add[i, j] = pos[self.add(mi, mj)]
-                mul[i, j] = pos[self.mul(mi, mj)]
-        names = tuple(self.name_of(m) for m in members)
-        return FiniteRing.from_tables(label, add, mul, pos[self.zero], pos[one], names)
+        members = np.unique(np.asarray(members, dtype=np.int64))
+        pos = np.full(self.order, -1, dtype=np.int32)
+        pos[members] = np.arange(len(members), dtype=np.int32)
+        add = pos[self.add_table[np.ix_(members, members)]]
+        mul = pos[self.mul_table[np.ix_(members, members)]]
+        if pos[self.zero] < 0 or pos[one] < 0 or (add < 0).any() or (mul < 0).any():
+            raise ClosureViolation(f"{label}: member set is not a subring with identity x{one}")
+        names = tuple(self.name_array()[members].tolist())
+        return FiniteRing.from_tables(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
 
     def quotient_by(self, members: Sequence[int], label: str | None = None) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.
@@ -353,26 +359,16 @@ class FiniteRing:
         Coset representatives are the minimal element index in each coset; the
         result is normalized so the zero and one cosets land at 0 and 1.
         """
-        mask = np.zeros(self.order, dtype=bool)
-        mask[list(members)] = True
-        rep = np.full(self.order, -1, dtype=np.int32)
-        for x in range(self.order):
-            if rep[x] >= 0:
-                continue
-            coset = self.add_table[x, np.flatnonzero(mask)]
-            rep[coset] = x  # x is minimal: smaller indices are already assigned
+        rep = self.add_table[:, np.asarray(members, dtype=np.int64)].min(axis=1)
         reps = np.flatnonzero(rep == np.arange(self.order))
-        pos = {int(r): k for k, r in enumerate(reps)}
-        k = len(reps)
-        add = np.empty((k, k), dtype=np.int32)
-        mul = np.empty((k, k), dtype=np.int32)
-        for i, ri in enumerate(reps):
-            add[i] = [pos[int(rep[self.add(int(ri), int(rj))])] for rj in reps]
-            mul[i] = [pos[int(rep[self.mul(int(ri), int(rj))])] for rj in reps]
-        names = tuple(f"[{self.name_of(int(r))}]" for r in reps)
+        pos = np.full(self.order, -1, dtype=np.int32)
+        pos[reps] = np.arange(len(reps), dtype=np.int32)
+        add = pos[rep[self.add_table[np.ix_(reps, reps)]]]
+        mul = pos[rep[self.mul_table[np.ix_(reps, reps)]]]
+        names = "[" + self.name_array()[reps] + "]"
         return FiniteRing.from_tables(
             label if label is not None else f"{self.label} mod ideal",
-            add, mul, pos[int(rep[self.zero])], pos[int(rep[self.one])], names)
+            add, mul, int(pos[rep[self.zero]]), int(pos[rep[self.one]]), tuple(names.tolist()))
 
     # -- serialization ---------------------------------------------------------
 

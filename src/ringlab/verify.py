@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import FiniteRing
 from .errors import LatticeCapExceeded
@@ -155,8 +155,7 @@ def _nil_ideal(r: FiniteRing, members: tuple[int, ...]) -> bool:
     return all(mask[m] for m in members)
 
 
-def _ring_rows(provenance: str, ring: FiniteRing, suite_ids: tuple[str, ...],
-               caps: dict) -> dict[str, tuple | str]:
+def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict[str, tuple | str]:
     """Evaluate every requested per-ring suite on one ring.
 
     Returns suite id -> (lhs, rhs, witness) or a skip-reason string.
@@ -254,10 +253,9 @@ def _ring_rows(provenance: str, ring: FiniteRing, suite_ids: tuple[str, ...],
     return out
 
 
-def _worker(args: tuple) -> tuple[str, dict]:
-    provenance, suite_ids, caps = args
-    ring = construct.build_from_provenance(provenance)
-    return provenance, _ring_rows(provenance, ring, suite_ids, caps)
+def _worker(args: tuple) -> tuple[int, dict]:
+    position, ring, suite_ids, caps = args
+    return position, _ring_rows(ring, suite_ids, caps)
 
 
 def _t41_verdict() -> TheoremVerdict:
@@ -344,22 +342,22 @@ def run_verify(config: RunConfig | None = None,
 
     if per_ring:
         jobs = config.effective_jobs()
-        work = [(e.provenance, per_ring, caps) for e, ok in entries if ok]
-        if jobs > 1 and len(work) > 1:
+        todo = [i for i, (_, ok) in enumerate(entries) if ok]
+        if jobs > 1 and len(todo) > 1:
+            # workers get the catalog's own rings, without the parent's memo,
+            # and answer by catalog position
+            work = [(i, replace(entries[i][0].ring, _memo={}), per_ring, caps) for i in todo]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_worker, work))
         else:
-            results = {}
-            for e, ok in entries:
-                if ok:
-                    results[e.provenance] = _ring_rows(e.provenance, e.ring, per_ring, caps)
-        for e, ok in entries:
+            results = {i: _ring_rows(entries[i][0].ring, per_ring, caps) for i in todo}
+        for i, (e, ok) in enumerate(entries):
             if not ok:
                 for tid in per_ring:
                     verdicts[tid].skipped.append(
                         (e.provenance, f"order {e.ring.order} over cap {config.order_cap}"))
                 continue
-            rows = results[e.provenance]
+            rows = results[i]
             for tid in per_ring:
                 cell = rows[tid]
                 if isinstance(cell, str):

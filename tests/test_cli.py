@@ -88,6 +88,18 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--ring", "zmod:16")
         assert code == 3
 
+    def test_corner_index_out_of_range_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--ring", "corner:zmod6:99")
+        assert code == 2 and "out of range" in err
+
+    def test_bad_env_cap_exits_2(self, capsys, monkeypatch):
+        for value in ("abc", "0"):
+            monkeypatch.setenv("RINGLAB_CAP", value)
+            for argv in (("analyze", "--ring", "zmod:3"),
+                         ("verify", "--theorems", "T2.8", "--jobs", "1")):
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 2 and "RINGLAB_CAP" in err, (value, argv)
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--ring", "file:/nonexistent/r.json")
         assert code == 2
@@ -149,6 +161,12 @@ class TestCatalog:
         listed = {line.split()[0] for line in out.splitlines()[1:]}
         assert {"zmod:3", "zn-alpha:3", "paper:gf4-example"} <= listed
         assert "matrix:zmod2:2" not in listed
+
+    def test_unknown_filter_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "list", "--filter", "no_such_predicate"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_csv_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "list", "--format", "csv")

@@ -8,6 +8,7 @@ import pytest
 from ringlab import (
     BimoduleLawViolation,
     BimoduleSpec,
+    ClosureViolation,
     NotAnIdeal,
     NotIdempotent,
     OrderCapExceeded,
@@ -21,6 +22,7 @@ from ringlab import (
     is_commutative,
     is_local,
     is_uniquely_pi_clean,
+    jacobson_radical,
     matrix_ring,
     nilpotents,
     predicate_vector,
@@ -33,7 +35,32 @@ from ringlab import (
     zmod,
     zn_alpha,
 )
-from ringlab.construct import T41_SPECS, build_from_provenance
+from ringlab.construct import SUPPORTED_FIELD_ORDERS, T41_SPECS, build_from_provenance
+
+
+# Closed forms over F_q, computed without the library.
+
+def gl_order(q: int, k: int) -> int:
+    """|GL_k(F_q)| = prod_{i<k} (q^k - q^i)."""
+    out = 1
+    for i in range(k):
+        out *= q ** k - q ** i
+    return out
+
+
+def gaussian_binomial(k: int, r: int, q: int) -> int:
+    """Number of r-dimensional subspaces of F_q^k."""
+    num = den = 1
+    for i in range(r):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def matrix_idempotent_count(q: int, k: int) -> int:
+    """An idempotent of M_k(F_q) is a projection: a rank-r image plus a
+    complementary kernel, of which there are q^(r(k-r))."""
+    return sum(gaussian_binomial(k, r, q) * q ** (r * (k - r)) for r in range(k + 1))
 
 
 class TestBasicConstructors:
@@ -55,8 +82,9 @@ class TestBasicConstructors:
             assert gf(q).table_bytes() == zmod(q).table_bytes()
 
     def test_gf8_gf9_are_fields(self):
-        assert len(units(gf(8)).members) == 7
-        assert len(units(gf(9)).members) == 8
+        # every supported field has q - 1 units, GF(8) and GF(9) included
+        for q in SUPPORTED_FIELD_ORDERS:
+            assert len(units(gf(q)).members) == q - 1, q
 
     def test_unsupported_field_order(self):
         with pytest.raises(UnsupportedFieldOrder):
@@ -85,11 +113,15 @@ class TestMatrixShapedRings:
         assert m2.name_of(m2.one) == "[[1,0],[0,1]]"
 
     def test_matrix_ring_counts_match_formulas(self):
-        # |GL2(Fq)| = (q^2-1)(q^2-q); idempotent count is 2 + q^2 + q
+        # |GL2(Fq)| = (q^2-1)(q^2-q); idempotent count is 2 + q^2 + q;
+        # M_k(F_q) has q^(k^2-k) nilpotents (Fine & Herstein, 1958)
+        for q, k in ((2, 1), (2, 2), (3, 2), (4, 2)):
+            mk = matrix_ring(gf(q), k)
+            assert len(units(mk).members) == gl_order(q, k)
+            assert len(idempotents(mk).members) == matrix_idempotent_count(q, k)
+            assert len(nilpotents(mk).members) == q ** (k * k - k)
         for q in (2, 3):
-            m2 = matrix_ring(zmod(q), 2)
-            assert len(units(m2).members) == (q * q - 1) * (q * q - q)
-            assert len(idempotents(m2).members) == 2 + q * q + q
+            assert matrix_idempotent_count(q, 2) == 2 + q * q + q
 
     def test_matrix_multiplication_spot_check(self):
         m2 = matrix_ring(zmod(3), 2)
@@ -107,6 +139,11 @@ class TestMatrixShapedRings:
         assert t3.order == 27
         assert not is_uniquely_pi_clean(t2)
 
+    def test_triangular_radical_is_strict_upper_part(self):
+        # |J(T_k(F_q))| = q^(k(k-1)/2)
+        for q, k in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3)):
+            assert len(jacobson_radical(upper_triangular(gf(q), k)).members) == q ** (k * (k - 1) // 2)
+
     def test_equal_diagonal(self):
         ed = equal_diagonal_subring(zmod(2), 2)
         assert ed.order == 4
@@ -117,6 +154,22 @@ class TestMatrixShapedRings:
         assert equal_diagonal_subring(zmod(3), 2).order == 9
         assert is_uniquely_pi_clean(equal_diagonal_subring(zmod(3), 2))
         assert equal_diagonal_subring(zmod(2), 3).order == 16
+        # local with residue field F_q: (q-1) q^(k(k-1)/2) units
+        for q, k in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)):
+            ed = equal_diagonal_subring(gf(q), k)
+            assert len(units(ed).members) == (q - 1) * q ** (k * (k - 1) // 2)
+
+    def test_matrix_family_closure_is_checked(self):
+        from ringlab.construct import _matrix_ring
+        with pytest.raises(ClosureViolation):
+            _matrix_ring("off-diagonal", zmod(2), 2, [(0, 1), (1, 0)])
+        # the showcase with its Frobenius tie replaced by a non-multiplicative map
+        f = gf(4)
+        homes = [(0, 0), (0, 1), (0, 2)]
+        not_frobenius = np.array([0, 1, 2, 2])
+        with pytest.raises(ClosureViolation):
+            _matrix_ring("bad tie", f, 3, homes,
+                         [((1, 1), 0, not_frobenius), ((2, 2), 0, np.arange(4))])
 
     def test_order_caps(self):
         with pytest.raises(OrderCapExceeded):
@@ -146,6 +199,14 @@ class TestCornerAndQuotient:
         assert q.order == 6
         assert q.table_bytes() == zmod(6).table_bytes()
         assert predicate_vector(q).values == predicate_vector(zmod(6)).values
+
+    def test_subring_rejects_non_closed_set(self):
+        z6 = zmod(6)
+        with pytest.raises(ClosureViolation):
+            z6.subring([0, 1, 2], 1, "not closed under +")
+        with pytest.raises(ClosureViolation):
+            z6.subring([0, 2, 4], 1, "misses its identity")
+        assert z6.subring([0, 3], 3, "e3 Z/6 e3").order == 2
 
     def test_quotient_rejects_non_ideal(self):
         with pytest.raises(NotAnIdeal):

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from ringlab import RunConfig, ring_report, run_verify, zmod
+from ringlab import RunConfig, matrix_ring, ring_report, run_verify, zmod
+from ringlab.construct import RingCatalogEntry
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
 
@@ -60,6 +61,25 @@ class TestRunVerify:
         seq = run_verify(RunConfig(theorems=("T2.10", "L4.6"), jobs=1), catalog)
         par = run_verify(RunConfig(theorems=("T2.10", "L4.6"), jobs=2), catalog)
         assert [v.to_json_dict() for v in seq] == [v.to_json_dict() for v in par]
+
+    def test_parallel_checks_the_given_rings(self):
+        # provenance is only a tag: it may not parse, may name another ring,
+        # and may repeat; both modes must check the ring objects themselves
+        custom = [
+            RingCatalogEntry(zmod(6), "my-z6"),
+            RingCatalogEntry(zmod(4), "zmod:9"),
+            RingCatalogEntry(matrix_ring(zmod(2), 2), "dup"),
+            RingCatalogEntry(zmod(3), "dup"),
+        ]
+        suites = ("collapse", "C2.12", "L4.6")
+        seq = run_verify(RunConfig(theorems=suites, jobs=1), custom)
+        par = run_verify(RunConfig(theorems=suites, jobs=2), custom)
+        assert [v.to_json_dict() for v in seq] == [v.to_json_dict() for v in par]
+        collapse = seq[0]
+        assert [(r.ring, r.provenance) for r in collapse.rows] == [
+            ("Z/6", "my-z6"), ("Z/4", "zmod:9"), ("M2(Z/2)", "dup"), ("Z/3", "dup")]
+        assert [r.lhs for r in collapse.rows] == [True, True, False, True]
+        assert seq[1].skipped == [("my-z6", "not a local ring"), ("dup", "not a local ring")]
 
     def test_json_stable_across_runs(self, catalog):
         a = run_verify(RunConfig(theorems=("T2.4", "radical-set"), jobs=1), catalog)
