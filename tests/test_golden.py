@@ -1,10 +1,15 @@
-"""Golden digests of constructor output.
+"""Golden digests of constructor and analysis output.
 
-Each digest pins a ring's canonical tables, label, zero/one indices and
-element names, or a bimodule spec's four tables.  Unlike the determinism
-tests, which compare a rebuild against a rebuild, these catch an encoding
-that changes consistently everywhere.  To pin a new source, print
+Each constructor digest pins a ring's canonical tables, label, zero/one
+indices and element names, or a bimodule spec's four tables.  Unlike the
+determinism tests, which compare a rebuild against a rebuild, these catch an
+encoding that changes consistently everywhere.  To pin a new source, print
 ``ring_digest(parse_ring_source(src))`` on a build whose output is trusted.
+
+The analysis digests pin the verdict JSON of a sequential ``ringlab verify``
+run and each catalog ring's ``ring_report`` (predicate values, witnesses,
+class sizes, radicals, the unit-shift radical set and the spectrum), so a
+refactor of the predicates or radicals cannot move any of them.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from ringlab import gf, parse_ring_source, strict_upper_bimodule, upper_triangular, zmod
+from ringlab import cli, gf, parse_ring_source, strict_upper_bimodule, upper_triangular, zmod
 from ringlab.construct import T41_SPECS
+from ringlab.verify import ring_report
 
 # parse_ring_source(source) by source; commutative and noncommutative bases
 RING_DIGESTS = {
@@ -96,6 +102,153 @@ BIMODULE_DIGESTS = {
         "dd2693a7f6636dc87d02b71af5e648e1dbe1e3c9a538d2290551675030a4dc04",
 }
 
+# sha256 of `ringlab verify --format json --jobs 1` stdout
+VERIFY_JSON_DIGEST = "567e42a2671ad862ace0eb87fccc3282c744c6d8022679f18bdf7d4abbd37c7f"
+
+# sha256 of json.dumps(ring_report(entry.ring), sort_keys=True) by catalog provenance
+REPORT_DIGESTS = {
+    "zmod:1":
+        "9d198a3ab448ce29183e30c14771b042e510536d831764babd77c2fcc5f0165c",
+    "zmod:2":
+        "1aa7d8a83e2a05ea01066445a820beee5db107356fae7ad6ab7ef2dce3bfaddf",
+    "zmod:3":
+        "b4a030f832f60acc911b8ccfeaf3555ef12a4240846b28ae455f64a2ee543759",
+    "zmod:4":
+        "89f74e1afffe714290b144d1f84bdad242018f5eddc652297f69753f626e262b",
+    "zmod:5":
+        "e153e12458b396995c0c7131edd1c8f477aca70a1d54b78c2b341676c8ff6ebb",
+    "zmod:6":
+        "24628f862d897803c479872784c0cb5f3f3a3337988f009e833891a9be15edc7",
+    "zmod:7":
+        "715398eb826af7cbb30b4f4281960901334291870fe8f7ed0d5be6275e078ec4",
+    "zmod:8":
+        "0fed475ab48ce1859786c9b59fadf077d1050324be3345e05e560d183b5bfbe1",
+    "zmod:9":
+        "838058ce14ae5edff7eb506ec788c614f24558effb08c2cbdd19a7f4ef959291",
+    "zmod:10":
+        "d5c042b8978db1e66fb7bd467026ddfc379319773da54654b77537c74aa1f7c6",
+    "zmod:11":
+        "31ae7a78debae163004a8a09c3b915c15597b3cc32c60b0289d54b5d460ceb43",
+    "zmod:12":
+        "03e282be5f0d68a611d524e21ab3672cfdcb25425516f7a50fbab2b53ff70dee",
+    "zmod:13":
+        "4442ecf7957531397d61c1c580a03aaa1666b9c2c9a70634872a2f7b4a1d045e",
+    "zmod:14":
+        "a98d885cdb283f226454a8c89ff5ef36da530051b2be890eb334ebf6e886de2f",
+    "zmod:15":
+        "4a9fe18608897d830320865c54a05ce71d5934db0f418ce1c683431e422e4ed1",
+    "zmod:16":
+        "0a191b39838382281a4418573150090f8c45711132c00bc6bf9aabf7c960468d",
+    "zmod:27":
+        "b9b8e7208dc3a08398d69115f7516007044567e7df6eb19ad47df8fab75b36f4",
+    "zmod:32":
+        "63ac2cf94a6fded0e3aa5db98a6ba16b3a3c03a55c175f7c644524df7149a267",
+    "gf:2":
+        "80a0b042267069ef4e1bfc785157032759bdc451144b2ac5b33626f2774b90fe",
+    "gf:3":
+        "8691e06c674fd142668782f00b2dfe747da92d935f205a5b196820c197de352d",
+    "gf:4":
+        "ac995d7176b40c0b093d7935964320cfb90736b74835361d8957992f8193236b",
+    "gf:5":
+        "a14edf473753fe1c33c6f8c6bdf33263eed45d8c243111c620c576cc5b4bb618",
+    "gf:7":
+        "84152885a7b16ff3ff2922687417a21041e840d6217d92d58e750f72e24fca6f",
+    "gf:8":
+        "110e807f010ca30620fc300085704899111a4dd6a78c11ef1c062b7500585e0b",
+    "gf:9":
+        "7a62ae254b4af65d61c6b59c9b3065364cadc8c40853a39a1d5b89b4a52ea1ca",
+    "product:zmod2,zmod2":
+        "d2fd2921bfc0d20c6afa66dd14bd21081a4b61c86cc24c82dda744c90571f996",
+    "product:zmod2,zmod3":
+        "1505d492ba9a94268a4bcce64a1a217f9024b5d79f2ae1feafb383debe49f329",
+    "product:zmod2,zmod4":
+        "847e29b62d0351cd83d5d5bf766245e3f56acf16e31dcee80fc833c8cf558e5f",
+    "product:zmod2,zmod6":
+        "a240e606cbd3eefe4a638c7d1b5c757e32f72cf7d37bea335f9620d1dad1a658",
+    "product:zmod2,gf4":
+        "c9f995af9ce272012a1311d36064dea55cbf1912367188bccf6b7f8f0d5fd7bf",
+    "product:zmod3,zmod3":
+        "a40de435720266085795df18ee5aac26f462076cd33518e39deb5edaf8633afb",
+    "product:zmod3,zmod4":
+        "bfc1291020882d38c790ef85651f91cc4cc3b071cc06e6944bf66238f909dc33",
+    "product:zmod3,zmod6":
+        "ff94ab2ee76ac4c57dbba1fa3e4559809a2141f14a9664e0096c84b4495d5b21",
+    "product:zmod3,gf4":
+        "2f7f1c4dfcf50e91703042be20f5d99243fdcbe61edb69fcf650ef210204375e",
+    "product:zmod4,zmod4":
+        "59ad1a19ff5785b807191e9921b93ebfff4ccf510869430b8c066bd6fe769113",
+    "product:zmod4,zmod6":
+        "f4e0403e4e73877c93d1ede1853437a85dfdf95023ab6fdaeac6fd287bd4f8d4",
+    "product:zmod4,gf4":
+        "83d9d61884653db11677c965ed115026700b93f8d1197e7d0353c2ac64201a5e",
+    "product:zmod6,zmod6":
+        "ed537bfda7c0f8dda09e4a5a7852581473e2faba8a7f2d8f3b7bb3d1608e78d7",
+    "product:zmod6,gf4":
+        "94097453d31ecd4eaaee3954faa3072bb515d6f76832ada621b7353450821e79",
+    "product:gf4,gf4":
+        "1927a0a8d21324074c715a7f7991dacd5ad2d543afd0fd6b490ed9c0de36e44b",
+    "matrix:zmod2:2":
+        "276582cd816c42db3da83864069136d5211d6ca4f6f19d41c9314de5ffd85bc9",
+    "matrix:zmod3:2":
+        "08290b8261c4155a9df557a039856b6fa5a8bd239ae26026cfc0748931f4daa9",
+    "tri:zmod2:2":
+        "3511faed5b771edc39c7b656df5eb516ae97710d634e8168900dd6e6cca3cfc4",
+    "tri:zmod3:2":
+        "b788cb0684edb9a068e0cc028f835d354c12d9f62fba6bead3ae14b34c9b9230",
+    "eqdiag:zmod2:2":
+        "84555a308309ba20ae58a70af5e3258ea6cae039ff439178a0937720e4fecec7",
+    "eqdiag:zmod2:3":
+        "b6761b8a9789802968176c00934162498262c75ab4d9e18c3e56a686a4b3488f",
+    "eqdiag:zmod3:2":
+        "ba53fe4ac61520b62e7a7bcf1c921fcd552dd496e127798a437a7a68d4f4d3e1",
+    "zn-alpha:2":
+        "75faca14ef644d6164c31a82cc139e72f7e9fbbd061c98bf1fdd8f07d7b21b8d",
+    "zn-alpha:3":
+        "abf6a51b237ab5a15daa24eea6e7807852f4b3ce3cc78984eb381b02ad7d11a3",
+    "zn-alpha:4":
+        "4f1e63b9b63456ca84a721624b9032c0674a0ebeb1efd286b41bcce0a3dafa2b",
+    "extension:t41-base":
+        "fad1a3453df450dac61b22529a436a4ac70e8acdf64ab4cea8805d83ba838bc0",
+    "extension:t41-break-central-action":
+        "e32d835949ed86eb053bd1abaeee136143a3876c42a1c20f8905908cfcd43201",
+    "extension:t41-break-quasi-inverse":
+        "3619681cce3339eb0e064b47142f0ff634616c56dd239be99055604e86875536",
+    "extension:t41-break-base-ring":
+        "2a656ad43be04e46243394d2a6c0cdb0642c22d3896d40999e542abc225919a2",
+    "paper:gf4-example":
+        "78acc9718435c75134c360ee41ed308a02f10ba39a214433c8980516f2619679",
+    "corner:zmod:10:6":
+        "b03b52b7fa22bafc105b10c6c23691f079c20f1213b72f1a4a63dc3b5db1ff77",
+    "corner:zmod:12:9":
+        "3a05157c54587b52419cb1db4ab614fbef51a2f1d43cbc1c8d26e995a10c23ee",
+    "corner:zmod:14:8":
+        "446247e474db493dd57033be3efa5a26dceab7d81075959457f7eca353f0a9f7",
+    "corner:zmod:15:6":
+        "e348e73eba52776bf76eaf14e84e22192f2423790962875e30b31ac4f109a506",
+    "corner:product:zmod2,zmod6:10":
+        "22f0a69f972c626c3a68c2417f7f13e634665209bb12e82e5be8da1ce5140eab",
+    "jquot:product:zmod3,zmod4":
+        "9f3440b8f6dfe49c4287b24125dcb03036353605fb01e4619c37d370f328158d",
+    "corner:product:zmod3,zmod6:10":
+        "12d496db675ab21247a3ef8c3cc6a474c79ca7c7646b237f4b733b75d1230aeb",
+    "corner:product:zmod4,zmod6:9":
+        "3779b9ff576f3db2a667690741c0b78a69ae66d8aafd4803789623a6850576d4",
+    "corner:product:zmod4,zmod6:10":
+        "6dbfe80200b82fdcc8f4c365b810524e41c1a41d4ea17b327844d3d63673a9ca",
+    "corner:product:zmod6,zmod6:9":
+        "beed71b64f96f468a54294e51bc2548f9ce7dee22a43a78b44532c81b9bb87a7",
+    "corner:product:zmod6,zmod6:10":
+        "1512cdf39cbc90c008d03eb96dada68cd49109ac8aeb8b8a0e9c58e8b36430f2",
+    "corner:product:zmod6,zmod6:25":
+        "2baf55dc9bffea5a13ef0ced69c417b8fc03c071629dfcd4f0e05402696b999e",
+    "corner:product:zmod6,zmod6:27":
+        "1d7005494f0b18f78905febca5bce4eddda8da5ad360ed51f992fa65ac2fdfed",
+    "corner:product:zmod6,zmod6:28":
+        "a859827ac04ac73146c45856440444ea7f66745125f58526d1116f7aeca1bbe5",
+    "corner:product:zmod6,gf4:17":
+        "d215acf3aa334dd3eec2e3c0e5da0d88ccf541153e6a1248a745aa1fc3d8e57a",
+}
+
 
 BIMODULE_BASES = {
     "zmod2": zmod(2),
@@ -133,3 +286,19 @@ def test_bimodule_digest(key):
     else:
         spec = T41_SPECS[key][0]()
     assert spec_digest(spec) == BIMODULE_DIGESTS[key]
+
+
+def test_verify_json_digest(capsys):
+    assert cli.main(["verify", "--format", "json", "--jobs", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_JSON_DIGEST
+
+
+def test_report_digests_cover_the_catalog(catalog):
+    assert [e.provenance for e in catalog] == list(REPORT_DIGESTS)
+
+
+@pytest.mark.parametrize("provenance", list(REPORT_DIGESTS))
+def test_report_digest(catalog, provenance):
+    (ring,) = [e.ring for e in catalog if e.provenance == provenance]
+    text = json.dumps(ring_report(ring), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[provenance]
