@@ -287,6 +287,31 @@ class FiniteRing:
             self._memo["trails"] = cached
         return cached
 
+    def power_matrix(self) -> np.ndarray:
+        """``powers[x, k] = x^(k+1)`` for k = 0..L, L the longest power trail.
+
+        Row x starts with the distinct-power trail of x, and the last column,
+        x^(L+1), repeats an earlier column of every row, so any power of x
+        equals some entry of its row.  Built one column at a time by a gather
+        of ``mul_table``, stopping once every row has repeated a value.
+        """
+        powers = self._memo.get("power_matrix")
+        if powers is None:
+            idx = np.arange(self.order)
+            seen = np.zeros((self.order, self.order), dtype=bool)
+            seen[idx, idx] = True
+            cols = [idx.astype(np.int32)]
+            trail_open = np.ones(self.order, dtype=bool)
+            while trail_open.any():
+                nxt = self.mul_table[cols[-1], idx]
+                trail_open &= ~seen[idx, nxt]
+                seen[idx, nxt] = True
+                cols.append(nxt)
+            powers = np.stack(cols, axis=1)
+            powers.setflags(write=False)
+            self._memo["power_matrix"] = powers
+        return powers
+
     # -- element objects ------------------------------------------------------
 
     def elem(self, index: int) -> "Elem":

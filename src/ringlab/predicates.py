@@ -8,18 +8,28 @@ idempotent plus a distinguished complement:
 * uniquely pi-clean: some power of the element is uniquely clean;
 * uniquely nil clean: a unique idempotent e with a - e nilpotent.
 
-Ring-level predicates are exhaustive scans of those definitions.  Each suite
-identifier accepted by :func:`characterization` evaluates the right-hand side
-of one biconditional as an independent condition list, composed from the
-primitive operations; none of them shortcut through the uniquely-pi-clean
-scan of the ring itself.  Power searches range over the distinct-power trail
-of the element: any witness exponent has the same power value as one of the
-trail entries, so nothing is lost by stopping at the first repeat.
+Ring-level predicates are exhaustive scans of those definitions.  Each is one
+vectorised scan, ``<name>_witness``, returning the first failing element (or
+pair) or None; ``is_<name>`` is ``witness is None``, and
+:func:`predicate_vector` reads the same scans.  Each suite identifier
+accepted by :func:`characterization` evaluates the right-hand side of one
+biconditional as an independent condition list, composed from the primitive
+operations; none of them shortcut through the uniquely-pi-clean scan of the
+ring itself.
+
+Power searches go through the ring's power matrix
+(:meth:`FiniteRing.power_matrix`), whose row a holds a^1 ... a^L and then
+a^(L+1), L being the longest distinct-power trail in the ring.  Every power
+of a equals an entry of its row, so "some power of a satisfies X" is a
+per-element vector X gathered through the matrix and reduced along the row
+(``any``; ``all`` for "every power"), and the smallest such exponent is the
+first qualifying column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -27,6 +37,7 @@ import numpy as np
 from .core import FiniteRing
 from .subsets import (
     Ideal,
+    _central_mask,
     _idempotent_array,
     _nilpotent_mask,
     _potent_mask,
@@ -41,6 +52,9 @@ from .subsets import (
 )
 
 WitnessKind = Literal["clean", "nil-clean", "J-clean", "P-clean"]
+
+# the first failing element (or pair) of a ring-level predicate, or None
+Witness = tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,59 @@ class CleanWitness:
 
 
 # ---------------------------------------------------------------------------
+# per-element vectors
+
+
+def _split_counts(r: FiniteRing, complement: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Per element a, how many p in ``parts`` have a - p in the complement mask."""
+    return complement[r.sub_table[:, parts]].sum(axis=1)
+
+
+def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
+    """Per element a, whether the per-element vector ok holds at some a^m."""
+    return ok[r.power_matrix()].any(axis=1)
+
+
+def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
+    """``m[x, z]``: whether z lies in xR (in Rx when ``left``)."""
+    m = np.zeros((r.order, r.order), dtype=bool)
+    m[np.arange(r.order)[:, None], r.mul_table.T if left else r.mul_table] = True
+    return m
+
+
+def _corner_counts(r: FiniteRing, left: bool) -> np.ndarray:
+    """Per element x, the idempotents e in xR with 1 - e in (1 - x)R
+    (in Rx and R(1 - x) when ``left``)."""
+    multiples = _multiples(r, left)
+    idem = _idempotent_array(r)
+    one_minus = r.sub_table[r.one]
+    return (multiples[:, idem] & multiples[one_minus[:, None], one_minus[idem]]).sum(axis=1)
+
+
+def _clean_counts(r: FiniteRing) -> np.ndarray:
+    """Per element, its number of decompositions e + u."""
+    counts = r._memo.get("clean_counts")
+    if counts is None:
+        counts = _split_counts(r, _units_mask(r), _idempotent_array(r))
+        r._memo["clean_counts"] = counts
+    return counts
+
+
+def _first_false(ok: np.ndarray) -> Witness:
+    bad = np.flatnonzero(~ok)
+    return (int(bad[0]),) if len(bad) else None
+
+
+def _first_noncentral(r: FiniteRing, candidates: np.ndarray) -> Witness:
+    """The first non-central candidate, paired with an element it fails to commute with."""
+    bad = candidates[~_central_mask(r)[candidates]]
+    if len(bad) == 0:
+        return None
+    x = int(bad[0])
+    return x, int(np.flatnonzero(r.mul_table[x] != r.mul_table[:, x])[0])
+
+
+# ---------------------------------------------------------------------------
 # element-level decompositions
 
 
@@ -81,21 +148,16 @@ def clean_decompositions(r: FiniteRing, a: int) -> list[tuple[int, int]]:
     return [(int(e), int(u)) for e, u in zip(idem, compl) if umask[u]]
 
 
-def _clean_count(r: FiniteRing, a: int) -> int:
-    idem = _idempotent_array(r)
-    return int(_units_mask(r)[r.sub_table[a, idem]].sum())
-
-
 def is_uniquely_clean_element(r: FiniteRing, a: int) -> bool:
-    return _clean_count(r, a) == 1
+    return bool(_clean_counts(r)[a] == 1)
 
 
 def is_uniquely_pi_clean_element(r: FiniteRing, a: int) -> tuple[bool, int | None]:
     """Whether some power of a is uniquely clean; returns the smallest exponent."""
-    for m, p in enumerate(r.power_trail(a).distinct_powers, start=1):
-        if _clean_count(r, p) == 1:
-            return True, m
-    return False, None
+    hits = _clean_counts(r)[r.power_matrix()[a]] == 1
+    if not hits.any():
+        return False, None
+    return True, int(hits.argmax()) + 1
 
 
 def is_uniquely_nil_clean_element(r: FiniteRing, a: int) -> bool:
@@ -122,138 +184,154 @@ def pi_clean_witness(r: FiniteRing, a: int) -> CleanWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# ring-level predicates
+# ring-level predicates: one witness scan each
 
 
-def _first_failing(r: FiniteRing, elem_pred) -> int | None:
-    for a in range(r.order):
-        if not elem_pred(a):
-            return a
-    return None
+def clean_witness(r: FiniteRing) -> Witness:
+    return _first_false(_clean_counts(r) >= 1)
 
 
 def is_clean(r: FiniteRing) -> bool:
-    return _first_failing(r, lambda a: _clean_count(r, a) >= 1) is None
+    return clean_witness(r) is None
+
+
+def uniquely_clean_witness(r: FiniteRing) -> Witness:
+    return _first_false(_clean_counts(r) == 1)
 
 
 def is_uniquely_clean(r: FiniteRing) -> bool:
-    return _first_failing(r, lambda a: _clean_count(r, a) == 1) is None
+    return uniquely_clean_witness(r) is None
+
+
+def uniquely_pi_clean_witness(r: FiniteRing) -> Witness:
+    if "uniquely_pi_clean" not in r._memo:
+        r._memo["uniquely_pi_clean"] = _first_false(_some_power(r, _clean_counts(r) == 1))
+    return r._memo["uniquely_pi_clean"]
 
 
 def is_uniquely_pi_clean(r: FiniteRing) -> bool:
-    cached = r._memo.get("uniquely_pi_clean")
-    if cached is None:
-        cached = _first_failing(r, lambda a: is_uniquely_pi_clean_element(r, a)[0]) is None
-        r._memo["uniquely_pi_clean"] = cached
-    return cached
+    return uniquely_pi_clean_witness(r) is None
+
+
+def strongly_clean_witness(r: FiniteRing) -> Witness:
+    """Every a = e + u with e idempotent, u a unit, and e commuting with a."""
+    idem = _idempotent_array(r)
+    commutes = r.mul_table[:, idem] == r.mul_table[idem, :].T
+    return _first_false((_units_mask(r)[r.sub_table[:, idem]] & commutes).any(axis=1))
 
 
 def is_strongly_clean(r: FiniteRing) -> bool:
-    """Every a = e + u with e idempotent, u a unit, and e commuting with a."""
-    idem = _idempotent_array(r)
-    umask = _units_mask(r)
+    return strongly_clean_witness(r) is None
 
-    def elem_ok(a: int) -> bool:
-        compl = r.sub_table[a, idem]
-        commute = r.mul_table[idem, a] == r.mul_table[a, idem]
-        return bool((umask[compl] & commute).any())
 
-    return _first_failing(r, elem_ok) is None
+def uniquely_pi_nil_clean_witness(r: FiniteRing) -> Witness:
+    """Some power of every element is uniquely nil clean."""
+    counts = _split_counts(r, _nilpotent_mask(r), _idempotent_array(r))
+    return _first_false(_some_power(r, counts == 1))
 
 
 def is_uniquely_pi_nil_clean(r: FiniteRing) -> bool:
-    """Some power of every element is uniquely nil clean."""
+    return uniquely_pi_nil_clean_witness(r) is None
 
-    def elem_ok(a: int) -> bool:
-        return any(is_uniquely_nil_clean_element(r, p)
-                   for p in r.power_trail(a).distinct_powers)
 
-    return _first_failing(r, elem_ok) is None
+def exchange_witness(r: FiniteRing) -> Witness:
+    """For every a, some idempotent e lies in aR with 1 - e in (1-a)R."""
+    return _first_false(_corner_counts(r, left=False) >= 1)
 
 
 def is_exchange(r: FiniteRing) -> bool:
-    """For every a, some idempotent e lies in aR with 1 - e in (1-a)R."""
-    idem = _idempotent_array(r)
-    one_minus = r.sub_table[r.one]
-
-    def elem_ok(a: int) -> bool:
-        in_aR = np.zeros(r.order, dtype=bool)
-        in_aR[r.mul_table[a]] = True
-        in_bR = np.zeros(r.order, dtype=bool)
-        in_bR[r.mul_table[one_minus[a]]] = True
-        return bool((in_aR[idem] & in_bR[one_minus[idem]]).any())
-
-    return _first_failing(r, elem_ok) is None
+    return exchange_witness(r) is None
 
 
-def abelian_witness(r: FiniteRing) -> tuple[int, int] | None:
+def abelian_witness(r: FiniteRing) -> Witness:
     """A non-central idempotent paired with an element it fails to commute with."""
-    for e in _idempotent_array(r):
-        diff = r.mul_table[e] != r.mul_table[:, e]
-        if diff.any():
-            return int(e), int(np.flatnonzero(diff)[0])
-    return None
+    return _first_noncentral(r, _idempotent_array(r))
 
 
 def is_abelian(r: FiniteRing) -> bool:
-    cached = r._memo.get("abelian")
-    if cached is None:
-        cached = abelian_witness(r) is None
-        r._memo["abelian"] = cached
-    return cached
+    return abelian_witness(r) is None
+
+
+def commutative_witness(r: FiniteRing) -> Witness:
+    return _first_noncentral(r, np.arange(r.order))
 
 
 def is_commutative(r: FiniteRing) -> bool:
-    return bool(np.array_equal(r.mul_table, r.mul_table.T))
+    return commutative_witness(r) is None
+
+
+def boolean_witness(r: FiniteRing) -> Witness:
+    idx = np.arange(r.order)
+    return _first_false(r.mul_table[idx, idx] == idx)
 
 
 def is_boolean(r: FiniteRing) -> bool:
-    return len(_idempotent_array(r)) == r.order
+    return boolean_witness(r) is None
 
 
-def is_potent_ring(r: FiniteRing) -> bool:
-    return bool(_potent_mask(r).all())
+def local_witness(r: FiniteRing) -> Witness:
+    """Non-units form a two-sided ideal (the finite-ring reading of local).
 
-
-def is_periodic(r: FiniteRing) -> bool:
-    """Every element has a^m = a^n for distinct m, n; true in any finite ring,
-    confirmed from the power trails rather than assumed."""
-    return all(t.periodic_exponents()[0] < t.periodic_exponents()[1] for t in r.trails())
-
-
-def periodic_witness(r: FiniteRing, a: int) -> tuple[int, int]:
-    return r.power_trail(a).periodic_exponents()
+    The witness is a closure failure of the non-unit set: a pair summing or
+    absorbing to a unit, or () when there are no non-units at all.
+    """
+    umask = _units_mask(r)
+    nonunits = np.flatnonzero(~umask)
+    if len(nonunits) == 0:
+        return ()
+    bad = np.argwhere(umask[r.add_table[np.ix_(nonunits, nonunits)]])
+    if len(bad):
+        return int(nonunits[bad[0][0]]), int(nonunits[bad[0][1]])
+    bad = np.argwhere(umask[r.mul_table[:, nonunits]])
+    if len(bad):
+        return int(bad[0][0]), int(nonunits[bad[0][1]])
+    bad = np.argwhere(umask[r.mul_table[nonunits, :]])
+    if len(bad):
+        return int(nonunits[bad[0][0]]), int(bad[0][1])
+    return None
 
 
 def is_local(r: FiniteRing) -> bool:
-    """Non-units form a two-sided ideal (the finite-ring reading of local)."""
-    nonunits = np.flatnonzero(~_units_mask(r))
-    if len(nonunits) == 0:
-        return False
-    ideal = Ideal(r, tuple(int(i) for i in nonunits))
-    return ideal.verify()
+    return local_witness(r) is None
+
+
+def potent_witness(r: FiniteRing) -> Witness:
+    return _first_false(_potent_mask(r))
+
+
+def is_potent_ring(r: FiniteRing) -> bool:
+    return potent_witness(r) is None
+
+
+def periodic_witness(r: FiniteRing) -> Witness:
+    """Every element has a^m = a^n for distinct m, n; true in any finite ring,
+    confirmed by the last power-matrix column repeating an earlier one."""
+    powers = r.power_matrix()
+    return _first_false((powers[:, :-1] == powers[:, -1:]).any(axis=1))
+
+
+def is_periodic(r: FiniteRing) -> bool:
+    return periodic_witness(r) is None
+
+
+def strongly_pi_regular_witness(r: FiniteRing) -> Witness:
+    """For every a some n has a^n inside a^(n+1) R."""
+    powers = r.power_matrix()
+    return _first_false(_multiples(r)[powers[:, 1:], powers[:, :-1]].any(axis=1))
 
 
 def is_strongly_pi_regular(r: FiniteRing) -> bool:
-    """For every a some n <= order has a^n inside a^(n+1) R."""
+    return strongly_pi_regular_witness(r) is None
 
-    def elem_ok(a: int) -> bool:
-        p = a
-        for _ in range(r.order):
-            p_next = r.mul(p, a)
-            if (r.mul_table[p_next] == p).any():
-                return True
-            p = p_next
-        return False
 
-    return _first_failing(r, elem_ok) is None
+def potently_j_clean_witness(r: FiniteRing) -> Witness:
+    """Every element is a potent element plus a Jacobson-radical element."""
+    potent = np.flatnonzero(_potent_mask(r))
+    return _first_false(_split_counts(r, jacobson_radical(r).mask(), potent) >= 1)
 
 
 def is_potently_j_clean(r: FiniteRing) -> bool:
-    """Every element is a potent element plus a Jacobson-radical element."""
-    potent = np.flatnonzero(_potent_mask(r))
-    jmask = jacobson_radical(r).mask()
-    return _first_failing(r, lambda a: bool(jmask[r.sub_table[a, potent]].any())) is None
+    return potently_j_clean_witness(r) is None
 
 
 def is_generalized_n_like(r: FiniteRing, n: int) -> bool:
@@ -263,8 +341,11 @@ def is_generalized_n_like(r: FiniteRing, n: int) -> bool:
     return generalized_n_like_witness(r, n) is None
 
 
-def generalized_n_like_witness(r: FiniteRing, n: int) -> tuple[int, int] | None:
-    pow_n = np.array([r.pow(x, n) for x in range(r.order)], dtype=np.int32)
+def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
+    idx = np.arange(r.order)
+    pow_n = idx
+    for _ in range(n - 1):
+        pow_n = r.mul_table[pow_n, idx]
     ab = r.mul_table
     t1 = pow_n[ab]                      # (ab)^n
     t2 = r.mul_table[:, pow_n]          # a * b^n
@@ -291,32 +372,17 @@ def idempotents_lift_uniquely_mod(r: FiniteRing, ideal: Ideal) -> bool:
 
 def _lifting_scan(r: FiniteRing, ideal: Ideal, unique: bool) -> bool:
     mask = ideal.mask()
-    idem = _idempotent_array(r)
-    sq = r.mul_table[np.arange(r.order), np.arange(r.order)]
-    candidates = np.flatnonzero(mask[r.sub_table[sq, np.arange(r.order)]])
-    for x in candidates:
-        count = int(mask[r.sub_table[x, idem]].sum())
-        if count == 0 or (unique and count != 1):
-            return False
-    return True
+    idx = np.arange(r.order)
+    candidates = mask[r.sub_table[r.mul_table[idx, idx], idx]]  # x^2 - x in the ideal
+    counts = _split_counts(r, mask, _idempotent_array(r))[candidates]
+    return bool((counts == 1).all() if unique else (counts >= 1).all())
 
 
 def radical_unit_set(r: FiniteRing) -> tuple[int, ...]:
-    """{x : x^m - 1 is a unit for every m}, with m over the distinct-power trail."""
-    umask = _units_mask(r)
-    out = []
-    for t in r.trails():
-        if all(umask[r.sub(p, r.one)] for p in t.distinct_powers):
-            out.append(t.base)
-    return tuple(out)
-
-
-def _unit_power_set(r: FiniteRing, jmask: np.ndarray) -> tuple[int, ...]:
-    """{x : some x^m - 1 lies in the given ideal mask}."""
-    return tuple(
-        t.base for t in r.trails()
-        if any(jmask[r.sub(p, r.one)] for p in t.distinct_powers)
-    )
+    """{x : x^m - 1 is a unit for every m >= 1}."""
+    minus_one = r.sub_table[:, r.one]
+    every = _units_mask(r)[minus_one[r.power_matrix()]].all(axis=1)
+    return tuple(int(x) for x in np.flatnonzero(every))
 
 
 # ---------------------------------------------------------------------------
@@ -330,37 +396,8 @@ def _pi_shift_into(r: FiniteRing, target_mask: np.ndarray, idem: np.ndarray,
     With ``unique`` the count of qualifying idempotents at that power must be
     exactly one.
     """
-
-    def elem_ok(a: int) -> bool:
-        for p in r.power_trail(a).distinct_powers:
-            count = int(target_mask[r.sub_table[p, idem]].sum())
-            if (count == 1) if unique else (count >= 1):
-                return True
-        return False
-
-    return _first_failing(r, elem_ok) is None
-
-
-def _unique_idempotent_in_corner_modules(r: FiniteRing, left: bool) -> bool:
-    """For every a, some n gives a unique idempotent e in a^n R with
-    1 - e in (1 - a^n) R (or the R a^n / R(1 - a^n) version when ``left``)."""
-    idem = _idempotent_array(r)
-    one_minus = r.sub_table[r.one]
-
-    def row_mask(x: int) -> np.ndarray:
-        m = np.zeros(r.order, dtype=bool)
-        m[r.mul_table[:, x] if left else r.mul_table[x]] = True
-        return m
-
-    def elem_ok(a: int) -> bool:
-        for p in r.power_trail(a).distinct_powers:
-            in_a = row_mask(p)
-            in_b = row_mask(one_minus[p])
-            if int((in_a[idem] & in_b[one_minus[idem]]).sum()) == 1:
-                return True
-        return False
-
-    return _first_failing(r, elem_ok) is None
+    counts = _split_counts(r, target_mask, idem)
+    return bool(_some_power(r, counts == 1 if unique else counts >= 1).all())
 
 
 CHARACTERIZATION_IDS = (
@@ -387,10 +424,12 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
         if not idempotents_lift_mod(r, j):
             return False
         return is_uniquely_pi_clean(quotient_ring(r, j))
-    if thm_id == "T2.4":
-        return is_abelian(r) and _unique_idempotent_in_corner_modules(r, left=False)
-    if thm_id == "C2.5":
-        return is_abelian(r) and _unique_idempotent_in_corner_modules(r, left=True)
+    if thm_id in ("T2.4", "C2.5"):
+        # a unique idempotent e in a^n R with 1 - e in (1 - a^n) R, or the
+        # R a^n / R(1 - a^n) version for C2.5
+        if not is_abelian(r):
+            return False
+        return bool(_some_power(r, _corner_counts(r, left=thm_id == "C2.5") == 1).all())
     if thm_id == "T2.8":
         return _pi_shift_into(r, jacobson_radical(r).mask(), cidem, unique=False)
     if thm_id == "C2.9":
@@ -407,10 +446,9 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
         return (_pi_shift_into(r, j.mask(), idem, unique=True)
                 and bool(j.mask()[nilp].all()))
     if thm_id == "C2.12":
-        umask = _units_mask(r)
-        in_unit_set = np.zeros(r.order, dtype=bool)
-        in_unit_set[list(_unit_power_set(r, jacobson_radical(r).mask()))] = True
-        return bool(np.array_equal(in_unit_set, umask))
+        # units = {x : some x^m - 1 lies in J}
+        in_j_plus_one = jacobson_radical(r).mask()[r.sub_table[:, r.one]]
+        return bool(np.array_equal(_some_power(r, in_j_plus_one), _units_mask(r)))
     if thm_id == "T3.3":
         if not is_abelian(r):
             return False
@@ -442,16 +480,9 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
         # idempotent power would do), which would not characterize anything.
         pmask = prime_radical(r, **caps).mask()
         nmask = _nilpotent_mask(r)
-
-        def elem_ok(a: int) -> bool:
-            for p in r.power_trail(a).distinct_powers:
-                diffs = r.sub_table[p, idem]
-                nil = nmask[diffs]
-                if int(nil.sum()) == 1 and bool(pmask[diffs[nil]].all()):
-                    return True
-            return False
-
-        return _first_failing(r, elem_ok) is None
+        ok = ((_split_counts(r, nmask, idem) == 1)
+              & (_split_counts(r, nmask & ~pmask, idem) == 0))
+        return bool(_some_power(r, ok).all())
     if thm_id == "C4.8":
         return _pi_shift_into(r, prime_radical(r, **caps).mask(), cidem, unique=False)
     raise ValueError(f"unknown characterization id {thm_id!r}")
@@ -463,11 +494,27 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
 
 GENERALIZED_RANGE = tuple(range(2, 10))
 
-PREDICATE_NAMES = (
-    "clean", "uniquely_clean", "strongly_clean", "uniquely_pi_clean",
-    "uniquely_pi_nil_clean", "exchange", "abelian", "commutative", "boolean",
-    "local", "potent", "periodic", "strongly_pi_regular", "potently_j_clean",
-) + tuple(f"generalized_{n}_like" for n in GENERALIZED_RANGE)
+# every ring-level predicate by name, as its witness scan
+_PREDICATE_SCANS = {
+    "clean": clean_witness,
+    "uniquely_clean": uniquely_clean_witness,
+    "strongly_clean": strongly_clean_witness,
+    "uniquely_pi_clean": uniquely_pi_clean_witness,
+    "uniquely_pi_nil_clean": uniquely_pi_nil_clean_witness,
+    "exchange": exchange_witness,
+    "abelian": abelian_witness,
+    "commutative": commutative_witness,
+    "boolean": boolean_witness,
+    "local": local_witness,
+    "potent": potent_witness,
+    "periodic": periodic_witness,
+    "strongly_pi_regular": strongly_pi_regular_witness,
+    "potently_j_clean": potently_j_clean_witness,
+    **{f"generalized_{n}_like": partial(generalized_n_like_witness, n=n)
+       for n in GENERALIZED_RANGE},
+}
+
+PREDICATE_NAMES = tuple(_PREDICATE_SCANS)
 
 
 @dataclass
@@ -500,95 +547,9 @@ class PredicateVector:
 def predicate_vector(r: FiniteRing) -> PredicateVector:
     """Evaluate the full predicate battery on one ring."""
     cached = r._memo.get("predicate_vector")
-    if cached is not None:
-        return cached
-    values: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
-
-    def put(name: str, value: bool, witness: tuple[int, ...] | None = None):
-        values[name] = value
-        if not value and witness is not None:
-            witnesses[name] = witness
-
-    put("clean", is_clean(r), _as_tuple(_first_failing(r, lambda a: _clean_count(r, a) >= 1)))
-    put("uniquely_clean", is_uniquely_clean(r),
-        _as_tuple(_first_failing(r, lambda a: _clean_count(r, a) == 1)))
-    put("strongly_clean", is_strongly_clean(r), _strongly_clean_witness(r))
-    put("uniquely_pi_clean", is_uniquely_pi_clean(r),
-        _as_tuple(_first_failing(r, lambda a: is_uniquely_pi_clean_element(r, a)[0])))
-    put("uniquely_pi_nil_clean", is_uniquely_pi_nil_clean(r),
-        _as_tuple(_first_failing(r, lambda a: any(
-            is_uniquely_nil_clean_element(r, p) for p in r.power_trail(a).distinct_powers))))
-    put("exchange", is_exchange(r), _exchange_witness(r))
-    put("abelian", is_abelian(r), abelian_witness(r))
-    put("commutative", is_commutative(r), _commutative_witness(r))
-    put("boolean", is_boolean(r),
-        _as_tuple(_first_failing(r, lambda a: r.mul(a, a) == a)))
-    put("local", is_local(r), _local_witness(r))
-    put("potent", is_potent_ring(r),
-        _as_tuple(_first_failing(r, lambda a: bool(_potent_mask(r)[a]))))
-    put("periodic", is_periodic(r))
-    put("strongly_pi_regular", is_strongly_pi_regular(r))
-    put("potently_j_clean", is_potently_j_clean(r), _potently_j_clean_witness(r))
-    for n in GENERALIZED_RANGE:
-        put(f"generalized_{n}_like", is_generalized_n_like(r, n),
-            generalized_n_like_witness(r, n))
-    vec = PredicateVector(r.label, values, witnesses)
-    r._memo["predicate_vector"] = vec
-    return vec
-
-
-def _as_tuple(x: int | None) -> tuple[int, ...] | None:
-    return None if x is None else (x,)
-
-
-def _commutative_witness(r: FiniteRing) -> tuple[int, int] | None:
-    diff = np.argwhere(r.mul_table != r.mul_table.T)
-    if len(diff):
-        return int(diff[0][0]), int(diff[0][1])
-    return None
-
-
-def _potently_j_clean_witness(r: FiniteRing) -> tuple[int, ...] | None:
-    potent = np.flatnonzero(_potent_mask(r))
-    jmask = jacobson_radical(r).mask()
-    return _as_tuple(_first_failing(r, lambda a: bool(jmask[r.sub_table[a, potent]].any())))
-
-
-def _strongly_clean_witness(r: FiniteRing) -> tuple[int, ...] | None:
-    idem = _idempotent_array(r)
-    umask = _units_mask(r)
-    return _as_tuple(_first_failing(r, lambda a: bool(
-        (umask[r.sub_table[a, idem]] & (r.mul_table[idem, a] == r.mul_table[a, idem])).any())))
-
-
-def _exchange_witness(r: FiniteRing) -> tuple[int, ...] | None:
-    idem = _idempotent_array(r)
-    one_minus = r.sub_table[r.one]
-
-    def elem_ok(a: int) -> bool:
-        in_a = np.zeros(r.order, dtype=bool)
-        in_a[r.mul_table[a]] = True
-        in_b = np.zeros(r.order, dtype=bool)
-        in_b[r.mul_table[one_minus[a]]] = True
-        return bool((in_a[idem] & in_b[one_minus[idem]]).any())
-
-    return _as_tuple(_first_failing(r, elem_ok))
-
-
-def _local_witness(r: FiniteRing) -> tuple[int, ...] | None:
-    """A closure failure of the non-unit set: a pair summing or absorbing to a unit."""
-    umask = _units_mask(r)
-    nonunits = np.flatnonzero(~umask)
-    if len(nonunits) == 0:
-        return ()
-    bad = np.argwhere(umask[r.add_table[np.ix_(nonunits, nonunits)]])
-    if len(bad):
-        return int(nonunits[bad[0][0]]), int(nonunits[bad[0][1]])
-    bad = np.argwhere(umask[r.mul_table[:, nonunits]])
-    if len(bad):
-        return int(bad[0][0]), int(nonunits[bad[0][1]])
-    bad = np.argwhere(umask[r.mul_table[nonunits, :]])
-    if len(bad):
-        return int(nonunits[bad[0][0]]), int(bad[0][1])
-    return None
+    if cached is None:
+        scans = {name: scan(r) for name, scan in _PREDICATE_SCANS.items()}
+        cached = PredicateVector(r.label, {name: w is None for name, w in scans.items()},
+                                 {name: w for name, w in scans.items() if w is not None})
+        r._memo["predicate_vector"] = cached
+    return cached

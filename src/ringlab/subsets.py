@@ -177,26 +177,24 @@ def idempotents(r: FiniteRing) -> ElemClass:
     return ElemClass(r, "idempotents", tuple(int(i) for i in _idempotent_array(r)))
 
 
-def _central_mask_for(r: FiniteRing, candidates: np.ndarray) -> np.ndarray:
-    return np.array([(r.mul_table[e] == r.mul_table[:, e]).all() for e in candidates])
+def _central_mask(r: FiniteRing) -> np.ndarray:
+    """Whether each element commutes with every element."""
+    mask = r._memo.get("central_mask")
+    if mask is None:
+        mask = (r.mul_table == r.mul_table.T).all(axis=1)
+        r._memo["central_mask"] = mask
+    return mask
 
 
 def central_idempotents(r: FiniteRing) -> ElemClass:
-    arr = r._memo.get("central_idempotents")
-    if arr is None:
-        idem = _idempotent_array(r)
-        arr = idem[_central_mask_for(r, idem)]
-        r._memo["central_idempotents"] = arr
-    return ElemClass(r, "central_idempotents", tuple(int(i) for i in arr))
+    idem = _idempotent_array(r)
+    return ElemClass(r, "central_idempotents",
+                     tuple(int(i) for i in idem[_central_mask(r)[idem]]))
 
 
 def central_elements(r: FiniteRing) -> ElemClass:
-    arr = r._memo.get("central_elements")
-    if arr is None:
-        allidx = np.arange(r.order)
-        arr = allidx[_central_mask_for(r, allidx)]
-        r._memo["central_elements"] = arr
-    return ElemClass(r, "central_elements", tuple(int(i) for i in arr))
+    return ElemClass(r, "central_elements",
+                     tuple(int(i) for i in np.flatnonzero(_central_mask(r))))
 
 
 def nilpotents(r: FiniteRing) -> ElemClass:
@@ -207,7 +205,7 @@ def nilpotents(r: FiniteRing) -> ElemClass:
 def _nilpotent_mask(r: FiniteRing) -> np.ndarray:
     mask = r._memo.get("nilpotent_mask")
     if mask is None:
-        mask = np.array([t.eventually_hits(r.zero) for t in r.trails()])
+        mask = (r.power_matrix() == r.zero).any(axis=1)
         r._memo["nilpotent_mask"] = mask
     return mask
 
@@ -222,7 +220,8 @@ def _potent_mask(r: FiniteRing) -> np.ndarray:
     # back to its first entry.
     mask = r._memo.get("potent_mask")
     if mask is None:
-        mask = np.array([t.cycle_start == 0 for t in r.trails()])
+        powers = r.power_matrix()
+        mask = (powers[:, 1:] == powers[:, :1]).any(axis=1)
         r._memo["potent_mask"] = mask
     return mask
 
@@ -235,13 +234,9 @@ def jacobson_radical(r: FiniteRing) -> Ideal:
     """J(R) = {x : 1 - r*x is a unit for every r}, re-verified as an ideal."""
     cached = r._memo.get("jacobson")
     if cached is None:
-        umask = _units_mask(r)
         one_minus = r.sub_table[r.one]  # one_minus[y] = 1 - y
-        members = [
-            x for x in range(r.order)
-            if umask[one_minus[r.mul_table[:, x]]].all()
-        ]
-        cached = Ideal(r, tuple(members))
+        members = np.flatnonzero(_units_mask(r)[one_minus[r.mul_table]].all(axis=0))
+        cached = Ideal(r, tuple(int(x) for x in members))
         if not cached.verify():
             raise InternalInvariantViolation(
                 f"{r.label}: quasi-regularity set is not a two-sided ideal")
@@ -428,4 +423,5 @@ def quotient_is_torsion(r: FiniteRing, p: Ideal) -> bool:
     if not p.is_proper():
         raise NotProperIdeal(f"{r.label}: quotient by the whole ring")
     q = quotient_ring(r, p)
-    return all(t.eventually_hits(q.one) for t in q.trails() if t.base != q.zero)
+    hits_one = (q.power_matrix() == q.one).any(axis=1)
+    return bool(np.delete(hits_one, q.zero).all())

@@ -127,6 +127,8 @@ class RunConfig:
     def __post_init__(self):
         if self.order_cap < 1 or self.lattice_order_cap < 1 or self.lattice_count_cap < 1:
             raise ValueError("caps must be positive")
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be 0 (one per core) or positive, got {self.jobs}")
         if self.fmt not in ("text", "json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.theorems is not None:
@@ -347,7 +349,7 @@ def run_verify(config: RunConfig | None = None,
             # workers get the catalog's own rings, without the parent's memo,
             # and answer by catalog position
             work = [(i, replace(entries[i][0].ring, _memo={}), per_ring, caps) for i in todo]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
                 results = dict(pool.map(_worker, work))
         else:
             results = {i: _ring_rows(entries[i][0].ring, per_ring, caps) for i in todo}

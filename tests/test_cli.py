@@ -132,6 +132,10 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--theorems", "T9.9")
         assert code == 2 and "unknown suite ids" in err
 
+    def test_negative_jobs_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--theorems", "T2.8", "--jobs", "-3")
+        assert code == 2 and "jobs" in err and out == ""
+
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # a correct build never disagrees, so fake one verdict to check the
         # exit-code plumbing and the witness printout

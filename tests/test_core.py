@@ -187,6 +187,22 @@ class TestPowerTrail:
                 assert m < n
                 assert ring.pow(trail.base, m) == ring.pow(trail.base, n)
 
+    def test_power_matrix_matches_trails(self, catalog_rings):
+        # the per-element trail loop is the reference for the whole-ring matrix
+        for ring in catalog_rings + [zmod(64).relabeled(list(range(63, -1, -1)))]:
+            powers = ring.power_matrix()
+            trails = ring.trails()
+            longest = max(len(t.distinct_powers) for t in trails)
+            assert powers.shape == (ring.order, longest + 1)
+            for x, trail in enumerate(trails):
+                k = len(trail.distinct_powers)
+                assert tuple(powers[x, :k]) == trail.distinct_powers
+                for j in range(k, longest + 1):
+                    # x^(j+1) repeats its trail with the trail's period
+                    period = k - trail.cycle_start
+                    back = trail.cycle_start + (j - trail.cycle_start) % period
+                    assert powers[x, j] == trail.distinct_powers[back]
+
 
 class TestNormalizationAndJson:
     def test_loader_normalizes_zero_and_one(self):

@@ -1,0 +1,64 @@
+"""Oracles that share no code with the library's own scans.
+
+Relabelling: a ring's predicates, class sizes, radicals and characterization
+values cannot depend on which indices its elements carry, so they must not
+move under ``ring.relabeled(permutation)``.
+
+Closed forms for Z/n: |U(Z/n)| = phi(n), Z/n has 2^omega(n) idempotents,
+and its nilpotents, which form J(Z/n), number n / prod(p | n).  The
+right-hand sides come from sympy.
+"""
+
+from __future__ import annotations
+
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import primefactors, totient
+
+from ringlab import (
+    CHARACTERIZATION_IDS,
+    central_elements,
+    central_idempotents,
+    characterization,
+    idempotents,
+    j_star,
+    jacobson_radical,
+    nilpotents,
+    potents,
+    predicate_vector,
+    prime_radical,
+    units,
+    zmod,
+)
+
+CLASSES = (units, idempotents, central_idempotents, nilpotents, potents, central_elements)
+
+
+def invariants(r) -> dict:
+    return {
+        "predicates": predicate_vector(r).values,
+        "class_sizes": [len(cls(r).members) for cls in CLASSES],
+        "radical_sizes": [len(rad(r).members) for rad in (jacobson_radical, j_star, prime_radical)],
+        "characterizations": {t: characterization(r, t) for t in CHARACTERIZATION_IDS},
+    }
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_relabelling_changes_nothing(catalog, data):
+    ring = data.draw(st.sampled_from([e.ring for e in catalog if e.ring.order <= 32]),
+                     label="ring")
+    old_order = data.draw(st.permutations(range(ring.order)), label="old_order")
+    assert invariants(ring.relabeled(old_order)) == invariants(ring)
+
+
+@pytest.mark.parametrize("n", range(1, 121))
+def test_zmod_closed_forms(n):
+    r = zmod(n)
+    assert len(units(r).members) == totient(n)
+    assert len(idempotents(r).members) == 2 ** len(primefactors(n))
+    radical_order = n // prod(primefactors(n))
+    assert len(nilpotents(r).members) == radical_order
+    assert len(jacobson_radical(r).members) == radical_order

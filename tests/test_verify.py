@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ringlab import RunConfig, matrix_ring, ring_report, run_verify, zmod
+from ringlab import RunConfig, matrix_ring, ring_report, run_verify, verify, zmod
 from ringlab.construct import RingCatalogEntry
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
@@ -80,6 +80,27 @@ class TestRunVerify:
             ("Z/6", "my-z6"), ("Z/4", "zmod:9"), ("M2(Z/2)", "dup"), ("Z/3", "dup")]
         assert [r.lhs for r in collapse.rows] == [True, True, False, True]
         assert seq[1].skipped == [("my-z6", "not a local ring"), ("dup", "not a local ring")]
+
+    def test_pool_is_no_larger_than_the_work(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+        custom = [RingCatalogEntry(zmod(2), "a"), RingCatalogEntry(zmod(3), "b")]
+        run_verify(RunConfig(theorems=("collapse",), jobs=64), custom)
+        assert sizes == [2]
 
     def test_json_stable_across_runs(self, catalog):
         a = run_verify(RunConfig(theorems=("T2.4", "radical-set"), jobs=1), catalog)
