@@ -382,7 +382,7 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
     """The ring on R x S with product (r1,s1)(r2,s2) = (r1r2, s1s2 + r1s2 + s1r2).
 
     The bimodule data is validated first; the resulting tables then go through
-    the full ring axiom scan, which in particular requires (1_R, 0) to act as
+    ring axiom validation, which in particular requires (1_R, 0) to act as
     identity.
     """
     spec.validate()

@@ -6,10 +6,25 @@ rings keep the additive identity at index 0 and the multiplicative identity at
 index 1 (index 0 for the order-1 ring); ``FiniteRing.from_tables`` relabels
 arbitrary input into that form.
 
-Validation is a full cubic scan of every axiom, vectorised with numpy fancy
-indexing; there are no probabilistic shortcuts.  Rings are immutable after
-validation (the tables are frozen), so every operation in the package is a
-pure read and safe to share across threads.
+Validation is exact; there are no probabilistic shortcuts.  Commutativity,
+identities, inverses and zero annihilation are O(n^2) scans.  Rings of order at
+most ``_CHUNKED_SCAN_ORDER`` then get a full cubic scan of the other axioms;
+larger ones check them on a greedy additive generating set G of at most
+log2(n) elements, where each step is a theorem:
+
+1. Associativity of +, by Light's test: the elements g with
+   (x+g)+y = x+(g+y) for all x, y form a sub-magma, so when the test holds on
+   G it holds on every sum of generators, which is every element.
+2. Distributivity: once + is associative, the elements c with
+   a*(b+c) = a*b + a*c (and (b+c)*a = b*a + c*a) for all a, b are closed
+   under +, so checking c in G suffices.
+3. Associativity of *: the associator is additive in each argument, so it
+   vanishes everywhere once it vanishes on G^3.
+
+A table that fails the generator check is rescanned in full, so every
+rejection names the same axiom and witness as the cubic scan.  Rings are
+immutable after validation (the tables are frozen), so every operation in the
+package is a pure read and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,9 +48,10 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
-# Above this order, the cubic axiom scans run row-by-row: the intermediate
-# gather arrays stay small, and a violated axiom surfaces after a handful of
-# rows instead of after materialising all n^3 triples.
+# Above this order, validation checks the cubic axioms on an additive
+# generating set, and a table that fails that check is rescanned row-by-row:
+# the intermediate gather arrays stay small, and a violated axiom surfaces
+# after a handful of rows instead of after materialising all n^3 triples.
 _CHUNKED_SCAN_ORDER = 32
 
 
@@ -58,9 +74,10 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, ...]:
     return tuple(int(v) for v in np.unravel_index(flat[0], lhs.shape))
 
 
-def _check_assoc(table: np.ndarray, err: Callable[[tuple[int, int, int]], RingValidationError]) -> None:
+def _check_assoc(table: np.ndarray, err: Callable[[tuple[int, int, int]], RingValidationError],
+                 chunked: bool) -> None:
     n = table.shape[0]
-    if n <= _CHUNKED_SCAN_ORDER:
+    if not chunked:
         lhs = table[table, :]        # [a,b,c] -> t[t[a,b], c]
         rhs = table[:, table]        # [a,b,c] -> t[a, t[b,c]]
         if not np.array_equal(lhs, rhs):
@@ -74,9 +91,9 @@ def _check_assoc(table: np.ndarray, err: Callable[[tuple[int, int, int]], RingVa
             raise err((a, b, c))
 
 
-def _check_distributive(add: np.ndarray, mul: np.ndarray) -> None:
+def _check_distributive(add: np.ndarray, mul: np.ndarray, chunked: bool) -> None:
     n = add.shape[0]
-    if n <= _CHUNKED_SCAN_ORDER:
+    if not chunked:
         # (b+c)*a == b*a + c*a
         lhs = mul[add, :]
         rhs = add[mul[:, None, :], mul[None, :, :]]
@@ -105,33 +122,10 @@ def _check_distributive(add: np.ndarray, mul: np.ndarray) -> None:
             raise NotDistributive(f"left: x{a}*(x{b}+x{c}) != x{a}*x{b} + x{a}*x{c}", (a, b, c))
 
 
-def validate_tables(
-    add,
-    mul,
-    zero: int,
-    one: int,
-    order: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full axiom scan on candidate tables.
-
-    Returns the tables as int32 arrays on success; raises a
-    ``RingValidationError`` subclass naming the first violated axiom, with a
-    witness triple of element indices, otherwise.
-    """
-    if order < 1:
-        raise RingValidationError(f"order must be positive, got {order}")
-    if order > order_cap:
-        raise OrderCapExceeded(order, order_cap)
-    add = _as_table(add, order, "add")
-    mul = _as_table(mul, order, "mul")
-    if not (0 <= zero < order and 0 <= one < order):
-        raise RingValidationError(f"zero/one indices {zero}/{one} out of range")
-    if zero == one and order > 1:
-        raise RingValidationError("zero and one coincide in a ring of order > 1")
-
-    idx = np.arange(order)
-    # Additive abelian group: commutative, identity, inverses, associative.
+def _check_quadratic_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
+    """The axioms that take one O(n^2) scan each."""
+    idx = np.arange(add.shape[0])
+    # Additive abelian group: commutative, identity, inverses.
     if not np.array_equal(add, add.T):
         a, b = _first_mismatch(add, add.T)
         raise NotAbelianGroupUnderAdd(f"x{a}+x{b} != x{b}+x{a}", (a, b))
@@ -153,11 +147,107 @@ def validate_tables(
         bad = int(np.flatnonzero((mul[zero] != zero) | (mul[:, zero] != zero))[0])
         raise NotDistributive(f"0*x{bad} or x{bad}*0 nonzero", (zero, bad, bad))
 
-    _check_distributive(add, mul)
+
+def _full_scan(add: np.ndarray, mul: np.ndarray, chunked: bool) -> None:
+    """Check distributivity and both associativities on every triple."""
+    _check_distributive(add, mul, chunked)
     _check_assoc(add, lambda w: NotAbelianGroupUnderAdd(
-        f"(x{w[0]}+x{w[1]})+x{w[2]} != x{w[0]}+(x{w[1]}+x{w[2]})", w))
+        f"(x{w[0]}+x{w[1]})+x{w[2]} != x{w[0]}+(x{w[1]}+x{w[2]})", w), chunked)
     _check_assoc(mul, lambda w: NonAssociativeMul(
-        f"(x{w[0]}*x{w[1]})*x{w[2]} != x{w[0]}*(x{w[1]}*x{w[2]})", w))
+        f"(x{w[0]}*x{w[1]})*x{w[2]} != x{w[0]}*(x{w[1]}*x{w[2]})", w), chunked)
+
+
+def _additive_generators(add: np.ndarray, zero: int) -> Iterator[int]:
+    """Greedy generators of the additive magma, yielded as they are chosen.
+
+    Each generator g is the least element not yet reached; the reached set
+    then takes in its sums with g, g+g, (g+g)+(g+g), ... until a round adds
+    nothing.  Whatever the table, every reached element is a sum of
+    generators.  When + is a group the rounds reach the subgroup generated so
+    far in O(log n) steps, and each generator at least doubles it, so at most
+    log2(n) generators are yielded.
+    """
+    reached = np.zeros(add.shape[0], dtype=bool)
+    reached[zero] = True
+    while not reached.all():
+        step = int(np.argmin(reached))
+        yield step
+        while True:
+            sums = add[reached, step]
+            if reached[sums].all():
+                break
+            reached[sums] = True
+            step = add[step, step]
+
+
+def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
+    """Whether + is associative and * is distributive and associative.
+
+    Decided exactly on a greedy additive generating set G (see the module
+    docstring) for tables that passed the O(n^2) checks.  False also when G
+    would need more than ``n.bit_length()`` elements, which a group never does.
+    Each generator is checked as soon as it is chosen, so a broken table
+    usually fails on the first one.
+    """
+    n = add.shape[0]
+    # add_cell[a, b] + c is the flat index of the cell add[mul[a, b], c]
+    sums, add_cell = add.ravel(), mul.astype(np.intp) * n
+    gens: list[int] = []
+    for g in _additive_generators(add, zero):
+        if len(gens) == n.bit_length():
+            return False
+        gens.append(g)
+        # a*(b+g) == a*b + a*g and (b+g)*a == b*a + g*a; + is commutative,
+        # so row g of add also lists x+g
+        if not np.array_equal(mul.take(add[g], axis=1), sums.take(add_cell + mul[:, g, None])):
+            return False
+        if not np.array_equal(mul[add[g]], sums.take(add_cell + mul[g])):
+            return False
+        # (x+g)+y == x+(g+y)
+        if not np.array_equal(add[add[g]], add.take(add[g], axis=1)):
+            return False
+    gens = np.array(gens, dtype=np.intp)
+    gg = mul[np.ix_(gens, gens)]
+    return np.array_equal(mul[gg[:, :, None], gens], mul[gens[:, None, None], gg])
+
+
+def validate_tables(
+    add,
+    mul,
+    zero: int,
+    one: int,
+    order: int,
+    order_cap: int = DEFAULT_ORDER_CAP,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check every ring axiom on candidate tables, exactly.
+
+    The O(n^2) axioms are scanned in full.  Above ``_CHUNKED_SCAN_ORDER``,
+    associativity of + (Light's test), distributivity and associativity of *
+    are then checked on a greedy additive generating set G of at most
+    log2(n) elements, which decides them for the whole ring (see the module
+    docstring); smaller tables, and tables that fail the generator check, get
+    the full cubic scan.
+
+    Returns the tables as int32 arrays on success; raises a
+    ``RingValidationError`` subclass naming the first violated axiom, with a
+    witness triple of element indices, otherwise.
+    """
+    if order < 1:
+        raise RingValidationError(f"order must be positive, got {order}")
+    if order > order_cap:
+        raise OrderCapExceeded(order, order_cap)
+    add = _as_table(add, order, "add")
+    mul = _as_table(mul, order, "mul")
+    if not (0 <= zero < order and 0 <= one < order):
+        raise RingValidationError(f"zero/one indices {zero}/{one} out of range")
+    if zero == one and order > 1:
+        raise RingValidationError("zero and one coincide in a ring of order > 1")
+
+    _check_quadratic_axioms(add, mul, zero, one)
+    if order <= _CHUNKED_SCAN_ORDER:
+        _full_scan(add, mul, chunked=False)
+    elif not _holds_on_generators(add, mul, zero):
+        _full_scan(add, mul, chunked=True)
     return add, mul
 
 
@@ -268,6 +358,19 @@ class FiniteRing:
             tab = self.add_table[:, self.neg_table]
             self._memo["sub_table"] = tab
         return tab
+
+    def additive_generators(self) -> np.ndarray:
+        """A generating set G of (R, +) with at most log2(order) elements.
+
+        Every element is a sum of members of G; built greedily, least index
+        first, and memoised.
+        """
+        gens = self._memo.get("additive_generators")
+        if gens is None:
+            gens = np.array(list(_additive_generators(self.add_table, self.zero)), dtype=np.intp)
+            gens.setflags(write=False)
+            self._memo["additive_generators"] = gens
+        return gens
 
     def power_trail(self, x: int) -> PowerTrail:
         """Successive powers of x up to (excluding) the first repetition."""

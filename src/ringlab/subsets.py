@@ -18,7 +18,7 @@ the ring and safe for concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -311,18 +311,20 @@ def ideal_lattice(
 
 
 def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
-    """Proper P is prime when for all a, b outside P some a*r*b stays outside."""
+    """Proper P is prime when for all a, b outside P some a*r*b stays outside.
+
+    Every r is a sum of additive generators g and P is closed under +, so
+    aRb lies in P exactly when every a*g*b does.
+    """
     if not ideal.is_proper():
         return False
     mask = ideal.mask()
     outside = np.flatnonzero(~mask)
-    for a in outside:
-        # products a*r*b for every r and every b outside P
-        ar = r.mul_table[a, :]                  # a*r over r
-        arb = r.mul_table[np.ix_(ar, outside)]  # [r, b] -> (a*r)*b
-        if not (~mask[arb]).any(axis=0).all():
-            return False
-    return True
+    escapes = np.zeros((len(outside), len(outside)), dtype=bool)
+    for g in r.additive_generators():
+        ag = r.mul_table[outside, g]
+        escapes |= ~mask[r.mul_table[np.ix_(ag, outside)]]  # [a, b] -> (a*g)*b
+    return bool(escapes.all())
 
 
 def spectrum(
@@ -378,25 +380,41 @@ def j_spec(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
     return spectrum(r, **caps).j_spec
 
 
-def _intersection(r: FiniteRing, ideals: Sequence[Ideal]) -> Ideal:
-    # The empty intersection is the whole ring.
-    mask = np.ones(r.order, dtype=bool)
-    for i in ideals:
-        mask &= i.mask()
-    ideal = Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
-    if not ideal.verify():
-        raise InternalInvariantViolation(f"{r.label}: radical intersection is not an ideal")
-    return ideal
+def _spectrum_intersection(r: FiniteRing, part: Literal["maximal", "prime"],
+                           order_cap: int, count_cap: int) -> Ideal:
+    """Intersection of the maximal or of the prime ideals, memoised per caps."""
+    key = ("intersection", part, order_cap, count_cap)
+    cached = r._memo.get(key)
+    if cached is None:
+        # The empty intersection is the whole ring.
+        mask = np.ones(r.order, dtype=bool)
+        for i in getattr(spectrum(r, order_cap=order_cap, count_cap=count_cap), part):
+            mask &= i.mask()
+        cached = Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
+        if not cached.verify():
+            raise InternalInvariantViolation(f"{r.label}: radical intersection is not an ideal")
+        r._memo[key] = cached
+    return cached
 
 
-def j_star(r: FiniteRing, **caps) -> Ideal:
-    """Intersection of all maximal two-sided ideals."""
-    return _intersection(r, spectrum(r, **caps).maximal)
+def j_star(
+    r: FiniteRing,
+    *,
+    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
+    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
+) -> Ideal:
+    """Intersection of all maximal two-sided ideals, memoised per caps."""
+    return _spectrum_intersection(r, "maximal", order_cap, count_cap)
 
 
-def prime_radical(r: FiniteRing, **caps) -> Ideal:
-    """Intersection of all prime ideals."""
-    return _intersection(r, spectrum(r, **caps).prime)
+def prime_radical(
+    r: FiniteRing,
+    *,
+    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
+    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
+) -> Ideal:
+    """Intersection of all prime ideals, memoised per caps."""
+    return _spectrum_intersection(r, "prime", order_cap, count_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,18 @@ from ringlab import (
     RingMismatch,
     RingValidationError,
     load_ring_json,
+    matrix_ring,
+    product,
     validate_ring,
     zmod,
 )
-from ringlab.core import validate_tables
+from ringlab.core import (
+    _CHUNKED_SCAN_ORDER,
+    _check_quadratic_axioms,
+    _full_scan,
+    _holds_on_generators,
+    validate_tables,
+)
 
 
 def modular_tables(n):
@@ -110,6 +118,142 @@ class TestCorruptionSweep:
                         assert err.axiom
                         rejected += 1
                 assert rejected >= 0.99 * self.N_CORRUPT, (entry.provenance, table_name)
+
+
+def _outcome(check, *args):
+    """(type, message, witness) of the error a check raises, or None."""
+    try:
+        check(*args)
+    except RingValidationError as err:
+        return type(err), str(err), err.witness
+    return None
+
+
+def _assert_matches_full_scan(add, mul, zero, one):
+    """The generator check and validation agree with the chunked cubic scan."""
+    add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
+    n = add.shape[0]
+    _check_quadratic_axioms(add, mul, zero, one)
+    reference = _outcome(_full_scan, add, mul, True)
+    assert _holds_on_generators(add, mul, zero) == (reference is None)
+    if n > _CHUNKED_SCAN_ORDER:
+        assert _outcome(validate_tables, add, mul, zero, one, n) == reference
+    return reference
+
+
+def _additive_span(ring, gens):
+    """Every sum of generators, by a plain breadth-first closure."""
+    span, frontier = {ring.zero}, [ring.zero]
+    while frontier:
+        frontier = [ring.add(x, int(g)) for x in frontier for g in gens
+                    if ring.add(x, int(g)) not in span]
+        span.update(frontier)
+    return span
+
+
+class TestGeneratorCheck:
+    """The check on an additive generating set decides the cubic axioms
+    exactly as the full scan does."""
+
+    N_CORRUPT = 4
+
+    def test_agrees_with_full_scan_on_catalog_corruptions(self, catalog_rings):
+        rng = np.random.default_rng(20261018)
+        checked = rejected = 0
+        for ring in catalog_rings:
+            n = ring.order
+            relabeled = ring.relabeled(rng.permutation(n))
+            for base in (ring, relabeled):
+                assert _assert_matches_full_scan(base.add_table, base.mul_table,
+                                                 base.zero, base.one) is None
+                if n == 1:
+                    continue
+                for kind in ("add", "symmetric add", "mul") * self.N_CORRUPT:
+                    add, mul = base.add_table.copy(), base.mul_table.copy()
+                    table = mul if kind == "mul" else add
+                    i, j = rng.integers(0, n, size=2)
+                    table[i, j] = (table[i, j] + rng.integers(1, n)) % n
+                    if kind == "symmetric add":
+                        table[j, i] = table[i, j]
+                    try:
+                        _check_quadratic_axioms(add, mul, base.zero, base.one)
+                    except RingValidationError:
+                        continue
+                    checked += 1
+                    rejected += _assert_matches_full_scan(add, mul, base.zero, base.one) is not None
+        assert checked > 500 and rejected > 0.9 * checked
+
+    @staticmethod
+    def _switched_latin_squares():
+        # Z/64 with the intercalate {1, 33} x {1, 33} switched.
+        z_add, z_mul = modular_tables(64)
+        z_add = z_add.copy()
+        z_add[1, 1] = z_add[33, 33] = 34
+        z_add[1, 33] = z_add[33, 1] = 2
+        # The Boolean ring GF(2)^6 (xor, and; identity 63) with the
+        # intercalate {3, 15} x {3, 15} switched.  No switched cell lies in
+        # the row of 0 or of a single bit, so distributivity over the
+        # generators 1, 2, 4, ... and associativity on them still hold, and
+        # only Light's test sees that + is not associative.
+        idx = np.arange(64)
+        b_add, b_mul = idx[:, None] ^ idx[None, :], idx[:, None] & idx[None, :]
+        b_add[3, 3] = b_add[15, 15] = 12
+        b_add[3, 15] = b_add[15, 3] = 0
+        return [(z_add, z_mul, 1, (1, 1, 62)), (b_add, b_mul, 63, (2, 1, 3))]
+
+    def test_rejects_non_associative_commutative_latin_square(self):
+        for add, mul, one, (x, y, z) in self._switched_latin_squares():
+            assert np.array_equal(add, add.T)
+            assert (np.sort(add, axis=0) == np.arange(64)[:, None]).all()
+            assert add[add[x, y], z] != add[x, add[y, z]]
+            assert _assert_matches_full_scan(add, mul, 0, one) is not None
+
+    def test_rejects_one_sided_distributivity(self):
+        # The zero-preserving self-maps of Z/4, under pointwise + and
+        # composition, form a near-ring of order 64: composition is
+        # associative with the identity map as one, and distributes over +
+        # on one side only.  Map f is index f(1) + 4 f(2) + 16 f(3).
+        idx = np.arange(64)
+        values = np.stack([0 * idx, idx % 4, idx // 4 % 4, idx // 16], axis=1)
+        weights = np.array([0, 1, 4, 16])
+        add = ((values[:, None, :] + values[None, :, :]) % 4) @ weights
+        compose = values[idx[:, None, None], values[None, :, :]] @ weights  # f(g(x))
+        for mul in (compose, compose.T):
+            error, message, _ = _assert_matches_full_scan(add, mul, 0, 57)
+            assert error is NotDistributive
+            assert message.startswith("left" if mul is compose else "right")
+
+    def test_rejects_non_associative_bilinear_product(self):
+        # GF(2)^6 under xor, with a product bilinear in random structure
+        # constants and the first basis vector (index 1) as identity.
+        k, n = 6, 64
+        rng = np.random.default_rng(6)
+        consts = rng.integers(0, n, size=(k, k))
+        consts[0, :] = consts[:, 0] = 1 << np.arange(k)
+        idx = np.arange(n)
+        bits = (idx[:, None] >> np.arange(k)) & 1
+        mul = np.zeros((n, n), dtype=np.int64)
+        for i in range(k):
+            for j in range(k):
+                mul ^= np.outer(bits[:, i], bits[:, j]) * consts[i, j]
+        add = idx[:, None] ^ idx[None, :]
+        error, _, (a, b, c) = _assert_matches_full_scan(add, mul, 0, 1)
+        assert error is NonAssociativeMul
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+    def test_generator_counts(self, catalog_rings):
+        for n in (2, 12, 64, 81, 128):
+            assert len(zmod(n).additive_generators()) == 1
+        power = zmod(2)
+        for k in range(1, 7):
+            assert len(power.additive_generators()) == k
+            power = product(power, zmod(2))
+        assert len(matrix_ring(zmod(2), 3).additive_generators()) == 9
+        for ring in catalog_rings:
+            gens = ring.additive_generators()
+            assert 2 ** len(gens) <= ring.order
+            assert len(_additive_span(ring, gens)) == ring.order
+            assert ring.additive_generators() is gens
 
 
 class TestArithmetic:

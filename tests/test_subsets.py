@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -143,6 +144,17 @@ class TestLatticeAndSpectrum:
         for ring in catalog_rings:
             sp = spectrum(ring)
             assert {p.members for p in sp.prime} == {m.members for m in sp.maximal}
+
+    def test_prime_test_matches_definition(self, catalog_rings):
+        # reference: some a*r*b escapes P for every a, b outside P, over all r
+        for ring in catalog_rings:
+            mul = ring.mul_table
+            primes = {p.members for p in spectrum(ring).prime}
+            for ideal in all_ideals(ring):
+                outside = np.flatnonzero(~ideal.mask())
+                arb = mul[mul[np.ix_(outside, np.arange(ring.order))]][:, :, outside]
+                prime = len(outside) > 0 and (~ideal.mask()[arb]).any(axis=1).all()
+                assert prime == (ideal.members in primes), (ring.label, ideal.members)
 
     def test_j_spec_filters_by_radical(self, catalog_rings):
         for ring in catalog_rings[:25]:
