@@ -6,7 +6,8 @@ Subcommands:
     catalog  list|dump        inspect or export the default catalog
 
 Exit codes: 0 success / all suites agree; 2 ring validation failure;
-3 cap exceeded; 4 theorem disagreement; 5 IO error.
+3 cap exceeded; 4 theorem disagreement; 5 IO error writing --out or the dump
+directory.
 The RINGLAB_CAP environment variable overrides the ring order cap.
 """
 
@@ -24,6 +25,7 @@ from .core import DEFAULT_ORDER_CAP
 from .errors import LatticeCapExceeded, OrderCapExceeded, RinglabError, RingValidationError
 from .predicates import PREDICATE_NAMES, PredicateVector, predicate_vector
 from .sources import parse_ring_source
+from .subsets import DEFAULT_LATTICE_ORDER_CAP
 from .verify import ALL_SUITE_IDS, RunConfig, ring_report, run_verify
 from . import construct
 
@@ -112,10 +114,8 @@ def cmd_verify(args) -> int:
     if args.theorems:
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     try:
-        config = RunConfig(order_cap=_order_cap(args),
-                           lattice_order_cap=args.lattice_cap,
-                           theorems=theorems, jobs=args.jobs, fmt=args.format,
-                           out=args.out)
+        config = RunConfig(order_cap=_order_cap(args), lattice_order_cap=args.lattice_cap,
+                           theorems=theorems, jobs=args.jobs)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -157,20 +157,16 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     catalog = construct.default_catalog()
     if args.catalog_cmd == "dump":
-        try:
-            outdir = Path(args.dir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            manifest = []
-            for entry in catalog:
-                name = entry.provenance.replace(":", "_").replace(",", "+").replace("/", "-")
-                (outdir / f"{name}.json").write_text(entry.ring.to_json(), encoding="utf-8")
-                manifest.append({"provenance": entry.provenance, "label": entry.ring.label,
-                                 "order": entry.ring.order, "file": f"{name}.json"})
-            (outdir / "manifest.json").write_text(
-                json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"IO error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        outdir = Path(args.dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = []
+        for entry in catalog:
+            name = entry.provenance.replace(":", "_").replace(",", "+").replace("/", "-")
+            (outdir / f"{name}.json").write_text(entry.ring.to_json(), encoding="utf-8")
+            manifest.append({"provenance": entry.provenance, "label": entry.ring.label,
+                             "order": entry.ring.order, "file": f"{name}.json"})
+        (outdir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(catalog)} ring files to {args.dir}")
         return EXIT_OK
 
@@ -223,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run theorem suites over the catalog")
     pv.add_argument("--theorems", default=None,
                     help=f"comma-separated suite ids; known: {', '.join(ALL_SUITE_IDS)}")
-    pv.add_argument("--order-cap", type=int, default=128,
+    pv.add_argument("--order-cap", type=int, default=RunConfig.order_cap,
                     help="skip catalog rings above this order")
-    pv.add_argument("--lattice-cap", type=int, default=256,
+    pv.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP,
                     help="skip spectrum suites for rings above this order")
     pv.add_argument("--jobs", type=int, default=0, help="worker processes (0 = cores)")
     pv.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -248,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    code = args.func(args)
+    try:
+        code = args.func(args)
+    except OSError as exc:
+        # writing --out or the dump directory failed
+        print(f"IO error: {exc}", file=sys.stderr)
+        code = EXIT_IO
     if argv is None:
         sys.exit(code)
     return code

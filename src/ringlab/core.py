@@ -7,10 +7,9 @@ index 1 (index 0 for the order-1 ring); ``FiniteRing.from_tables`` relabels
 arbitrary input into that form.
 
 Validation is exact; there are no probabilistic shortcuts.  Commutativity,
-identities, inverses and zero annihilation are O(n^2) scans.  Rings of order at
-most ``_CHUNKED_SCAN_ORDER`` then get a full cubic scan of the other axioms;
-larger ones check them on a greedy additive generating set G of at most
-log2(n) elements, where each step is a theorem:
+identities, inverses and zero annihilation are O(n^2) scans.  The other axioms
+are then checked on a greedy additive generating set G of at most log2(n)
+elements, where each step is a theorem:
 
 1. Associativity of +, by Light's test: the elements g with
    (x+g)+y = x+(g+y) for all x, y form a sub-magma, so when the test holds on
@@ -21,17 +20,18 @@ log2(n) elements, where each step is a theorem:
 3. Associativity of *: the associator is additive in each argument, so it
    vanishes everywhere once it vanishes on G^3.
 
-A table that fails the generator check is rescanned in full, so every
-rejection names the same axiom and witness as the cubic scan.  Rings are
-immutable after validation (the tables are frozen), so every operation in the
-package is a pure read and safe to share across threads.
+A table that fails the generator check is rescanned on every triple, one law
+after another (right then left distributivity, associativity of + then of *),
+so a rejection names the first failing law and its least witness at every
+order.  Rings are immutable after validation (the tables are frozen), so every
+operation in the package is a pure read and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,15 +48,12 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
-# Above this order, validation checks the cubic axioms on an additive
-# generating set, and a table that fails that check is rescanned row-by-row:
-# the intermediate gather arrays stay small, and a violated axiom surfaces
-# after a handful of rows instead of after materialising all n^3 triples.
-_CHUNKED_SCAN_ORDER = 32
-
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int32)
+    try:
+        arr = np.asarray(table, dtype=np.int32)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RingValidationError(f"{name} table is not an integer array: {exc}") from exc
     if arr.shape != (order, order):
         raise RingValidationError(f"{name} table must be {order}x{order}, got {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= order):
@@ -72,54 +69,6 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, ...]:
     """Index of the first cell where two gathered axiom arrays differ."""
     flat = np.flatnonzero(lhs != rhs)
     return tuple(int(v) for v in np.unravel_index(flat[0], lhs.shape))
-
-
-def _check_assoc(table: np.ndarray, err: Callable[[tuple[int, int, int]], RingValidationError],
-                 chunked: bool) -> None:
-    n = table.shape[0]
-    if not chunked:
-        lhs = table[table, :]        # [a,b,c] -> t[t[a,b], c]
-        rhs = table[:, table]        # [a,b,c] -> t[a, t[b,c]]
-        if not np.array_equal(lhs, rhs):
-            raise err(_first_mismatch(lhs, rhs))
-        return
-    for a in range(n):
-        lhs = table[table[a], :]
-        rhs = table[a, table]
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_mismatch(lhs, rhs)
-            raise err((a, b, c))
-
-
-def _check_distributive(add: np.ndarray, mul: np.ndarray, chunked: bool) -> None:
-    n = add.shape[0]
-    if not chunked:
-        # (b+c)*a == b*a + c*a
-        lhs = mul[add, :]
-        rhs = add[mul[:, None, :], mul[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c, a = _first_mismatch(lhs, rhs)
-            raise NotDistributive(f"right: (x{b}+x{c})*x{a} != x{b}*x{a} + x{c}*x{a}", (b, c, a))
-        # a*(b+c) == a*b + a*c
-        lhs = mul[:, add]
-        rhs = add[mul[:, :, None], mul[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            a, b, c = _first_mismatch(lhs, rhs)
-            raise NotDistributive(f"left: x{a}*(x{b}+x{c}) != x{a}*x{b} + x{a}*x{c}", (a, b, c))
-        return
-    for a in range(n):
-        # Fix the first summand: (a+c)*d == a*d + c*d over all c, d.  A bad
-        # mul cell shows up here for almost every a, so rejection is fast.
-        lhs = mul[add[a], :]
-        rhs = add[mul[a, None, :], mul]
-        if not np.array_equal(lhs, rhs):
-            c, d = _first_mismatch(lhs, rhs)
-            raise NotDistributive(f"right: (x{a}+x{c})*x{d} != x{a}*x{d} + x{c}*x{d}", (a, c, d))
-        lhs = mul[a, add]
-        rhs = add[mul[a, :, None], mul[a, None, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c = _first_mismatch(lhs, rhs)
-            raise NotDistributive(f"left: x{a}*(x{b}+x{c}) != x{a}*x{b} + x{a}*x{c}", (a, b, c))
 
 
 def _check_quadratic_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> None:
@@ -148,13 +97,29 @@ def _check_quadratic_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: in
         raise NotDistributive(f"0*x{bad} or x{bad}*0 nonzero", (zero, bad, bad))
 
 
-def _full_scan(add: np.ndarray, mul: np.ndarray, chunked: bool) -> None:
-    """Check distributivity and both associativities on every triple."""
-    _check_distributive(add, mul, chunked)
-    _check_assoc(add, lambda w: NotAbelianGroupUnderAdd(
-        f"(x{w[0]}+x{w[1]})+x{w[2]} != x{w[0]}+(x{w[1]}+x{w[2]})", w), chunked)
-    _check_assoc(mul, lambda w: NonAssociativeMul(
-        f"(x{w[0]}*x{w[1]})*x{w[2]} != x{w[0]}*(x{w[1]}*x{w[2]})", w), chunked)
+def _full_scan(add: np.ndarray, mul: np.ndarray) -> None:
+    """Check distributivity and both associativities on every triple.
+
+    The laws are checked in a fixed order, each over every first index a
+    before the next law starts, so a rejection names the first failing law
+    and its lexicographically least witness (a, b, c).
+    """
+    laws = (
+        (lambda a: mul[add[a], :], lambda a: add[mul[a, None, :], mul], NotDistributive,
+         "right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}"),
+        (lambda a: mul[a, add], lambda a: add[mul[a, :, None], mul[a, None, :]], NotDistributive,
+         "left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}"),
+        (lambda a: add[add[a], :], lambda a: add[a, add], NotAbelianGroupUnderAdd,
+         "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})"),
+        (lambda a: mul[mul[a], :], lambda a: mul[a, mul], NonAssociativeMul,
+         "(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})"),
+    )
+    for lhs, rhs, error, message in laws:
+        for a in range(add.shape[0]):
+            left, right = lhs(a), rhs(a)
+            if not np.array_equal(left, right):
+                witness = (a, *_first_mismatch(left, right))
+                raise error(message.format(*witness), witness)
 
 
 def _additive_generators(add: np.ndarray, zero: int) -> Iterator[int]:
@@ -221,12 +186,12 @@ def validate_tables(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check every ring axiom on candidate tables, exactly.
 
-    The O(n^2) axioms are scanned in full.  Above ``_CHUNKED_SCAN_ORDER``,
-    associativity of + (Light's test), distributivity and associativity of *
-    are then checked on a greedy additive generating set G of at most
-    log2(n) elements, which decides them for the whole ring (see the module
-    docstring); smaller tables, and tables that fail the generator check, get
-    the full cubic scan.
+    The O(n^2) axioms are scanned in full.  Associativity of + (Light's
+    test), distributivity and associativity of * are then checked on a greedy
+    additive generating set G of at most log2(n) elements, which decides them
+    for the whole ring (see the module docstring); only a table that fails
+    that check gets the full cubic scan, which finds the first failing law and
+    its least witness.
 
     Returns the tables as int32 arrays on success; raises a
     ``RingValidationError`` subclass naming the first violated axiom, with a
@@ -238,16 +203,16 @@ def validate_tables(
         raise OrderCapExceeded(order, order_cap)
     add = _as_table(add, order, "add")
     mul = _as_table(mul, order, "mul")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (zero, one)):
+        raise RingValidationError(f"zero/one indices must be integers, got {zero!r}/{one!r}")
     if not (0 <= zero < order and 0 <= one < order):
         raise RingValidationError(f"zero/one indices {zero}/{one} out of range")
     if zero == one and order > 1:
         raise RingValidationError("zero and one coincide in a ring of order > 1")
 
     _check_quadratic_axioms(add, mul, zero, one)
-    if order <= _CHUNKED_SCAN_ORDER:
-        _full_scan(add, mul, chunked=False)
-    elif not _holds_on_generators(add, mul, zero):
-        _full_scan(add, mul, chunked=True)
+    if not _holds_on_generators(add, mul, zero):
+        _full_scan(add, mul)
     return add, mul
 
 
@@ -588,11 +553,15 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
     zero to index 0 and one to index 1 by permutation.
     """
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise RingValidationError(f"ring JSON must be an object, got {type(obj).__name__}")
     try:
-        return validate_ring(obj["label"], obj["add"], obj["mul"], obj["zero"], obj["one"],
-                             order_cap=order_cap)
+        label, add, mul, zero, one = (obj[k] for k in ("label", "add", "mul", "zero", "one"))
     except KeyError as exc:
         raise RingValidationError(f"ring JSON missing field {exc}") from exc
+    if not (isinstance(add, list) and isinstance(mul, list)):
+        raise RingValidationError("ring JSON add and mul must be arrays of rows")
+    return validate_ring(label, add, mul, zero, one, order_cap=order_cap)
 
 
 def load_ring_file(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

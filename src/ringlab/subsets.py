@@ -78,10 +78,8 @@ class Ideal:
         return m
 
     def bitmask(self) -> int:
-        bits = 0
-        for m in self.members:
-            bits |= 1 << m
-        return bits
+        """The member set as an int whose bit i is set iff i is a member."""
+        return int.from_bytes(np.packbits(self.mask(), bitorder="little").tobytes(), "little")
 
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.order

@@ -121,16 +121,12 @@ class RunConfig:
     lattice_count_cap: int = subsets.DEFAULT_LATTICE_COUNT_CAP
     theorems: tuple[str, ...] | None = None
     jobs: int = 0  # 0 -> one worker per core
-    fmt: str = "text"
-    out: str | None = None
 
     def __post_init__(self):
         if self.order_cap < 1 or self.lattice_order_cap < 1 or self.lattice_count_cap < 1:
             raise ValueError("caps must be positive")
         if self.jobs < 0:
             raise ValueError(f"jobs must be 0 (one per core) or positive, got {self.jobs}")
-        if self.fmt not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
         if self.theorems is not None:
             unknown = [t for t in self.theorems if t not in ALL_SUITE_IDS]
             if unknown:
@@ -152,9 +148,7 @@ _SPECTRUM_SUITES = {"T3.3", "C3.4", "T3.7", "T3.9", "C3.10-set", "T4.7-3", "C4.8
 
 
 def _nil_ideal(r: FiniteRing, members: tuple[int, ...]) -> bool:
-    from .subsets import _nilpotent_mask
-    mask = _nilpotent_mask(r)
-    return all(mask[m] for m in members)
+    return bool(subsets._nilpotent_mask(r)[list(members)].all())
 
 
 def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict[str, tuple | str]:

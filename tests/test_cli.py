@@ -100,6 +100,16 @@ class TestAnalyze:
                 code, _, err = run_cli(capsys, *argv)
                 assert code == 2 and "RINGLAB_CAP" in err, (value, argv)
 
+    @pytest.mark.parametrize("change", [
+        None, {"zero": "0"}, {"zero": 0.0}, {"add": 5},
+    ], ids=["top-level-array", "string-zero", "float-zero", "scalar-add"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, change):
+        doc = [1, 2] if change is None else {**zmod(3).to_json_dict(), **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "analyze", "--ring", f"file:{path}")
+        assert code == 2 and "validation failed" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--ring", "file:/nonexistent/r.json")
         assert code == 2
@@ -135,6 +145,11 @@ class TestVerify:
     def test_negative_jobs_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--theorems", "T2.8", "--jobs", "-3")
         assert code == 2 and "jobs" in err and out == ""
+
+    def test_unknown_format_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "yaml"])
+        assert exc.value.code == 2
 
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # a correct build never disagrees, so fake one verdict to check the
@@ -204,3 +219,13 @@ class TestOutputFile:
                                "--format", "json", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["order"] == 6
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--ring", "zmod:3"),
+        ("verify", "--theorems", "T2.8", "--jobs", "1"),
+        ("catalog", "list"),
+    ], ids=["analyze", "verify", "catalog-list"])
+    def test_unwritable_out_exits_5(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing-dir" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 5 and "IO error" in err and out == ""

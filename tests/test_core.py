@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from ringlab import (
     zmod,
 )
 from ringlab.core import (
-    _CHUNKED_SCAN_ORDER,
     _check_quadratic_axioms,
     _full_scan,
     _holds_on_generators,
@@ -130,14 +131,12 @@ def _outcome(check, *args):
 
 
 def _assert_matches_full_scan(add, mul, zero, one):
-    """The generator check and validation agree with the chunked cubic scan."""
+    """The generator check and validation agree with the full cubic scan."""
     add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
-    n = add.shape[0]
     _check_quadratic_axioms(add, mul, zero, one)
-    reference = _outcome(_full_scan, add, mul, True)
+    reference = _outcome(_full_scan, add, mul)
     assert _holds_on_generators(add, mul, zero) == (reference is None)
-    if n > _CHUNKED_SCAN_ORDER:
-        assert _outcome(validate_tables, add, mul, zero, one, n) == reference
+    assert _outcome(validate_tables, add, mul, zero, one, add.shape[0]) == reference
     return reference
 
 
@@ -240,6 +239,23 @@ class TestGeneratorCheck:
         error, _, (a, b, c) = _assert_matches_full_scan(add, mul, 0, 1)
         assert error is NonAssociativeMul
         assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+    @pytest.mark.parametrize("ring, cell", [
+        (zmod(12), (3, 4)),
+        (product(zmod(4), zmod(9)), (10, 19)),
+    ], ids=["order-12", "order-36"])
+    def test_both_distributive_laws_fail_reports_right(self, ring, cell):
+        # A symmetric corruption of + that breaks left distributivity at a
+        # smaller first index than right distributivity: the report still
+        # names the right law, with its lexicographically least witness.
+        add, mul = ring.add_table.copy(), ring.mul_table
+        add[cell] = add[cell[::-1]] = ring.zero
+        right = mul[add, :] != add[mul[:, None, :], mul[None, :, :]]  # (a+b)*c
+        left = mul[:, add] != add[mul[:, :, None], mul[:, None, :]]   # a*(b+c)
+        assert np.argwhere(left)[0][0] < np.argwhere(right)[0][0]
+        error, message, witness = _assert_matches_full_scan(add, mul, ring.zero, ring.one)
+        assert error is NotDistributive and message.startswith("right: ")
+        assert witness == tuple(np.argwhere(right)[0])
 
     def test_generator_counts(self, catalog_rings):
         for n in (2, 12, 64, 81, 128):
@@ -371,6 +387,15 @@ class TestNormalizationAndJson:
     def test_missing_field_rejected(self):
         with pytest.raises(RingValidationError):
             load_ring_json('{"label": "x", "order": 1}')
+
+    @pytest.mark.parametrize("change", [
+        None, {"zero": "0"}, {"zero": 0.0}, {"one": True}, {"add": 5}, {"mul": [[0, None, 1]] * 3},
+    ], ids=["top-level-array", "string-zero", "float-zero", "bool-one", "scalar-add",
+            "null-entry"])
+    def test_malformed_json_rejected(self, change):
+        doc = [1, 2] if change is None else {**zmod(3).to_json_dict(), **change}
+        with pytest.raises(RingValidationError):
+            load_ring_json(json.dumps(doc))
 
     def test_tables_immutable(self):
         ring = zmod(5)

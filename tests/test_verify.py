@@ -159,8 +159,6 @@ class TestConfig:
     def test_bad_caps_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(order_cap=0)
-        with pytest.raises(ValueError):
-            RunConfig(fmt="yaml")
 
     def test_effective_jobs(self):
         assert RunConfig(jobs=3).effective_jobs() == 3
