@@ -135,14 +135,27 @@ def _additive_generators(add: np.ndarray, zero: int) -> Iterator[int]:
     reached = np.zeros(add.shape[0], dtype=bool)
     reached[zero] = True
     while not reached.all():
-        step = int(np.argmin(reached))
-        yield step
-        while True:
-            sums = add[reached, step]
-            if reached[sums].all():
-                break
-            reached[sums] = True
-            step = add[step, step]
+        g = int(np.argmin(reached))
+        yield g
+        _join_cyclic(add, reached, g)
+
+
+def _join_cyclic(add: np.ndarray, reached: np.ndarray, y: int) -> None:
+    """Grow the mask ``reached`` in place by its sums with y, y+y, (y+y)+(y+y), ...
+
+    Each round adds the sums of the reached set with the current step, then
+    doubles the step, until a round adds nothing.  If + is a group and
+    ``reached`` a subgroup H, after k rounds it is H + {0, y, ..., (2^k - 1)y},
+    and a round that adds nothing means it is closed under adding 2^k y, hence
+    under adding y: the result is the subgroup generated by H and y.
+    """
+    step = y
+    while True:
+        sums = add[reached, step]
+        if reached[sums].all():
+            return
+        reached[sums] = True
+        step = add[step, step]
 
 
 def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
@@ -545,14 +558,21 @@ def validate_ring(
     return FiniteRing.from_tables(label, add, mul, zero, one, elem_names, order_cap=order_cap)
 
 
+def _reject_float(literal: str):
+    # json.loads would otherwise hand np.asarray a float, which int32 truncates
+    raise RingValidationError(f"ring JSON holds a non-integer number {literal}")
+
+
 def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Parse the ring JSON format and validate.
 
     Schema: ``{"label": str, "order": n, "add": [[int]], "mul": [[int]],
     "zero": int, "one": int}`` with row-major tables.  The loader normalizes
-    zero to index 0 and one to index 1 by permutation.
+    zero to index 0 and one to index 1 by permutation.  A fractional number
+    anywhere, or an ``order`` other than the number of rows of ``add``, is
+    rejected.
     """
-    obj = json.loads(text)
+    obj = json.loads(text, parse_float=_reject_float)
     if not isinstance(obj, dict):
         raise RingValidationError(f"ring JSON must be an object, got {type(obj).__name__}")
     try:
@@ -561,6 +581,9 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
         raise RingValidationError(f"ring JSON missing field {exc}") from exc
     if not (isinstance(add, list) and isinstance(mul, list)):
         raise RingValidationError("ring JSON add and mul must be arrays of rows")
+    if "order" in obj and (isinstance(obj["order"], bool) or obj["order"] != len(add)):
+        raise RingValidationError(
+            f"ring JSON order {obj['order']!r} does not match the {len(add)} rows of add")
     return validate_ring(label, add, mul, zero, one, order_cap=order_cap)
 
 

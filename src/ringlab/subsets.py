@@ -22,7 +22,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .core import FiniteRing
+from .core import FiniteRing, _join_cyclic
 from .errors import InternalInvariantViolation, LatticeCapExceeded, NotProperIdeal
 
 DEFAULT_LATTICE_ORDER_CAP = 256
@@ -242,33 +242,66 @@ def jacobson_radical(r: FiniteRing) -> Ideal:
     return cached
 
 
-def _additive_closure(r: FiniteRing, seed_mask: np.ndarray) -> np.ndarray:
-    mask = seed_mask.copy()
+def _ideal_closure(r: FiniteRing, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
+    """Mask of the smallest two-sided ideal containing the seeds.
+
+    Also returns the elements Y whose subgroup joins built it, an additive
+    generating set of the ideal.  Each y taken into Y is joined in by the
+    doubling step of the additive generators (``core._join_cyclic``), and
+    g*y and y*g are queued for every g in the additive generating set G of R.
+    When the queue is empty the mask is the subgroup S generated by Y, with
+    g*y and y*g in S for every y in Y and g in G.  Then g*S lies in S, since
+    left multiplication by g is additive; every r is a sum of members of G
+    and * distributes over +, so r*S lies in S, and S*r likewise (the
+    argument of ``core._holds_on_generators``).  So S is an ideal, and each
+    element joined is forced into any ideal containing the seeds, so S is
+    the smallest one.
+    """
+    gens = r.additive_generators()
+    mask = np.zeros(r.order, dtype=bool)
     mask[r.zero] = True
-    while True:
-        mem = np.flatnonzero(mask)
-        sums = r.add_table[np.ix_(mem, mem)]
-        new = np.zeros_like(mask)
-        new[sums.ravel()] = True
-        if not (new & ~mask).any():
-            return mask
-        mask |= new
+    joined: list[int] = []
+    pending = [int(x) for x in seeds]
+    while pending:
+        y = pending.pop()
+        if mask[y]:
+            continue
+        joined.append(y)
+        _join_cyclic(r.add_table, mask, y)
+        pending.extend(r.mul_table[gens, y].tolist())
+        pending.extend(r.mul_table[y, gens].tolist())
+    return mask, joined
+
+
+def _ideal(r: FiniteRing, mask: np.ndarray) -> Ideal:
+    return Ideal(r, tuple(np.flatnonzero(mask).tolist()))
 
 
 def ideal_generated_by(r: FiniteRing, xs: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing xs: additive closure of R*x*R."""
-    seed = np.zeros(r.order, dtype=bool)
-    for x in xs:
-        # all products r*x*s
-        rx = r.mul_table[:, x]
-        seed[r.mul_table[rx, :].ravel()] = True
-    mask = _additive_closure(r, seed)
-    return Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
+    """Smallest two-sided ideal containing xs."""
+    return _ideal(r, _ideal_closure(r, xs)[0])
 
 
-def _ideal_sum(r: FiniteRing, a: Ideal, b: Ideal) -> Ideal:
-    mem = np.unique(r.add_table[np.ix_(np.array(a.members), np.array(b.members))])
-    return Ideal(r, tuple(int(i) for i in mem))
+def _principal_ideals(r: FiniteRing) -> dict[bytes, tuple[np.ndarray, list[int]]]:
+    """Every principal ideal (x), keyed by its mask bytes, with its joined set.
+
+    (x) = R(uxv)R for units u and v, so (x) is computed once per orbit of x
+    under (u, v) -> u*x*v.  The units are read off ``mul_table`` here, so the
+    lattice shares no code with the unit mask that the Jacobson radical uses.
+    """
+    mul = r.mul_table
+    units = np.flatnonzero((mul == r.one).any(axis=1))  # one-sided inverse: a unit in a finite ring
+    covered = np.zeros(r.order, dtype=bool)
+    principal: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for x in range(r.order):
+        if covered[x]:
+            continue
+        ux = np.zeros(r.order, dtype=bool)
+        ux[mul[units, x]] = True
+        covered[mul[np.ix_(np.flatnonzero(ux), units)]] = True
+        mask, joined = _ideal_closure(r, [x])
+        principal.setdefault(mask.tobytes(), (mask, joined))
+    return principal
 
 
 def ideal_lattice(
@@ -277,33 +310,45 @@ def ideal_lattice(
     order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
     count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
 ) -> tuple[Ideal, ...]:
-    """Every two-sided ideal, as the join-closure of the principal ideals."""
+    """Every two-sided ideal, as the join-closure of the principal ideals.
+
+    Every ideal is a sum of principal ideals, so joining each newly found
+    ideal with every principal ideal reaches them all.  A + B is the subgroup
+    join of A with the additive generators of B, done for the whole frontier
+    at once: S + y is the mask shift ``S[sub_table[:, y]]``.
+    """
     key = ("lattice", order_cap, count_cap)
     cached = r._memo.get(key)
     if cached is not None:
         return cached
     if r.order > order_cap:
         raise LatticeCapExceeded(r.order, order_cap)
-    principal: dict[int, Ideal] = {}
-    for x in range(r.order):
-        ideal = ideal_generated_by(r, [x])
-        principal.setdefault(ideal.bitmask(), ideal)
-    found: dict[int, Ideal] = dict(principal)
-    frontier = list(principal.values())
+    principal = _principal_ideals(r)
+    found = {k: mask for k, (mask, _) in principal.items()}
+    frontier = list(found.values())
+    sub, add = r.sub_table, r.add_table
     while frontier:
-        nxt: list[Ideal] = []
-        for a in frontier:
-            for b in list(found.values()):
-                s = _ideal_sum(r, a, b)
-                bits = s.bitmask()
-                if bits not in found:
-                    found[bits] = s
-                    nxt.append(s)
-                    if len(found) > count_cap:
-                        raise LatticeCapExceeded(r.order, count_cap,
-                                                 f"more than {count_cap} ideals")
-        frontier = nxt
-    ideals = tuple(sorted(found.values(), key=lambda i: (len(i.members), i.members)))
+        if len(found) > count_cap:
+            raise LatticeCapExceeded(r.order, count_cap, f"more than {count_cap} ideals")
+        masks = np.array(frontier)
+        frontier = []
+        for _, joined in principal.values():
+            sums = masks.copy()
+            for y in joined:
+                step = y
+                while True:
+                    shifted = sums[:, sub[:, step]]
+                    if not (shifted & ~sums).any():
+                        break
+                    sums |= shifted
+                    step = add[step, step]
+            for mask in sums:
+                k = mask.tobytes()
+                if k not in found:
+                    found[k] = mask
+                    frontier.append(mask)
+    ideals = tuple(sorted((_ideal(r, m) for m in found.values()),
+                          key=lambda i: (len(i.members), i.members)))
     r._memo[key] = ideals
     return ideals
 
@@ -311,17 +356,20 @@ def ideal_lattice(
 def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
     """Proper P is prime when for all a, b outside P some a*r*b stays outside.
 
-    Every r is a sum of additive generators g and P is closed under +, so
-    aRb lies in P exactly when every a*g*b does.
+    Whether aRb lies in P depends only on the cosets a+P and b+P, so one
+    representative per nonzero coset is scanned: its least element, as in
+    ``FiniteRing.quotient_by``.  Every r is a sum of additive generators g
+    and P is closed under +, so aRb lies in P exactly when every a*g*b does.
     """
     if not ideal.is_proper():
         return False
     mask = ideal.mask()
-    outside = np.flatnonzero(~mask)
+    rep = r.add_table[:, list(ideal.members)].min(axis=1)
+    outside = np.flatnonzero((rep == np.arange(r.order)) & ~mask)
     escapes = np.zeros((len(outside), len(outside)), dtype=bool)
     for g in r.additive_generators():
         ag = r.mul_table[outside, g]
-        escapes |= ~mask[r.mul_table[np.ix_(ag, outside)]]  # [a, b] -> (a*g)*b
+        escapes |= ~mask[r.mul_table[ag[:, None], outside]]  # [a, b] -> (a*g)*b
     return bool(escapes.all())
 
 

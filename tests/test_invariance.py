@@ -5,7 +5,9 @@ values cannot depend on which indices its elements carry, so they must not
 move under ``ring.relabeled(permutation)``.
 
 Closed forms for Z/n: |U(Z/n)| = phi(n), Z/n has 2^omega(n) idempotents,
-and its nilpotents, which form J(Z/n), number n / prod(p | n).  The
+its nilpotents, which form J(Z/n), number n / prod(p | n), and its ideals
+are the d(n) ideals dZ/n for d | n.  Ideal counts of other families: the
+Boolean ring GF(2)^k has 2^k ideals, and T_2(F_q) has Catalan(3) = 5.  The
 right-hand sides come from sympy.
 """
 
@@ -15,13 +17,15 @@ from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import primefactors, totient
+from sympy import catalan, divisor_count, primefactors, totient
 
 from ringlab import (
     CHARACTERIZATION_IDS,
+    all_ideals,
     central_elements,
     central_idempotents,
     characterization,
+    gf,
     idempotents,
     j_star,
     jacobson_radical,
@@ -29,7 +33,9 @@ from ringlab import (
     potents,
     predicate_vector,
     prime_radical,
+    product,
     units,
+    upper_triangular,
     zmod,
 )
 
@@ -62,3 +68,17 @@ def test_zmod_closed_forms(n):
     radical_order = n // prod(primefactors(n))
     assert len(nilpotents(r).members) == radical_order
     assert len(jacobson_radical(r).members) == radical_order
+    assert len(all_ideals(r)) == divisor_count(n)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_boolean_ring_ideal_count(k):
+    r = gf(2)
+    for _ in range(k - 1):
+        r = product(r, gf(2))
+    assert len(all_ideals(r)) == 2 ** k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_triangular_ideal_count(q):
+    assert len(all_ideals(upper_triangular(gf(q), 2))) == catalan(3)

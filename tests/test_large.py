@@ -8,8 +8,9 @@ from __future__ import annotations
 from math import prod
 
 import pytest
+from sympy import catalan, divisor_count
 
-from ringlab import jacobson_radical, nilpotents, units
+from ringlab import all_ideals, gf, jacobson_radical, nilpotents, product, units
 from ringlab.sources import parse_ring_source
 
 pytestmark = pytest.mark.large
@@ -43,3 +44,22 @@ def test_zmod_1024_units():
     # phi(2^10) = 2^9
     assert len(units(ring).members) == 2 ** 9
     assert len(ring.additive_generators()) == 1
+
+
+@pytest.mark.parametrize("source, count", [
+    ("matrix:gf4:2", 2),                 # M_k(F_q) is simple (Wedderburn-Artin)
+    ("matrix:zmod2:3", 2),
+    ("tri:zmod3:3", int(catalan(4))),    # T_k(F_q) has Catalan(k+1) ideals
+    ("tri:zmod2:4", int(catalan(5))),
+    ("zmod:1024", int(divisor_count(1024))),
+])
+def test_ideal_counts(source, count):
+    assert len(all_ideals(parse_ring_source(source), order_cap=1024)) == count
+
+
+def test_boolean_ring_of_order_256_ideal_count():
+    r = gf(2)
+    for _ in range(7):
+        r = product(r, gf(2))
+    # every subset of the 8 coordinates spans one ideal
+    assert len(all_ideals(r, order_cap=1024)) == 2 ** 8

@@ -29,6 +29,39 @@ from ringlab import (
     units,
     zmod,
 )
+from ringlab.sources import parse_ring_source
+
+
+def reference_ideal(ring, xs):
+    """Independent oracle: the additive closure of every product r*x*s."""
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ring.zero] = True
+    for x in xs:
+        mask[ring.mul_table[ring.mul_table[:, x], :].ravel()] = True
+    while True:
+        mem = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[ring.add_table[np.ix_(mem, mem)].ravel()] = True
+        if (grown == mask).all():
+            return tuple(mem.tolist())
+        mask = grown
+
+
+def reference_lattice(ring):
+    """Independent oracle: join-closure of the principal ideals, every new
+    ideal summed with every ideal found so far, each sum by ``np.unique``."""
+    found = {reference_ideal(ring, [x]) for x in range(ring.order)}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(found):
+                s = tuple(np.unique(ring.add_table[np.ix_(a, b)]).tolist())
+                if s not in found:
+                    found.add(s)
+                    new.append(s)
+        frontier = new
+    return sorted(found, key=lambda m: (len(m), m))
 
 
 def brute_force_units(ring):
@@ -116,6 +149,26 @@ class TestIdealGeneration:
                 assert whole == (x in unit_set)
 
 
+class TestLatticeReference:
+    @pytest.fixture(scope="class")
+    def rings(self, catalog_rings):
+        # reversed labels move zero and one off indices 0 and 1
+        return catalog_rings + [r.relabeled(range(r.order - 1, -1, -1)) for r in catalog_rings]
+
+    def test_lattice_matches_reference(self, rings):
+        for ring in rings:
+            assert [i.members for i in all_ideals(ring)] == reference_lattice(ring), ring.label
+
+    def test_generated_ideals_match_reference(self, rings):
+        for ring in rings:
+            n = ring.order
+            assert ideal_generated_by(ring, []).members == (ring.zero,)
+            for x in range(n):
+                assert ideal_generated_by(ring, [x]).members == reference_ideal(ring, [x])
+                pair = [x, (3 * x + 1) % n]
+                assert ideal_generated_by(ring, pair).members == reference_ideal(ring, pair)
+
+
 class TestLatticeAndSpectrum:
     def test_zmod12_lattice(self):
         ideals = all_ideals(zmod(12))
@@ -187,6 +240,17 @@ class TestLatticeAndSpectrum:
     def test_lattice_cap(self):
         with pytest.raises(LatticeCapExceeded):
             all_ideals(zmod(12), order_cap=4)
+
+    @pytest.mark.parametrize("source, count", [
+        ("zmod:12", 6),
+        ("eqdiag:zmod2:3", 7),      # one of its ideals is not principal
+        ("product:gf2,zmod6", 8),   # every ideal is principal
+    ])
+    def test_lattice_count_cap(self, source, count):
+        ring = parse_ring_source(source)
+        with pytest.raises(LatticeCapExceeded):
+            all_ideals(ring, count_cap=count - 1)
+        assert len(all_ideals(ring, count_cap=count)) == count
 
     def test_spectrum_json_shape(self):
         doc = spectrum(zmod(6)).to_json_dict()
