@@ -172,13 +172,24 @@ def _matrix_tables(
     cells.update({cell: image[digits[t]] for cell, t, image in ties})
 
     def product_cell(r: int, c: int) -> np.ndarray | None:
-        """Cell (r, c) of every product, or None where it is zero by support."""
-        acc = None
-        for mid in range(k):
-            if (r, mid) in cells and (mid, c) in cells:
-                term = base.mul_table[cells[r, mid][:, None], cells[mid, c][None, :]]
-                acc = term if acc is None else base.add_table[acc, term]
-        return acc
+        """Cell (r, c) of every product, or None where it is zero by support.
+
+        The cell is sum over mids of left[r, mid] * right[mid, c], a function
+        of the |mids| left and |mids| right entries only: it is tabulated on
+        the q^|mids| x q^|mids| digit grid, then gathered once by each
+        element's encoded entries.
+        """
+        mids = [mid for mid in range(k) if (r, mid) in cells and (mid, c) in cells]
+        if not mids:
+            return None
+        grid = _digits(np.arange(q ** len(mids), dtype=np.int32), q, len(mids))
+        small = None
+        for g in grid:
+            term = base.mul_table[g[:, None], g[None, :]]
+            small = term if small is None else base.add_table[small, term]
+        left = _encode((cells[r, mid] for mid in mids), q)
+        right = _encode((cells[mid, c] for mid in mids), q)
+        return small[left[:, None], right[None, :]]
 
     tie_of = {cell: (t, image) for cell, t, image in ties}
     held = dict.fromkeys(t for t, _ in tie_of.values())  # what tied cells must match

@@ -563,14 +563,29 @@ def _reject_float(literal: str):
     raise RingValidationError(f"ring JSON holds a non-integer number {literal}")
 
 
+def _spells_boolean(text: str) -> bool:
+    """Whether ``true`` or ``false`` occurs in the text.
+
+    Both end in "e", which ring JSON holds only in a few keys and names, so
+    this walks the "e"s with single-character finds (memchr speed) rather
+    than running two substring searches over megabytes of digits.
+    """
+    i = text.find("e")
+    while i >= 0:
+        if text.endswith("true", 0, i + 1) or text.endswith("false", 0, i + 1):
+            return True
+        i = text.find("e", i + 1)
+    return False
+
+
 def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Parse the ring JSON format and validate.
 
     Schema: ``{"label": str, "order": n, "add": [[int]], "mul": [[int]],
     "zero": int, "one": int}`` with row-major tables.  The loader normalizes
     zero to index 0 and one to index 1 by permutation.  A fractional number
-    anywhere, or an ``order`` other than the number of rows of ``add``, is
-    rejected.
+    anywhere, a boolean table entry, or an ``order`` other than the number of
+    rows of ``add``, is rejected.
     """
     obj = json.loads(text, parse_float=_reject_float)
     if not isinstance(obj, dict):
@@ -584,6 +599,11 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
     if "order" in obj and (isinstance(obj["order"], bool) or obj["order"] != len(add)):
         raise RingValidationError(
             f"ring JSON order {obj['order']!r} does not match the {len(add)} rows of add")
+    # np.asarray would read true/false as 1/0; only a text that spells one
+    # pays for the per-cell type check
+    if _spells_boolean(text) and any(
+            isinstance(v, bool) for row in add + mul if isinstance(row, list) for v in row):
+        raise RingValidationError("ring JSON add and mul entries must be integers, not booleans")
     return validate_ring(label, add, mul, zero, one, order_cap=order_cap)
 
 

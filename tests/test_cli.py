@@ -103,8 +103,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("change", [
         None, {"zero": "0"}, {"zero": 0.0}, {"add": 5},
         {"mul": [[0, 0, 0], [0, 1.9, 2.9], [0, 2, 1]]}, {"order": 7},
+        {"order": 2, "add": [[False, True], [True, False]], "mul": [[0, 0], [0, 1]]},
     ], ids=["top-level-array", "string-zero", "float-zero", "scalar-add", "float-entry",
-            "wrong-order"])
+            "wrong-order", "bool-entry"])
     def test_malformed_file_exits_2(self, tmp_path, capsys, change):
         doc = [1, 2] if change is None else {**zmod(3).to_json_dict(), **change}
         path = tmp_path / "bad.json"

@@ -391,8 +391,10 @@ class TestNormalizationAndJson:
     @pytest.mark.parametrize("change", [
         None, {"zero": "0"}, {"zero": 0.0}, {"one": True}, {"add": 5}, {"mul": [[0, None, 1]] * 3},
         {"mul": [[0, 0, 0], [0, 1.9, 2.9], [0, 2, 1]]}, {"order": 7},
+        {"order": 2, "add": [[False, True], [True, False]], "mul": [[0, 0], [0, 1]]},
+        {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[False, 0], [0, 1]]},
     ], ids=["top-level-array", "string-zero", "float-zero", "bool-one", "scalar-add",
-            "null-entry", "float-entry", "wrong-order"])
+            "null-entry", "float-entry", "wrong-order", "bool-entry", "false-entry"])
     def test_malformed_json_rejected(self, change):
         doc = [1, 2] if change is None else {**zmod(3).to_json_dict(), **change}
         with pytest.raises(RingValidationError):

@@ -7,8 +7,10 @@ move under ``ring.relabeled(permutation)``.
 Closed forms for Z/n: |U(Z/n)| = phi(n), Z/n has 2^omega(n) idempotents,
 its nilpotents, which form J(Z/n), number n / prod(p | n), and its ideals
 are the d(n) ideals dZ/n for d | n.  Ideal counts of other families: the
-Boolean ring GF(2)^k has 2^k ideals, and T_2(F_q) has Catalan(3) = 5.  The
-right-hand sides come from sympy.
+Boolean ring GF(2)^k has 2^k ideals, T_2(F_q) has Catalan(3) = 5, and the
+ideals of a product R x S of unital rings are the products I x J, so their
+count is the product of the factors' counts.  The right-hand sides come from
+sympy.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ringlab import (
     upper_triangular,
     zmod,
 )
+from ringlab.sources import parse_ring_source
 
 CLASSES = (units, idempotents, central_idempotents, nilpotents, potents, central_elements)
 
@@ -82,3 +85,13 @@ def test_boolean_ring_ideal_count(k):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_triangular_ideal_count(q):
     assert len(all_ideals(upper_triangular(gf(q), 2))) == catalan(3)
+
+
+def test_product_ideal_count(catalog):
+    pairs = [entry.provenance.removeprefix("product:").split(",") for entry in catalog
+             if entry.provenance.startswith("product:")]
+    assert pairs
+    for left, right in pairs + [["zmod:4", "gf:4"]]:
+        r, s = parse_ring_source(left), parse_ring_source(right)
+        assert len(all_ideals(product(r, s))) == len(all_ideals(r)) * len(all_ideals(s)), \
+            (left, right)

@@ -11,7 +11,9 @@ import pytest
 from sympy import catalan, divisor_count
 
 from ringlab import all_ideals, gf, jacobson_radical, nilpotents, product, units
+from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
+from test_predicates import reference_n_like_witness, zmod_n_like_witness
 
 pytestmark = pytest.mark.large
 
@@ -63,3 +65,16 @@ def test_boolean_ring_of_order_256_ideal_count():
         r = product(r, gf(2))
     # every subset of the 8 coordinates spans one ideal
     assert len(all_ideals(r, order_cap=1024)) == 2 ** 8
+
+
+def test_zmod_1024_n_like_witnesses():
+    ring = parse_ring_source("zmod:1024")
+    for n in GENERALIZED_RANGE:
+        assert generalized_n_like_witness(ring, n) == zmod_n_like_witness(1024, n), n
+
+
+@pytest.mark.parametrize("source", ["tri:zmod2:4", "tri:zmod3:3"])
+def test_triangular_n_like_witnesses(source):
+    ring = parse_ring_source(source)
+    for n in GENERALIZED_RANGE:
+        assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n

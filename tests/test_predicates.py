@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -10,6 +11,7 @@ from ringlab import (
     Ideal,
     characterization,
     clean_decompositions,
+    gf,
     gf4_triangular_example,
     idempotents_lift_mod,
     idempotents_lift_uniquely_mod,
@@ -38,7 +40,35 @@ from ringlab import (
     upper_triangular,
     zmod,
 )
+from ringlab import predicates
+from ringlab.construct import SUPPORTED_FIELD_ORDERS
+from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.subsets import spectrum
+
+
+def reference_n_like_witness(ring, n):
+    """Oracle: the first row-major (a, b) with (ab)^n - a b^n - a^n b + ab != 0,
+    each of the four terms gathered over the whole n x n grid."""
+    idx = np.arange(ring.order)
+    pow_n = idx
+    for _ in range(n - 1):
+        pow_n = ring.mul_table[pow_n, idx]
+    ab = ring.mul_table
+    t1 = pow_n[ab]                      # (ab)^n
+    t2 = ring.mul_table[:, pow_n]       # a * b^n
+    t3 = ring.mul_table[pow_n, :]       # a^n * b
+    total = ring.add_table[ring.sub_table[t1, t2], ring.sub_table[ab, t3]]
+    bad = np.argwhere(total != ring.zero)
+    return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
+
+
+def zmod_n_like_witness(m, n):
+    """Oracle for Z/m in Python integers: the first row-major failing (a, b)."""
+    for a in range(m):
+        for b in range(m):
+            if ((a * b) ** n - a * b ** n - a ** n * b + a * b) % m:
+                return a, b
+    return None
 
 
 def brute_force_decompositions(ring, a):
@@ -175,6 +205,32 @@ class TestGeneralizedNLike:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             is_generalized_n_like(zmod(4), 1)
+        with pytest.raises(ValueError):
+            generalized_n_like_witness(zmod(3), 0)
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 50])
+    def test_witnesses_match_reference(self, catalog_rings, monkeypatch, block_cells):
+        # small blocks put block boundaries, and witnesses past the first
+        # block, inside the catalog's orders
+        if block_cells is not None:
+            monkeypatch.setattr(predicates, "_N_LIKE_BLOCK_CELLS", block_cells)
+        # reversed labels move zero and one off indices 0 and 1
+        rings = catalog_rings + [r.relabeled(range(r.order - 1, -1, -1)) for r in catalog_rings]
+        for ring in rings:
+            for n in GENERALIZED_RANGE:
+                assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), \
+                    (ring.label, n)
+
+    @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
+    def test_field_closed_form(self, q):
+        # in a field the identity is (a^n - a)(b^n - b) = 0, i.e. x^n = x for all x
+        for n in GENERALIZED_RANGE:
+            assert is_generalized_n_like(gf(q), n) == ((n - 1) % (q - 1) == 0), n
+
+    def test_zmod_witnesses_match_integer_oracle(self):
+        for m in range(1, 41):
+            for n in GENERALIZED_RANGE:
+                assert generalized_n_like_witness(zmod(m), n) == zmod_n_like_witness(m, n), (m, n)
 
 
 class TestIdempotentLifting:
