@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,10 +256,12 @@ class FiniteRing:
 
     Canonical rings have zero at index 0 and one at index 1.  ``elem_names``
     optionally carries a printable structured form per index (matrix entries,
-    coset representatives, ...).  Instances are immutable; ``_memo`` caches
-    derived data (unit masks, radicals, spectra) keyed by computation name,
-    filled lazily by the other modules -- concurrent readers are safe, worst
-    case a value is recomputed.
+    coset representatives, ...).  Instances are immutable.  Derived data
+    (unit masks, power matrix, radicals, spectra, ...) is built lazily, once
+    per ring, through ``memo(key, build)``: the key names the computation and
+    never its caps, ndarray values are stored read-only, and a ``None`` value
+    is stored like any other.  Concurrent readers are safe; worst case a value
+    is recomputed.
     """
 
     label: str
@@ -293,6 +295,21 @@ class FiniteRing:
         ring.mul_table.setflags(write=False)
         return ring
 
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, else ``build()``, stored and returned.
+
+        A key names one computation, such as ``"units_mask"`` or
+        ``("quotient", members, label)``; callers check caps on every call,
+        outside the key.  A ``build`` that raises stores nothing.
+        """
+        if key in self._memo:
+            return self._memo[key]
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        self._memo[key] = value
+        return value
+
     # -- element arithmetic (index level) ------------------------------------
 
     def add(self, x: int, y: int) -> int:
@@ -322,20 +339,13 @@ class FiniteRing:
 
     @property
     def neg_table(self) -> np.ndarray:
-        tab = self._memo.get("neg_table")
-        if tab is None:
-            tab = np.argmax(self.add_table == self.zero, axis=1).astype(np.int32)
-            self._memo["neg_table"] = tab
-        return tab
+        return self.memo("neg_table",
+                         lambda: np.argmax(self.add_table == self.zero, axis=1).astype(np.int32))
 
     @property
     def sub_table(self) -> np.ndarray:
         """sub_table[x, y] = x - y."""
-        tab = self._memo.get("sub_table")
-        if tab is None:
-            tab = self.add_table[:, self.neg_table]
-            self._memo["sub_table"] = tab
-        return tab
+        return self.memo("sub_table", lambda: self.add_table[:, self.neg_table])
 
     def additive_generators(self) -> np.ndarray:
         """A generating set G of (R, +) with at most log2(order) elements.
@@ -343,12 +353,8 @@ class FiniteRing:
         Every element is a sum of members of G; built greedily, least index
         first, and memoised.
         """
-        gens = self._memo.get("additive_generators")
-        if gens is None:
-            gens = np.array(list(_additive_generators(self.add_table, self.zero)), dtype=np.intp)
-            gens.setflags(write=False)
-            self._memo["additive_generators"] = gens
-        return gens
+        return self.memo("additive_generators", lambda: np.array(
+            list(_additive_generators(self.add_table, self.zero)), dtype=np.intp))
 
     def power_trail(self, x: int) -> PowerTrail:
         """Successive powers of x up to (excluding) the first repetition."""
@@ -362,11 +368,7 @@ class FiniteRing:
         return PowerTrail(x, tuple(powers), seen[cur])
 
     def trails(self) -> list[PowerTrail]:
-        cached = self._memo.get("trails")
-        if cached is None:
-            cached = [self.power_trail(x) for x in range(self.order)]
-            self._memo["trails"] = cached
-        return cached
+        return self.memo("trails", lambda: [self.power_trail(x) for x in range(self.order)])
 
     def power_matrix(self) -> np.ndarray:
         """``powers[x, k] = x^(k+1)`` for k = 0..L, L the longest power trail.
@@ -376,8 +378,7 @@ class FiniteRing:
         equals some entry of its row.  Built one column at a time by a gather
         of ``mul_table``, stopping once every row has repeated a value.
         """
-        powers = self._memo.get("power_matrix")
-        if powers is None:
+        def build() -> np.ndarray:
             idx = np.arange(self.order)
             seen = np.zeros((self.order, self.order), dtype=bool)
             seen[idx, idx] = True
@@ -388,10 +389,9 @@ class FiniteRing:
                 trail_open &= ~seen[idx, nxt]
                 seen[idx, nxt] = True
                 cols.append(nxt)
-            powers = np.stack(cols, axis=1)
-            powers.setflags(write=False)
-            self._memo["power_matrix"] = powers
-        return powers
+            return np.stack(cols, axis=1)
+
+        return self.memo("power_matrix", build)
 
     # -- element objects ------------------------------------------------------
 

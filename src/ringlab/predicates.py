@@ -115,11 +115,7 @@ def _corner_counts(r: FiniteRing, left: bool) -> np.ndarray:
 
 def _clean_counts(r: FiniteRing) -> np.ndarray:
     """Per element, its number of decompositions e + u."""
-    counts = r._memo.get("clean_counts")
-    if counts is None:
-        counts = _split_counts(r, _units_mask(r), _idempotent_array(r))
-        r._memo["clean_counts"] = counts
-    return counts
+    return r.memo("clean_counts", lambda: _split_counts(r, _units_mask(r), _idempotent_array(r)))
 
 
 def _first_false(ok: np.ndarray) -> Witness:
@@ -204,9 +200,8 @@ def is_uniquely_clean(r: FiniteRing) -> bool:
 
 
 def uniquely_pi_clean_witness(r: FiniteRing) -> Witness:
-    if "uniquely_pi_clean" not in r._memo:
-        r._memo["uniquely_pi_clean"] = _first_false(_some_power(r, _clean_counts(r) == 1))
-    return r._memo["uniquely_pi_clean"]
+    return r.memo("uniquely_pi_clean",
+                  lambda: _first_false(_some_power(r, _clean_counts(r) == 1)))
 
 
 def is_uniquely_pi_clean(r: FiniteRing) -> bool:
@@ -564,10 +559,9 @@ class PredicateVector:
 
 def predicate_vector(r: FiniteRing) -> PredicateVector:
     """Evaluate the full predicate battery on one ring."""
-    cached = r._memo.get("predicate_vector")
-    if cached is None:
+    def build() -> PredicateVector:
         scans = {name: scan(r) for name, scan in _PREDICATE_SCANS.items()}
-        cached = PredicateVector(r.label, {name: w is None for name, w in scans.items()},
-                                 {name: w for name, w in scans.items() if w is not None})
-        r._memo["predicate_vector"] = cached
-    return cached
+        return PredicateVector(r.label, {name: w is None for name, w in scans.items()},
+                               {name: w for name, w in scans.items() if w is not None})
+
+    return r.memo("predicate_vector", build)

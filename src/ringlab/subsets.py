@@ -136,26 +136,15 @@ class SpectrumReport:
 
 
 def _units_mask(r: FiniteRing) -> np.ndarray:
-    mask = r._memo.get("units_mask")
-    if mask is None:
+    def build() -> np.ndarray:
         left = (r.mul_table == r.one).any(axis=1)   # x has y with x*y = 1
         right = (r.mul_table == r.one).any(axis=0)  # x has y with y*x = 1
         if not np.array_equal(left, right):
             raise InternalInvariantViolation(
                 f"{r.label}: one-sided inverses are not two-sided in a finite ring")
-        mask = left
-        r._memo["units_mask"] = mask
-    return mask
+        return left
 
-
-def inverse_table(r: FiniteRing) -> np.ndarray:
-    """inv[x] = the two-sided inverse of x, or -1 for non-units."""
-    inv = r._memo.get("inverse_table")
-    if inv is None:
-        mask = _units_mask(r)
-        inv = np.where(mask, np.argmax(r.mul_table == r.one, axis=1), -1).astype(np.int32)
-        r._memo["inverse_table"] = inv
-    return inv
+    return r.memo("units_mask", build)
 
 
 def units(r: FiniteRing) -> ElemClass:
@@ -163,12 +152,8 @@ def units(r: FiniteRing) -> ElemClass:
 
 
 def _idempotent_array(r: FiniteRing) -> np.ndarray:
-    arr = r._memo.get("idempotents")
-    if arr is None:
-        diag = r.mul_table[np.arange(r.order), np.arange(r.order)]
-        arr = np.flatnonzero(diag == np.arange(r.order)).astype(np.int32)
-        r._memo["idempotents"] = arr
-    return arr
+    return r.memo("idempotents", lambda: np.flatnonzero(
+        np.diagonal(r.mul_table) == np.arange(r.order)).astype(np.int32))
 
 
 def idempotents(r: FiniteRing) -> ElemClass:
@@ -177,11 +162,7 @@ def idempotents(r: FiniteRing) -> ElemClass:
 
 def _central_mask(r: FiniteRing) -> np.ndarray:
     """Whether each element commutes with every element."""
-    mask = r._memo.get("central_mask")
-    if mask is None:
-        mask = (r.mul_table == r.mul_table.T).all(axis=1)
-        r._memo["central_mask"] = mask
-    return mask
+    return r.memo("central_mask", lambda: (r.mul_table == r.mul_table.T).all(axis=1))
 
 
 def central_idempotents(r: FiniteRing) -> ElemClass:
@@ -201,11 +182,7 @@ def nilpotents(r: FiniteRing) -> ElemClass:
 
 
 def _nilpotent_mask(r: FiniteRing) -> np.ndarray:
-    mask = r._memo.get("nilpotent_mask")
-    if mask is None:
-        mask = (r.power_matrix() == r.zero).any(axis=1)
-        r._memo["nilpotent_mask"] = mask
-    return mask
+    return r.memo("nilpotent_mask", lambda: (r.power_matrix() == r.zero).any(axis=1))
 
 
 def potents(r: FiniteRing) -> ElemClass:
@@ -216,12 +193,11 @@ def potents(r: FiniteRing) -> ElemClass:
 def _potent_mask(r: FiniteRing) -> np.ndarray:
     # a is potent when a^n = a for some n >= 2, i.e. the power trail cycles
     # back to its first entry.
-    mask = r._memo.get("potent_mask")
-    if mask is None:
+    def build() -> np.ndarray:
         powers = r.power_matrix()
-        mask = (powers[:, 1:] == powers[:, :1]).any(axis=1)
-        r._memo["potent_mask"] = mask
-    return mask
+        return (powers[:, 1:] == powers[:, :1]).any(axis=1)
+
+    return r.memo("potent_mask", build)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +206,16 @@ def _potent_mask(r: FiniteRing) -> np.ndarray:
 
 def jacobson_radical(r: FiniteRing) -> Ideal:
     """J(R) = {x : 1 - r*x is a unit for every r}, re-verified as an ideal."""
-    cached = r._memo.get("jacobson")
-    if cached is None:
+    def build() -> Ideal:
         one_minus = r.sub_table[r.one]  # one_minus[y] = 1 - y
         members = np.flatnonzero(_units_mask(r)[one_minus[r.mul_table]].all(axis=0))
-        cached = Ideal(r, tuple(int(x) for x in members))
-        if not cached.verify():
+        ideal = Ideal(r, tuple(int(x) for x in members))
+        if not ideal.verify():
             raise InternalInvariantViolation(
                 f"{r.label}: quasi-regularity set is not a two-sided ideal")
-        r._memo["jacobson"] = cached
-    return cached
+        return ideal
+
+    return r.memo("jacobson", build)
 
 
 def _ideal_closure(r: FiniteRing, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
@@ -317,12 +293,22 @@ def ideal_lattice(
     join of A with the additive generators of B, done for the whole frontier
     at once: S + y is the mask shift ``S[sub_table[:, y]]``.
     """
-    key = ("lattice", order_cap, count_cap)
-    cached = r._memo.get(key)
-    if cached is not None:
-        return cached
     if r.order > order_cap:
         raise LatticeCapExceeded(r.order, order_cap)
+    # The build is refused exactly when |L| > count_cap; a stored lattice is
+    # held to each caller's count_cap the same way.
+    ideals = r.memo("lattice", lambda: _join_closure(r, count_cap))
+    if len(ideals) > count_cap:
+        raise LatticeCapExceeded(r.order, count_cap, f"more than {count_cap} ideals")
+    return ideals
+
+
+def _join_closure(r: FiniteRing, count_cap: int) -> tuple[Ideal, ...]:
+    """The lattice of ``ideal_lattice``, refused once more than count_cap ideals are found.
+
+    The count is checked before every round, the last one (which finds
+    nothing new) included, so it is refused exactly when |L| > count_cap.
+    """
     principal = _principal_ideals(r)
     found = {k: mask for k, (mask, _) in principal.items()}
     frontier = list(found.values())
@@ -347,10 +333,8 @@ def ideal_lattice(
                 if k not in found:
                     found[k] = mask
                     frontier.append(mask)
-    ideals = tuple(sorted((_ideal(r, m) for m in found.values()),
-                          key=lambda i: (len(i.members), i.members)))
-    r._memo[key] = ideals
-    return ideals
+    return tuple(sorted((_ideal(r, m) for m in found.values()),
+                        key=lambda i: (len(i.members), i.members)))
 
 
 def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
@@ -385,29 +369,26 @@ def spectrum(
     Maximality is read off the lattice; the report verifies (rather than
     assumes) that every maximal ideal passes the prime test.
     """
-    key = ("spectrum", order_cap, count_cap)
-    cached = r._memo.get(key)
-    if cached is not None:
-        return cached
     ideals = ideal_lattice(r, order_cap=order_cap, count_cap=count_cap)
-    proper = [i for i in ideals if i.is_proper()]
-    bits = [(i, i.bitmask()) for i in proper]
-    maximal = tuple(
-        i for i, bi in bits
-        if not any(bj != bi and (bi & bj) == bi for _, bj in bits)
-    )
-    prime = tuple(i for i in proper if _is_prime_ideal(r, i))
-    prime_set = {p.members for p in prime}
-    for m in maximal:
-        if m.members not in prime_set:
-            raise InternalInvariantViolation(
-                f"{r.label}: maximal ideal {m.members} fails the prime test")
-    j = jacobson_radical(r)
-    jset = set(j.members)
-    j_spec = tuple(p for p in prime if jset <= set(p.members))
-    report = SpectrumReport(r, ideals, maximal, prime, j_spec)
-    r._memo[key] = report
-    return report
+
+    def build() -> SpectrumReport:
+        proper = [i for i in ideals if i.is_proper()]
+        bits = [(i, i.bitmask()) for i in proper]
+        maximal = tuple(
+            i for i, bi in bits
+            if not any(bj != bi and (bi & bj) == bi for _, bj in bits)
+        )
+        prime = tuple(i for i in proper if _is_prime_ideal(r, i))
+        prime_set = {p.members for p in prime}
+        for m in maximal:
+            if m.members not in prime_set:
+                raise InternalInvariantViolation(
+                    f"{r.label}: maximal ideal {m.members} fails the prime test")
+        jset = set(jacobson_radical(r).members)
+        j_spec = tuple(p for p in prime if jset <= set(p.members))
+        return SpectrumReport(r, ideals, maximal, prime, j_spec)
+
+    return r.memo("spectrum", build)
 
 
 def all_ideals(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
@@ -428,19 +409,20 @@ def j_spec(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
 
 def _spectrum_intersection(r: FiniteRing, part: Literal["maximal", "prime"],
                            order_cap: int, count_cap: int) -> Ideal:
-    """Intersection of the maximal or of the prime ideals, memoised per caps."""
-    key = ("intersection", part, order_cap, count_cap)
-    cached = r._memo.get(key)
-    if cached is None:
+    """Intersection of the maximal or of the prime ideals, memoised per part."""
+    sp = spectrum(r, order_cap=order_cap, count_cap=count_cap)
+
+    def build() -> Ideal:
         # The empty intersection is the whole ring.
         mask = np.ones(r.order, dtype=bool)
-        for i in getattr(spectrum(r, order_cap=order_cap, count_cap=count_cap), part):
+        for i in getattr(sp, part):
             mask &= i.mask()
-        cached = Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
-        if not cached.verify():
+        ideal = Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
+        if not ideal.verify():
             raise InternalInvariantViolation(f"{r.label}: radical intersection is not an ideal")
-        r._memo[key] = cached
-    return cached
+        return ideal
+
+    return r.memo(("intersection", part), build)
 
 
 def j_star(
@@ -449,7 +431,7 @@ def j_star(
     order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
     count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
 ) -> Ideal:
-    """Intersection of all maximal two-sided ideals, memoised per caps."""
+    """Intersection of all maximal two-sided ideals, memoised."""
     return _spectrum_intersection(r, "maximal", order_cap, count_cap)
 
 
@@ -459,7 +441,7 @@ def prime_radical(
     order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
     count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
 ) -> Ideal:
-    """Intersection of all prime ideals, memoised per caps."""
+    """Intersection of all prime ideals, memoised."""
     return _spectrum_intersection(r, "prime", order_cap, count_cap)
 
 
@@ -468,14 +450,10 @@ def prime_radical(
 
 
 def quotient_ring(r: FiniteRing, ideal: Ideal, label: str | None = None) -> FiniteRing:
-    """Quotient by an ideal, memoised per member tuple."""
-    key = ("quotient", ideal.members)
-    cached = r._memo.get(key)
-    if cached is None:
-        cached = r.quotient_by(ideal.members,
-                               label if label is not None else f"{r.label}/({len(ideal.members)})")
-        r._memo[key] = cached
-    return cached
+    """Quotient by an ideal, memoised per member tuple and label."""
+    if label is None:
+        label = f"{r.label}/({len(ideal.members)})"
+    return r.memo(("quotient", ideal.members, label), lambda: r.quotient_by(ideal.members, label))
 
 
 def quotient_is_torsion(r: FiniteRing, p: Ideal) -> bool:

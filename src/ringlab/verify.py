@@ -165,7 +165,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
     spectra_ok = True
     spectra_reason = ""
     try:
-        subsets.spectrum(ring, order_cap=caps["order_cap"], count_cap=caps["count_cap"])
+        subsets.spectrum(ring, **caps)
     except LatticeCapExceeded as exc:
         spectra_ok = False
         spectra_reason = str(exc)
@@ -183,8 +183,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
                     continue
                 lhs = upc
             elif tid == "C3.10-set":
-                sp = subsets.spectrum(ring, order_cap=caps["order_cap"],
-                                      count_cap=caps["count_cap"])
+                sp = subsets.spectrum(ring, **caps)
                 hyp = upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}
                 if not hyp:
                     out[tid] = "hypothesis unmet (uniquely pi-clean with all primes maximal)"
@@ -194,18 +193,15 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
                 lhs = upc and j_nil
             else:
                 lhs = upc
-            rhs = predicates.characterization(ring, tid, order_cap=caps["order_cap"],
-                                              count_cap=caps["count_cap"])
+            rhs = predicates.characterization(ring, tid, **caps)
             out[tid] = (lhs, rhs, None)
         elif tid == "L4.6":
             out[tid] = (vec["uniquely_pi_nil_clean"], vec["abelian"] and vec["periodic"], None)
         elif tid == "collapse":
             out[tid] = (upc, vec["abelian"], None)
         elif tid == "radical-triple":
-            js = subsets.j_star(ring, order_cap=caps["order_cap"],
-                                count_cap=caps["count_cap"]).members
-            pr = subsets.prime_radical(ring, order_cap=caps["order_cap"],
-                                       count_cap=caps["count_cap"]).members
+            js = subsets.j_star(ring, **caps).members
+            pr = subsets.prime_radical(ring, **caps).members
             ok = j.members == js == pr
             wit = None if ok else f"J={j.members} J*={js} P={pr}"
             out[tid] = (True, ok, wit)

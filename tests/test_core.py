@@ -22,6 +22,7 @@ from ringlab import (
     validate_ring,
     zmod,
 )
+from ringlab import predicates, subsets
 from ringlab.core import (
     _check_quadratic_axioms,
     _full_scan,
@@ -404,3 +405,35 @@ class TestNormalizationAndJson:
         ring = zmod(5)
         with pytest.raises(ValueError):
             ring.add_table[0, 0] = 3
+
+    @pytest.mark.parametrize("derived", [
+        lambda r: r.neg_table,
+        lambda r: r.sub_table,
+        lambda r: r.power_matrix(),
+        lambda r: r.additive_generators(),
+        lambda r: subsets._units_mask(r),
+        lambda r: predicates._clean_counts(r),
+    ], ids=["neg_table", "sub_table", "power_matrix", "additive_generators",
+            "units_mask", "clean_counts"])
+    def test_derived_arrays_immutable(self, derived):
+        arr = derived(zmod(6))
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+    def test_memo_stores_none_and_skips_failed_builds(self):
+        ring = zmod(5)
+        calls = []
+
+        def build_none():
+            calls.append(1)
+
+        assert ring.memo("k", build_none) is None
+        assert ring.memo("k", build_none) is None
+        assert len(calls) == 1
+
+        def build_fail():
+            raise ArithmeticError("no value")
+
+        with pytest.raises(ArithmeticError):
+            ring.memo("f", build_fail)
+        assert ring.memo("f", lambda: 7) == 7

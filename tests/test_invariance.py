@@ -2,7 +2,8 @@
 
 Relabelling: a ring's predicates, class sizes, radicals and characterization
 values cannot depend on which indices its elements carry, so they must not
-move under ``ring.relabeled(permutation)``.
+move under ``ring.relabeled(permutation)``, and its ideal, prime and maximal
+sets must be the same sets once each index is mapped back.
 
 Closed forms for Z/n: |U(Z/n)| = phi(n), Z/n has 2^omega(n) idempotents,
 its nilpotents, which form J(Z/n), number n / prod(p | n), and its ideals
@@ -36,6 +37,7 @@ from ringlab import (
     predicate_vector,
     prime_radical,
     product,
+    spectrum,
     units,
     upper_triangular,
     zmod,
@@ -54,13 +56,22 @@ def invariants(r) -> dict:
     }
 
 
+def ideal_sets(r, old_of) -> dict:
+    """The ideal, prime and maximal sets, each member k read as old_of[k]."""
+    sp = spectrum(r)
+    return {part: {frozenset(old_of[k] for k in i.members) for i in getattr(sp, part)}
+            for part in ("all_ideals", "prime", "maximal")}
+
+
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_relabelling_changes_nothing(catalog, data):
     ring = data.draw(st.sampled_from([e.ring for e in catalog if e.ring.order <= 32]),
                      label="ring")
     old_order = data.draw(st.permutations(range(ring.order)), label="old_order")
-    assert invariants(ring.relabeled(old_order)) == invariants(ring)
+    relabelled = ring.relabeled(old_order)
+    assert invariants(relabelled) == invariants(ring)
+    assert ideal_sets(relabelled, old_order) == ideal_sets(ring, range(ring.order))
 
 
 @pytest.mark.parametrize("n", range(1, 121))

@@ -24,12 +24,15 @@ from ringlab import (
     potents,
     prime_ideals,
     prime_radical,
+    quotient,
     quotient_is_torsion,
+    quotient_ring,
     spectrum,
     units,
     zmod,
 )
 from ringlab.sources import parse_ring_source
+from ringlab.subsets import ideal_lattice
 
 
 def reference_ideal(ring, xs):
@@ -251,6 +254,13 @@ class TestLatticeAndSpectrum:
         with pytest.raises(LatticeCapExceeded):
             all_ideals(ring, count_cap=count - 1)
         assert len(all_ideals(ring, count_cap=count)) == count
+        # The lattice is stored once, free of caps, and held to every caller's caps.
+        with pytest.raises(LatticeCapExceeded):
+            all_ideals(ring, count_cap=count - 1)
+        j_star(ring)
+        with pytest.raises(LatticeCapExceeded):
+            j_star(ring, order_cap=ring.order - 1)
+        assert ideal_lattice(ring, order_cap=64) is ideal_lattice(ring, order_cap=128)
 
     def test_spectrum_json_shape(self):
         doc = spectrum(zmod(6)).to_json_dict()
@@ -277,6 +287,13 @@ class TestQuotientTorsion:
         z4 = zmod(4)
         with pytest.raises(NotProperIdeal):
             quotient_is_torsion(z4, Ideal(z4, (0, 1, 2, 3)))
+
+    def test_quotient_memo_keeps_each_label(self):
+        z12 = zmod(12)
+        j = Ideal(z12, (0, 6))
+        assert quotient_ring(z12, j).label == "Z/12/(2)"
+        assert quotient(z12, j, "Z12/J").label == "Z12/J"
+        assert quotient_ring(z12, j) is quotient_ring(z12, j, "Z/12/(2)")
 
 
 class TestIdealInvariants:
