@@ -42,7 +42,7 @@ from .errors import (
     OrderCapExceeded,
     UnsupportedFieldOrder,
 )
-from .subsets import Ideal, idempotents, jacobson_radical
+from .subsets import Ideal, idempotents
 from . import subsets
 
 # Field order q -> (p, lower coefficients c_0, ..., c_{d-1} of a monic
@@ -592,7 +592,7 @@ def default_catalog() -> list[RingCatalogEntry]:
             if key not in seen:
                 seen.add(key)
                 derived.append(RingCatalogEntry(c, f"corner:{entry.provenance}:{e}"))
-        q = subsets.quotient_ring(r, jacobson_radical(r), f"{r.label}/J")
+        q = subsets.radical_quotient(r)
         key = q.table_bytes()
         if key not in seen:
             seen.add(key)

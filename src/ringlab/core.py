@@ -30,6 +30,8 @@ operation in the package is a pure read and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
@@ -563,48 +565,149 @@ def _reject_float(literal: str):
     raise RingValidationError(f"ring JSON holds a non-integer number {literal}")
 
 
-def _spells_boolean(text: str) -> bool:
-    """Whether ``true`` or ``false`` occurs in the text.
+# What the loader's lexer stops at, outside the tables: a string literal (to
+# its closing quote, or to the end when unterminated), the opening "[[" of an
+# array of arrays, and the constants json.loads would read as floats.
+_TOKEN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|\[[ \t\n\r]*\[|NaN|Infinity', re.S)
+# The first "]]" (with JSON whitespace between) closes a matrix whose rows
+# hold only numbers.
+_MATRIX_END = re.compile(rb'\][ \t\n\r]*\]')
+_BLANK = np.frombuffer(b" \t\n\r", dtype=np.uint8)
 
-    Both end in "e", which ring JSON holds only in a few keys and names, so
-    this walks the "e"s with single-character finds (memchr speed) rather
-    than running two substring searches over megabytes of digits.
+
+def _int_matrix(run: np.ndarray) -> np.ndarray | None:
+    """The n x n int32 table spelled by ``run``, else None.
+
+    ``run`` holds the bytes from an opening "[[" to a closing "]]".  It counts
+    only when it is exactly a JSON array of n arrays of n non-negative decimal
+    integers: no leading zeros, no empty slots, no ragged or deeper rows, at
+    most 9 digits a number (so every value fits int32), and JSON whitespace
+    only between tokens.  Its non-digit bytes must then spell the canonical
+    skeleton ``[[,,],[,,],[,,]]`` for n, and the digit runs between them fill
+    exactly the number slots.
     """
-    i = text.find("e")
-    while i >= 0:
-        if text.endswith("true", 0, i + 1) or text.endswith("false", 0, i + 1):
-            return True
-        i = text.find("e", i + 1)
-    return False
+    digit = (run - 48) < 10  # uint8 wraps, so only b"0".."9" land below 10
+    if (run < 44).any():  # JSON whitespace (or a stray byte) sorts below ","
+        keep = np.flatnonzero(~np.isin(run, _BLANK))
+        if (digit[keep[:-1]] & digit[keep[1:]] & (np.diff(keep) > 1)).any():
+            return None  # whitespace inside a number
+        run, digit = run[keep], digit[keep]
+    sep = np.flatnonzero(~digit)
+    n = math.isqrt(sep.size) - 1
+    if (n + 1) ** 2 != sep.size:
+        return None
+    row = b"[" + b"," * (n - 1) + b"]"
+    if run[sep].tobytes() != b"[" + b",".join([row] * n) + b"]":
+        return None
+    # row i's separators: its "[", n - 1 commas, its "]" and the comma after
+    # it (the last row has none; that slot is never read)
+    bounds = np.empty(n * (n + 2), dtype=sep.dtype)
+    bounds[:-1] = sep[1:-1]
+    bounds = bounds.reshape(n, n + 2)
+    start = bounds[:, :n] + 1
+    width = bounds[:, 1:n + 1] - start
+    if width.sum() != run.size - sep.size or width.min() < 1 or width.max() > 9:
+        return None  # digits outside the slots, an empty slot, or a long number
+    lead = run[start]
+    if ((lead == 48) & (width > 1)).any():
+        return None
+    table = lead.astype(np.int32) - 48
+    for k in range(1, int(width.max())):
+        digit_k = run.take(start + k, mode="clip")
+        table = np.where(width > k, table * 10 + digit_k - 48, table)
+    return table
 
 
-def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Parse the ring JSON format and validate.
+def _ring_fields(text: str) -> tuple:
+    """Label, add, mul, zero and one of a ring JSON text, type-checked.
 
-    Schema: ``{"label": str, "order": n, "add": [[int]], "mul": [[int]],
-    "zero": int, "one": int}`` with row-major tables.  The loader normalizes
-    zero to index 0 and one to index 1 by permutation.  A fractional number
-    anywhere, a boolean table entry, or an ``order`` other than the number of
-    rows of ``add``, is rejected.
+    Each table that ``_int_matrix`` accepts goes to numpy straight from the
+    text and is read back by ``json.loads`` as a ``NaN`` placeholder, in
+    document order; a ``NaN`` or ``Infinity`` the text itself holds is
+    rejected there as a non-integer number.  Every other table is parsed to
+    lists, whose cells must be ints.  Substituting a table is never required
+    for a correct result, only for speed: any run the lexer gives up on stays
+    in the text.
     """
-    obj = json.loads(text, parse_float=_reject_float)
+    data = text.encode("utf-8", "surrogatepass")
+    tables: list[np.ndarray | None] = []  # one per constant json.loads will meet
+    pieces, done, pos = [], 0, 0
+    while (token := _TOKEN.search(data, pos)) is not None:
+        start, pos = token.span()
+        first = data[start]
+        if first == ord('"'):
+            continue
+        if first != ord("["):
+            tables.append(None)
+            continue
+        close = _MATRIX_END.search(data, start)
+        if close is None:
+            break  # no matrix can start here or later
+        end = close.end()
+        table = _int_matrix(np.frombuffer(data, np.uint8, end - start, start))
+        if table is not None:
+            tables.append(table)
+            pieces += (data[done:start], b"NaN")
+            done = end
+        elif any(data.find(c, start, end) >= 0 for c in (b'"', b"N", b"I")):
+            # The run may open a string or hold a constant, so lexing would
+            # have to resume inside it; rescanning overlapping runs could take
+            # quadratic time, so the rest of the text parses as lists.
+            break
+        pos = end
+    pieces.append(data[done:])
+    del data
+    placeholders = iter(tables)
+
+    def constant(name: str):
+        table = next(placeholders, None)
+        if table is None:
+            raise RingValidationError(f"ring JSON holds a non-integer number {name}")
+        return table
+
+    obj = json.loads(b"".join(pieces).decode("utf-8", "surrogatepass"),
+                     parse_float=_reject_float, parse_constant=constant)
     if not isinstance(obj, dict):
         raise RingValidationError(f"ring JSON must be an object, got {type(obj).__name__}")
     try:
         label, add, mul, zero, one = (obj[k] for k in ("label", "add", "mul", "zero", "one"))
     except KeyError as exc:
         raise RingValidationError(f"ring JSON missing field {exc}") from exc
-    if not (isinstance(add, list) and isinstance(mul, list)):
-        raise RingValidationError("ring JSON add and mul must be arrays of rows")
-    if "order" in obj and (isinstance(obj["order"], bool) or obj["order"] != len(add)):
+    if type(label) is not str:
+        raise RingValidationError(f"ring JSON label must be a string, got {type(label).__name__}")
+    for name, table in (("add", add), ("mul", mul)):
+        if not (isinstance(table, np.ndarray) or type(table) is list and all(
+                type(row) is list and all(type(v) is int for v in row) for row in table)):
+            raise RingValidationError(f"ring JSON {name} must be an array of rows of integers")
+    if "order" in obj and (type(obj["order"]) is not int or obj["order"] != len(add)):
         raise RingValidationError(
             f"ring JSON order {obj['order']!r} does not match the {len(add)} rows of add")
-    # np.asarray would read true/false as 1/0; only a text that spells one
-    # pays for the per-cell type check
-    if _spells_boolean(text) and any(
-            isinstance(v, bool) for row in add + mul if isinstance(row, list) for v in row):
-        raise RingValidationError("ring JSON add and mul entries must be integers, not booleans")
-    return validate_ring(label, add, mul, zero, one, order_cap=order_cap)
+    return label, add, mul, zero, one
+
+
+def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+    """Parse the ring JSON format and validate.
+
+    Schema: ``{"label": str, "order": n, "add": [[int]], "mul": [[int]],
+    "zero": int, "one": int}`` with row-major tables, in any JSON whitespace
+    layout.  The loader normalizes zero to index 0 and one to index 1 by
+    permutation.  A fractional number, ``NaN`` or ``Infinity`` anywhere, a
+    table entry that is not an integer (a string, a boolean, null), a label
+    that is not a string, or an ``order`` other than the number of rows of
+    ``add``, is rejected.
+    """
+    fields = _ring_fields(text)
+    del text  # the tables are all validation needs; let the text go first
+    try:
+        return validate_ring(*fields, order_cap=order_cap)
+    except RingValidationError as exc:
+        # The frames of the validators hold the tables.  A caller that keeps
+        # the error in a reference cycle (a frame its own traceback reaches)
+        # would pin them until the next garbage collection, and this loader
+        # allocates too few objects to trigger one; the report needs only
+        # the message and the witness.
+        del fields
+        raise exc.with_traceback(None)
 
 
 def load_ring_file(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

@@ -48,6 +48,7 @@ from .subsets import (
     prime_radical,
     quotient_is_torsion,
     quotient_ring,
+    radical_quotient,
     spectrum,
 )
 
@@ -433,10 +434,9 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
     if thm_id == "T2.2":
         if not is_abelian(r):
             return False
-        j = jacobson_radical(r)
-        if not idempotents_lift_mod(r, j):
+        if not idempotents_lift_mod(r, jacobson_radical(r)):
             return False
-        return is_uniquely_pi_clean(quotient_ring(r, j))
+        return is_uniquely_pi_clean(radical_quotient(r))
     if thm_id in ("T2.4", "C2.5"):
         # a unique idempotent e in a^n R with 1 - e in (1 - a^n) R, or the
         # R a^n / R(1 - a^n) version for C2.5

@@ -75,8 +75,8 @@ def _parse(source: str, order_cap: int) -> FiniteRing:
                                  order_cap=order_cap)
     if kind == "jquot":
         base = parse_ring_source(rest, order_cap=order_cap)
-        from .subsets import jacobson_radical, quotient_ring
-        return quotient_ring(base, jacobson_radical(base), f"{base.label}/J")
+        from .subsets import radical_quotient
+        return radical_quotient(base)
     if kind == "extension":
         try:
             builder, _ = construct.T41_SPECS[rest]

@@ -450,10 +450,24 @@ def prime_radical(
 
 
 def quotient_ring(r: FiniteRing, ideal: Ideal, label: str | None = None) -> FiniteRing:
-    """Quotient by an ideal, memoised per member tuple and label."""
+    """Quotient by an ideal, memoised per member tuple and label.
+
+    Without a ``label``, the first quotient built by these members is reused,
+    whatever it is called; if there is none, one is built as
+    ``"<label>/(<size>)"``.
+    """
+    members = ideal.members
     if label is None:
-        label = f"{r.label}/({len(ideal.members)})"
-    return r.memo(("quotient", ideal.members, label), lambda: r.quotient_by(ideal.members, label))
+        label = r.memo(("quotient label", members), lambda: f"{r.label}/({len(members)})")
+    else:
+        r.memo(("quotient label", members), lambda: label)
+    return r.memo(("quotient", members, label), lambda: r.quotient_by(members, label))
+
+
+def radical_quotient(r: FiniteRing) -> FiniteRing:
+    """R/J(R), labelled ``"<label>/J"``: the catalog, the ``jquot`` source and
+    the suites all reach this one ring."""
+    return quotient_ring(r, jacobson_radical(r), f"{r.label}/J")
 
 
 def quotient_is_torsion(r: FiniteRing, p: Ideal) -> bool:

@@ -223,7 +223,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
                     ok, wit = False, f"corner at idempotent {e}"
                     break
             if ok:
-                q = subsets.quotient_ring(ring, j)
+                q = subsets.radical_quotient(ring)
                 if not predicates.is_uniquely_pi_clean(q):
                     ok, wit = False, "radical quotient not uniquely pi-clean"
                 elif not predicates.is_potent_ring(q):

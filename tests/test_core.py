@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ringlab import (
     validate_ring,
     zmod,
 )
-from ringlab import predicates, subsets
+from ringlab import core, predicates, subsets
 from ringlab.core import (
     _check_quadratic_axioms,
     _full_scan,
@@ -367,20 +368,13 @@ class TestPowerTrail:
 
 class TestNormalizationAndJson:
     def test_loader_normalizes_zero_and_one(self):
-        # Z/3 with labels rotated so zero sits at 2 and one at 0.
-        perm = {0: 2, 1: 0, 2: 1}
-        add = [[0] * 3 for _ in range(3)]
-        mul = [[0] * 3 for _ in range(3)]
-        for a in range(3):
-            for b in range(3):
-                add[perm[a]][perm[b]] = perm[(a + b) % 3]
-                mul[perm[a]][perm[b]] = perm[(a * b) % 3]
-        ring = validate_ring("rot", add, mul, 2, 0)
+        doc = _rotated_z3_doc("rot")
+        ring = validate_ring("rot", doc["add"], doc["mul"], doc["zero"], doc["one"])
         assert ring.zero == 0 and ring.one == 1
         assert ring.table_bytes() == zmod(3).table_bytes()
 
     def test_json_round_trip_is_byte_identical(self, catalog):
-        for entry in catalog[:20]:
+        for entry in catalog:
             text = entry.ring.to_json()
             again = load_ring_json(text)
             assert again.to_json() == text
@@ -394,8 +388,12 @@ class TestNormalizationAndJson:
         {"mul": [[0, 0, 0], [0, 1.9, 2.9], [0, 2, 1]]}, {"order": 7},
         {"order": 2, "add": [[False, True], [True, False]], "mul": [[0, 0], [0, 1]]},
         {"order": 2, "add": [[0, 1], [1, 0]], "mul": [[False, 0], [0, 1]]},
+        {"order": 2, "add": [["0", "1"], ["1", "0"]], "mul": [[0, 0], [0, 1]]},
+        {"order": 2, "add": [[" 0", "1"], ["1", "0"]], "mul": [[0, 0], [0, 1]]},
+        {"label": 5},
     ], ids=["top-level-array", "string-zero", "float-zero", "bool-one", "scalar-add",
-            "null-entry", "float-entry", "wrong-order", "bool-entry", "false-entry"])
+            "null-entry", "float-entry", "wrong-order", "bool-entry", "false-entry",
+            "str-entry", "padded-str-entry", "int-label"])
     def test_malformed_json_rejected(self, change):
         doc = [1, 2] if change is None else {**zmod(3).to_json_dict(), **change}
         with pytest.raises(RingValidationError):
@@ -437,3 +435,164 @@ class TestNormalizationAndJson:
         with pytest.raises(ArithmeticError):
             ring.memo("f", build_fail)
         assert ring.memo("f", lambda: 7) == 7
+
+
+# ---------------------------------------------------------------------------
+# the loader against a list-based reference
+
+
+def reference_load(text: str):
+    """The loader as it was before tables were lexed into numpy directly.
+
+    ``json.loads`` builds nested lists; the same type rules as
+    ``load_ring_json`` apply (int cells, a string label, no NaN or Infinity);
+    ``validate_ring`` then turns the lists into arrays with ``np.asarray``.
+    """
+    def non_integer(literal):
+        raise RingValidationError(f"non-integer number {literal}")
+
+    obj = json.loads(text, parse_float=non_integer, parse_constant=non_integer)
+    if not isinstance(obj, dict):
+        raise RingValidationError("not an object")
+    try:
+        label, add, mul, zero, one = (obj[k] for k in ("label", "add", "mul", "zero", "one"))
+    except KeyError as exc:
+        raise RingValidationError(f"missing {exc}") from exc
+    if type(label) is not str:
+        raise RingValidationError("label is not a string")
+    for table in (add, mul):
+        if not (type(table) is list and all(
+                type(row) is list and all(type(v) is int for v in row) for row in table)):
+            raise RingValidationError("table is not an array of integer rows")
+    if "order" in obj and (type(obj["order"]) is not int or obj["order"] != len(add)):
+        raise RingValidationError("order does not match")
+    return validate_ring(label, add, mul, zero, one)
+
+
+def _load_outcome(load, text):
+    """(label, table bytes) of an accepted text, else the error class."""
+    try:
+        ring = load(text)
+    except RingValidationError:
+        return RingValidationError
+    except ValueError:
+        return ValueError
+    return ring.label, ring.table_bytes()
+
+
+EDIT_CHARS = '0123456789,[] -.e"tnN'
+
+
+def _single_edits(text: str, rng: np.random.Generator, count: int):
+    """``count`` copies of text, each with one character inserted, deleted or replaced."""
+    for _ in range(count):
+        i = int(rng.integers(len(text)))
+        c = EDIT_CHARS[int(rng.integers(len(EDIT_CHARS)))]
+        op = int(rng.integers(3))
+        yield (text[:i] + c + text[i:], text[:i] + text[i + 1:], text[:i] + c + text[i + 1:])[op]
+
+
+def _rotated_z3_doc(label: str) -> dict:
+    """Z/3 with zero at index 2 and one at index 0, as a JSON document."""
+    perm = [2, 0, 1]
+    add = [[0] * 3 for _ in range(3)]
+    mul = [[0] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(3):
+            add[perm[a]][perm[b]] = perm[(a + b) % 3]
+            mul[perm[a]][perm[b]] = perm[(a * b) % 3]
+    return {"label": label, "order": 3, "add": add, "mul": mul, "zero": 2, "one": 0}
+
+
+def _targeted_docs() -> list[str]:
+    z3 = zmod(3).to_json()
+    doc = zmod(3).to_json_dict()
+    cases = [z3.replace("[0,1,2]", "[0,01,2]", 1), z3.replace("[0,1,2]", "[00,1,2]", 1),
+             z3.replace("[0,1,2]", "[0,1,-0]", 1), z3.replace("[0,1,2]", "[0,,2]", 1),
+             z3.replace("[0,1,2]", "[0,1 2]", 1), z3.replace("[0,1,2]", "[0,1,2,]", 1)]
+    for big in ("1000000000", "2147483647", "2147483648", "4294967296", "9999999999",
+                "999999999", "0000000001"):
+        cases.append(z3.replace("[0,1,2]", f"[0,1,{big}]", 1))
+    for change in ({"add": [[]]}, {"add": [[]], "order": 1}, {"add": []},
+                   {"add": [[[0, 1, 2], [1, 2, 0], [2, 0, 1]]]},
+                   {"mul": [[[0], [0], [0]], [[0], [1], [2]], [[0], [2], [1]]]},
+                   {"add": [[0, 1, 2], [1, 2, 0]]}, {"add": [[0, 1], [1, 2], [2, 0]]},
+                   {"add": [[0, 1, 2], [1, 2, 0], [2, 0]]}, {"add": [0, 1, 2]},
+                   {"label": "[[0,1]]"}, {"label": '"add": [[0,1],[1,0]]'},
+                   {"label": "[[0,1],[1,0]]", '"add': [[1, 0], [0, 1]]},
+                   {"extra": [[0, 1], [1, 0]]}, {"extra": [[[0]], [[1]]]},
+                   {"order": [[3]]}, {"label": [[0]]}, {"zero": [[0]]},
+                   {"add": {"rows": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}}):
+        cases.append(json.dumps({**doc, **change}, separators=(",", ":")))
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        cases.append(z3.replace("[0,1,2]", f"[0,1,{constant}]", 1))
+        cases.append(z3.replace('"zero":0', f'"zero":{constant}'))
+        cases.append(z3.replace('"Z/3"', constant))
+        cases.append(z3.replace(',"label"', f',"x":{constant},"label"'))
+    # a failed run that opens a string: the lexer must not lose the string
+    unlabelled = json.dumps({k: v for k, v in doc.items() if k != "label"}, separators=(",", ":"))
+    cases.append('{"x":[[0,"]]"]],"label":"[[0,1],[1,0]]",' + unlabelled[1:])
+    cases += ["", "[]", "[[0]]", "NaN", "{}", "[[0,1],[1,0]]", '"[[0]]"', z3 + "[[0]]",
+              z3 + "NaN", "\ufeff" + z3]
+    return cases
+
+
+def loader_corpus() -> list[str]:
+    """Catalog rings in several layouts, targeted edge cases and seeded single edits."""
+    from ringlab.construct import default_catalog
+    docs = [entry.ring.to_json() for entry in default_catalog()]
+    for entry in default_catalog()[::7]:
+        d = entry.ring.to_json_dict()
+        docs += [json.dumps(d), json.dumps(d, indent=1), json.dumps(d, indent="\t"),
+                 json.dumps(d, indent=2).replace("\n", "\r\n"),
+                 json.dumps(d, separators=(" ,\t", " :\r\n"))]
+    docs += _targeted_docs()
+    rng = np.random.default_rng(90210)
+    bases = [zmod(2).to_json(), zmod(3).to_json(), json.dumps(zmod(3).to_json_dict()),
+             json.dumps(_rotated_z3_doc("rot [[0,1]] \\\"add\\\"")),
+             json.dumps(_rotated_z3_doc("Z/3"), indent=1)]
+    for base in bases:
+        docs += list(_single_edits(base, rng, 500))
+    return docs
+
+
+class TestLoaderMatchesReference:
+    def test_same_verdicts_and_tables(self):
+        corpus = loader_corpus()
+        assert len(corpus) >= 2000
+        outcomes = [(_load_outcome(load_ring_json, t), _load_outcome(reference_load, t))
+                    for t in corpus]
+        diffs = [(text, new, ref) for text, (new, ref) in zip(corpus, outcomes) if new != ref]
+        assert diffs == []
+        kinds = {ref if isinstance(ref, type) else "accepted" for _, ref in outcomes}
+        # the corpus reaches all three outcomes
+        assert kinds == {"accepted", RingValidationError, ValueError}
+
+    def test_lexing_stays_linear(self):
+        # 30000 overlapping runs that each open a string: rescanning every
+        # one of them takes about 14 s, one pass a few milliseconds
+        text = '[["' * 30000 + "]]"
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            load_ring_json(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_ring_tables_come_straight_from_the_text(self):
+        text = zmod(5).to_json()
+        fields = core._ring_fields(text)
+        assert all(isinstance(t, np.ndarray) and t.dtype == np.int32 for t in fields[1:3])
+
+    @pytest.mark.parametrize("run, expected", [
+        ("[[0]]", [[0]]), ("[[10,2],[3,45]]", [[10, 2], [3, 45]]),
+        ("[ [0 ,1] ,\r\n\t[1, 0] ]", [[0, 1], [1, 0]]), ("[[999999999]]", [[999999999]]),
+        ("[[]]", None), ("[[0,1]]", None), ("[[0,1],[1]]", None), ("[[01]]", None),
+        ("[[1 0]]", None), ("[[0,,1],[1,0,0],[0,0,0]]", None), ("[[1000000000]]", None),
+        ("[[[0]]]", None), ("[[0],[1]]", None), ("[[0,1],[1,0],]", None), ("[[-1]]", None),
+        ("[[0,1] [1,0]]", None), ('[[0,"1"],[1,0]]', None), ("[[0e0]]", None),
+    ])
+    def test_int_matrix_is_exact(self, run, expected):
+        table = core._int_matrix(np.frombuffer(run.encode(), dtype=np.uint8))
+        if expected is None:
+            assert table is None
+        else:
+            assert table.dtype == np.int32 and table.tolist() == expected

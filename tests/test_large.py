@@ -10,7 +10,7 @@ from math import prod
 import pytest
 from sympy import catalan, divisor_count
 
-from ringlab import all_ideals, gf, jacobson_radical, nilpotents, product, units
+from ringlab import all_ideals, gf, jacobson_radical, load_ring_json, nilpotents, product, units
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
@@ -78,3 +78,9 @@ def test_triangular_n_like_witnesses(source):
     ring = parse_ring_source(source)
     for n in GENERALIZED_RANGE:
         assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
+
+
+@pytest.mark.parametrize("source", ["zmod:1024", "tri:zmod2:4"])
+def test_json_round_trip(source):
+    ring = parse_ring_source(source)
+    assert load_ring_json(ring.to_json()).table_bytes() == ring.table_bytes()

@@ -32,7 +32,7 @@ from ringlab import (
     zmod,
 )
 from ringlab.sources import parse_ring_source
-from ringlab.subsets import ideal_lattice
+from ringlab.subsets import ideal_lattice, radical_quotient
 
 
 def reference_ideal(ring, xs):
@@ -294,6 +294,14 @@ class TestQuotientTorsion:
         assert quotient_ring(z12, j).label == "Z/12/(2)"
         assert quotient(z12, j, "Z12/J").label == "Z12/J"
         assert quotient_ring(z12, j) is quotient_ring(z12, j, "Z/12/(2)")
+
+    def test_radical_quotient_is_built_once(self):
+        z12 = zmod(12)
+        q = radical_quotient(z12)
+        assert q.label == "Z/12/J" and q.order == 6
+        assert radical_quotient(z12) is q
+        # an unlabelled quotient by J reuses it, as T3.3 and T3.7 do
+        assert quotient_ring(z12, jacobson_radical(z12)) is q
 
 
 class TestIdealInvariants:
