@@ -37,12 +37,14 @@ EXIT_IO = 5
 
 
 def _order_cap(args) -> int:
+    """RINGLAB_CAP if set, else --order-cap; either must be a positive integer."""
     env = os.environ.get("RINGLAB_CAP")
-    if not env:
-        return args.order_cap
-    cap = int(env) if env.strip().isdecimal() else 0
+    if env:
+        name, given, cap = "RINGLAB_CAP", env, int(env) if env.strip().isdecimal() else 0
+    else:
+        name, given, cap = "--order-cap", args.order_cap, args.order_cap
     if cap < 1:
-        raise ValueError(f"RINGLAB_CAP must be a positive integer, got {env!r}")
+        raise ValueError(f"{name} must be a positive integer, got {given!r}")
     return cap
 
 

@@ -284,15 +284,12 @@ class FiniteRing:
         one: int,
         elem_names: Sequence[str] | None = None,
         *,
-        normalize: bool = True,
         order_cap: int = DEFAULT_ORDER_CAP,
     ) -> "FiniteRing":
         order = len(add)
         add, mul = validate_tables(add, mul, zero, one, order, order_cap)
         ring = FiniteRing(label, order, add, mul, zero, one,
-                          tuple(elem_names) if elem_names is not None else None)
-        if normalize:
-            ring = ring.normalized()
+                          tuple(elem_names) if elem_names is not None else None).normalized()
         ring.add_table.setflags(write=False)
         ring.mul_table.setflags(write=False)
         return ring
@@ -461,7 +458,7 @@ class FiniteRing:
         names = tuple(self.name_array()[members].tolist())
         return FiniteRing.from_tables(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
 
-    def quotient_by(self, members: Sequence[int], label: str | None = None) -> "FiniteRing":
+    def quotient_by(self, members: Sequence[int], label: str) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.
 
         Coset representatives are the minimal element index in each coset; the
@@ -474,9 +471,8 @@ class FiniteRing:
         add = pos[rep[self.add_table[np.ix_(reps, reps)]]]
         mul = pos[rep[self.mul_table[np.ix_(reps, reps)]]]
         names = "[" + self.name_array()[reps] + "]"
-        return FiniteRing.from_tables(
-            label if label is not None else f"{self.label} mod ideal",
-            add, mul, int(pos[rep[self.zero]]), int(pos[rep[self.one]]), tuple(names.tolist()))
+        return FiniteRing.from_tables(label, add, mul, int(pos[rep[self.zero]]),
+                                      int(pos[rep[self.one]]), tuple(names.tolist()))
 
     # -- serialization ---------------------------------------------------------
 
@@ -665,8 +661,11 @@ def _ring_fields(text: str) -> tuple:
             raise RingValidationError(f"ring JSON holds a non-integer number {name}")
         return table
 
-    obj = json.loads(b"".join(pieces).decode("utf-8", "surrogatepass"),
-                     parse_float=_reject_float, parse_constant=constant)
+    try:
+        obj = json.loads(b"".join(pieces).decode("utf-8", "surrogatepass"),
+                         parse_float=_reject_float, parse_constant=constant)
+    except RecursionError:
+        raise RingValidationError("ring JSON nests too deeply") from None
     if not isinstance(obj, dict):
         raise RingValidationError(f"ring JSON must be an object, got {type(obj).__name__}")
     try:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import FiniteRing
 from .subsets import (
+    DEFAULT_LATTICE_ORDER_CAP,
     Ideal,
     _central_mask,
     _idempotent_array,
@@ -421,12 +422,14 @@ CHARACTERIZATION_IDS = (
 )
 
 
-def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
+def characterization(r: FiniteRing, thm_id: str, *,
+                     order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> bool:
     """Evaluate the right-hand side of one characterization, independently.
 
     The "unique e" clauses of T2.10(1) and T3.9(1) are read as "unique
     idempotent e"; the torsion condition of T3.3 is the multiplicative one.
-    Caps are forwarded to the spectrum computations where those are needed.
+    ``order_cap`` is forwarded to the spectrum computations where those are
+    needed.
     """
     idem = _idempotent_array(r)
     cidem = np.array(central_idempotents(r).members, dtype=np.int32)
@@ -467,23 +470,23 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
             return False
         if not idempotents_lift_mod(r, jacobson_radical(r)):
             return False
-        return all(quotient_is_torsion(r, p) for p in spectrum(r, **caps).j_spec)
+        return all(quotient_is_torsion(r, p) for p in spectrum(r, order_cap=order_cap).j_spec)
     if thm_id == "C3.4":
         if not is_uniquely_pi_clean(r):
             return False
-        return all(r.order == 2 * len(m.members) for m in spectrum(r, **caps).maximal)
+        return all(r.order == 2 * len(m.members) for m in spectrum(r, order_cap=order_cap).maximal)
     if thm_id == "T3.7":
         if not is_exchange(r):
             return False
-        js = j_star(r, **caps)
+        js = j_star(r, order_cap=order_cap)
         return (is_potent_ring(quotient_ring(r, js))
                 and idempotents_lift_uniquely_mod(r, js))
     if thm_id == "T3.9":
-        js = j_star(r, **caps)
+        js = j_star(r, order_cap=order_cap)
         return (_pi_shift_into(r, js.mask(), idem, unique=True)
                 and radical_unit_set(r) == js.members)
     if thm_id == "C3.10-set":
-        return radical_unit_set(r) == prime_radical(r, **caps).members
+        return radical_unit_set(r) == prime_radical(r, order_cap=order_cap).members
     if thm_id == "T4.7-2":
         return is_abelian(r) and is_periodic(r)
     if thm_id == "T4.7-3":
@@ -491,13 +494,13 @@ def characterization(r: FiniteRing, thm_id: str, **caps) -> bool:
         # complement landing in the prime radical.  Counting uniqueness over
         # prime-radical complements alone degenerates when P(R) = 0 (any
         # idempotent power would do), which would not characterize anything.
-        pmask = prime_radical(r, **caps).mask()
+        pmask = prime_radical(r, order_cap=order_cap).mask()
         nmask = _nilpotent_mask(r)
         ok = ((_split_counts(r, nmask, idem) == 1)
               & (_split_counts(r, nmask & ~pmask, idem) == 0))
         return bool(_some_power(r, ok).all())
     if thm_id == "C4.8":
-        return _pi_shift_into(r, prime_radical(r, **caps).mask(), cidem, unique=False)
+        return _pi_shift_into(r, prime_radical(r, order_cap=order_cap).mask(), cidem, unique=False)
     raise ValueError(f"unknown characterization id {thm_id!r}")
 
 

@@ -35,6 +35,16 @@ class UnknownRingSource(RinglabError):
 
 
 def parse_ring_source(source: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+    # Inner sources recurse through _parse_capped, so only this outermost
+    # call maps running out of stack to a bad source.
+    try:
+        return _parse_capped(source, order_cap)
+    except RecursionError:
+        raise UnknownRingSource(
+            f"ring source nests too deeply ({len(source)} characters)") from None
+
+
+def _parse_capped(source: str, order_cap: int) -> FiniteRing:
     ring = _parse(source, order_cap)
     if ring.order > order_cap:
         raise OrderCapExceeded(ring.order, order_cap)
@@ -57,7 +67,7 @@ def _parse(source: str, order_cap: int) -> FiniteRing:
         inner, _, num = rest.rpartition(":")
         if not inner:
             raise UnknownRingSource(f"{kind} source needs {kind}:<src>:<k>, got {source!r}")
-        base = parse_ring_source(inner, order_cap=order_cap)
+        base = _parse_capped(inner, order_cap)
         k = int(num)
         if kind == "matrix":
             return construct.matrix_ring(base, k, order_cap=order_cap)
@@ -70,11 +80,10 @@ def _parse(source: str, order_cap: int) -> FiniteRing:
         parts = rest.split(",")
         if len(parts) != 2:
             raise UnknownRingSource(f"product source needs exactly two factors, got {source!r}")
-        return construct.product(parse_ring_source(parts[0], order_cap=order_cap),
-                                 parse_ring_source(parts[1], order_cap=order_cap),
-                                 order_cap=order_cap)
+        return construct.product(_parse_capped(parts[0], order_cap),
+                                 _parse_capped(parts[1], order_cap), order_cap=order_cap)
     if kind == "jquot":
-        base = parse_ring_source(rest, order_cap=order_cap)
+        base = _parse_capped(rest, order_cap)
         from .subsets import radical_quotient
         return radical_quotient(base)
     if kind == "extension":

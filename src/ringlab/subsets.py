@@ -26,6 +26,7 @@ from .core import FiniteRing, _join_cyclic
 from .errors import InternalInvariantViolation, LatticeCapExceeded, NotProperIdeal
 
 DEFAULT_LATTICE_ORDER_CAP = 256
+# a fixed guard, not an option: a lattice of more ideals than this is refused
 DEFAULT_LATTICE_COUNT_CAP = 100_000
 
 ClassKind = Literal["units", "idempotents", "central_idempotents",
@@ -280,42 +281,37 @@ def _principal_ideals(r: FiniteRing) -> dict[bytes, tuple[np.ndarray, list[int]]
     return principal
 
 
-def ideal_lattice(
-    r: FiniteRing,
-    *,
-    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
-    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
-) -> tuple[Ideal, ...]:
+def ideal_lattice(r: FiniteRing, *,
+                  order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
     """Every two-sided ideal, as the join-closure of the principal ideals.
 
     Every ideal is a sum of principal ideals, so joining each newly found
     ideal with every principal ideal reaches them all.  A + B is the subgroup
     join of A with the additive generators of B, done for the whole frontier
-    at once: S + y is the mask shift ``S[sub_table[:, y]]``.
+    at once: S + y is the mask shift ``S[sub_table[:, y]]``.  A ring of order
+    over ``order_cap``, or with more than ``DEFAULT_LATTICE_COUNT_CAP``
+    ideals, is refused.
     """
     if r.order > order_cap:
         raise LatticeCapExceeded(r.order, order_cap)
-    # The build is refused exactly when |L| > count_cap; a stored lattice is
-    # held to each caller's count_cap the same way.
-    ideals = r.memo("lattice", lambda: _join_closure(r, count_cap))
-    if len(ideals) > count_cap:
-        raise LatticeCapExceeded(r.order, count_cap, f"more than {count_cap} ideals")
-    return ideals
+    return r.memo("lattice", lambda: _join_closure(r))
 
 
-def _join_closure(r: FiniteRing, count_cap: int) -> tuple[Ideal, ...]:
-    """The lattice of ``ideal_lattice``, refused once more than count_cap ideals are found.
+def _join_closure(r: FiniteRing) -> tuple[Ideal, ...]:
+    """The lattice of ``ideal_lattice``, refused once more than
+    ``DEFAULT_LATTICE_COUNT_CAP`` ideals are found.
 
     The count is checked before every round, the last one (which finds
-    nothing new) included, so it is refused exactly when |L| > count_cap.
+    nothing new) included, so it is refused exactly when |L| exceeds it.
     """
     principal = _principal_ideals(r)
     found = {k: mask for k, (mask, _) in principal.items()}
     frontier = list(found.values())
     sub, add = r.sub_table, r.add_table
     while frontier:
-        if len(found) > count_cap:
-            raise LatticeCapExceeded(r.order, count_cap, f"more than {count_cap} ideals")
+        if len(found) > DEFAULT_LATTICE_COUNT_CAP:
+            raise LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
+                                     f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
         masks = np.array(frontier)
         frontier = []
         for _, joined in principal.values():
@@ -357,19 +353,14 @@ def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
     return bool(escapes.all())
 
 
-def spectrum(
-    r: FiniteRing,
-    *,
-    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
-    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
-) -> SpectrumReport:
+def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> SpectrumReport:
     """Full lattice plus prime, maximal and J-spec sublists.
 
     J-spec is the set of prime ideals containing the Jacobson radical.
     Maximality is read off the lattice; the report verifies (rather than
     assumes) that every maximal ideal passes the prime test.
     """
-    ideals = ideal_lattice(r, order_cap=order_cap, count_cap=count_cap)
+    ideals = ideal_lattice(r, order_cap=order_cap)
 
     def build() -> SpectrumReport:
         proper = [i for i in ideals if i.is_proper()]
@@ -391,26 +382,27 @@ def spectrum(
     return r.memo("spectrum", build)
 
 
-def all_ideals(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
-    return spectrum(r, **caps).all_ideals
+def all_ideals(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
+    return spectrum(r, order_cap=order_cap).all_ideals
 
 
-def prime_ideals(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
-    return spectrum(r, **caps).prime
+def prime_ideals(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
+    return spectrum(r, order_cap=order_cap).prime
 
 
-def maximal_ideals(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
-    return spectrum(r, **caps).maximal
+def maximal_ideals(r: FiniteRing, *,
+                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
+    return spectrum(r, order_cap=order_cap).maximal
 
 
-def j_spec(r: FiniteRing, **caps) -> tuple[Ideal, ...]:
-    return spectrum(r, **caps).j_spec
+def j_spec(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
+    return spectrum(r, order_cap=order_cap).j_spec
 
 
 def _spectrum_intersection(r: FiniteRing, part: Literal["maximal", "prime"],
-                           order_cap: int, count_cap: int) -> Ideal:
+                           order_cap: int) -> Ideal:
     """Intersection of the maximal or of the prime ideals, memoised per part."""
-    sp = spectrum(r, order_cap=order_cap, count_cap=count_cap)
+    sp = spectrum(r, order_cap=order_cap)
 
     def build() -> Ideal:
         # The empty intersection is the whole ring.
@@ -425,24 +417,14 @@ def _spectrum_intersection(r: FiniteRing, part: Literal["maximal", "prime"],
     return r.memo(("intersection", part), build)
 
 
-def j_star(
-    r: FiniteRing,
-    *,
-    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
-    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
-) -> Ideal:
+def j_star(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Ideal:
     """Intersection of all maximal two-sided ideals, memoised."""
-    return _spectrum_intersection(r, "maximal", order_cap, count_cap)
+    return _spectrum_intersection(r, "maximal", order_cap)
 
 
-def prime_radical(
-    r: FiniteRing,
-    *,
-    order_cap: int = DEFAULT_LATTICE_ORDER_CAP,
-    count_cap: int = DEFAULT_LATTICE_COUNT_CAP,
-) -> Ideal:
+def prime_radical(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Ideal:
     """Intersection of all prime ideals, memoised."""
-    return _spectrum_intersection(r, "prime", order_cap, count_cap)
+    return _spectrum_intersection(r, "prime", order_cap)
 
 
 # ---------------------------------------------------------------------------

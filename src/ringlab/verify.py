@@ -118,12 +118,11 @@ class RunConfig:
 
     order_cap: int = 128
     lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP
-    lattice_count_cap: int = subsets.DEFAULT_LATTICE_COUNT_CAP
     theorems: tuple[str, ...] | None = None
     jobs: int = 0  # 0 -> one worker per core
 
     def __post_init__(self):
-        if self.order_cap < 1 or self.lattice_order_cap < 1 or self.lattice_count_cap < 1:
+        if self.order_cap < 1 or self.lattice_order_cap < 1:
             raise ValueError("caps must be positive")
         if self.jobs < 0:
             raise ValueError(f"jobs must be 0 (one per core) or positive, got {self.jobs}")
@@ -144,17 +143,19 @@ class RunConfig:
 
 
 _SPECTRUM_SUITES = {"T3.3", "C3.4", "T3.7", "T3.9", "C3.10-set", "T4.7-3", "C4.8",
-                    "radical-triple", "radical-set"}
+                    "radical-triple"}
 
 
 def _nil_ideal(r: FiniteRing, members: tuple[int, ...]) -> bool:
     return bool(subsets._nilpotent_mask(r)[list(members)].all())
 
 
-def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict[str, tuple | str]:
+def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
+               lattice_cap: int) -> dict[str, tuple | str]:
     """Evaluate every requested per-ring suite on one ring.
 
-    Returns suite id -> (lhs, rhs, witness) or a skip-reason string.
+    ``lattice_cap`` is the lattice order cap.  Returns suite id ->
+    (lhs, rhs, witness) or a skip-reason string.
     """
     out: dict[str, tuple | str] = {}
     vec = predicates.predicate_vector(ring).values
@@ -165,7 +166,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
     spectra_ok = True
     spectra_reason = ""
     try:
-        subsets.spectrum(ring, **caps)
+        subsets.spectrum(ring, order_cap=lattice_cap)
     except LatticeCapExceeded as exc:
         spectra_ok = False
         spectra_reason = str(exc)
@@ -183,7 +184,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
                     continue
                 lhs = upc
             elif tid == "C3.10-set":
-                sp = subsets.spectrum(ring, **caps)
+                sp = subsets.spectrum(ring, order_cap=lattice_cap)
                 hyp = upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}
                 if not hyp:
                     out[tid] = "hypothesis unmet (uniquely pi-clean with all primes maximal)"
@@ -193,15 +194,15 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
                 lhs = upc and j_nil
             else:
                 lhs = upc
-            rhs = predicates.characterization(ring, tid, **caps)
+            rhs = predicates.characterization(ring, tid, order_cap=lattice_cap)
             out[tid] = (lhs, rhs, None)
         elif tid == "L4.6":
             out[tid] = (vec["uniquely_pi_nil_clean"], vec["abelian"] and vec["periodic"], None)
         elif tid == "collapse":
             out[tid] = (upc, vec["abelian"], None)
         elif tid == "radical-triple":
-            js = subsets.j_star(ring, **caps).members
-            pr = subsets.prime_radical(ring, **caps).members
+            js = subsets.j_star(ring, order_cap=lattice_cap).members
+            pr = subsets.prime_radical(ring, order_cap=lattice_cap).members
             ok = j.members == js == pr
             wit = None if ok else f"J={j.members} J*={js} P={pr}"
             out[tid] = (True, ok, wit)
@@ -246,8 +247,8 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...], caps: dict) -> dict
 
 
 def _worker(args: tuple) -> tuple[int, dict]:
-    position, ring, suite_ids, caps = args
-    return position, _ring_rows(ring, suite_ids, caps)
+    position, ring, suite_ids, lattice_cap = args
+    return position, _ring_rows(ring, suite_ids, lattice_cap)
 
 
 def _t41_verdict() -> TheoremVerdict:
@@ -330,7 +331,6 @@ def run_verify(config: RunConfig | None = None,
             verdicts[tid].caveat = T473_NOTE
 
     entries = [(e, e.ring.order <= config.order_cap) for e in catalog]
-    caps = {"order_cap": config.lattice_order_cap, "count_cap": config.lattice_count_cap}
 
     if per_ring:
         jobs = config.effective_jobs()
@@ -338,11 +338,13 @@ def run_verify(config: RunConfig | None = None,
         if jobs > 1 and len(todo) > 1:
             # workers get the catalog's own rings, without the parent's memo,
             # and answer by catalog position
-            work = [(i, replace(entries[i][0].ring, _memo={}), per_ring, caps) for i in todo]
+            work = [(i, replace(entries[i][0].ring, _memo={}), per_ring, config.lattice_order_cap)
+                    for i in todo]
             with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
                 results = dict(pool.map(_worker, work))
         else:
-            results = {i: _ring_rows(entries[i][0].ring, per_ring, caps) for i in todo}
+            results = {i: _ring_rows(entries[i][0].ring, per_ring, config.lattice_order_cap)
+                       for i in todo}
         for i, (e, ok) in enumerate(entries):
             if not ok:
                 for tid in per_ring:
@@ -373,15 +375,12 @@ def run_verify(config: RunConfig | None = None,
 # single-ring analysis report
 
 
-def ring_report(ring: FiniteRing, *, lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP,
-                lattice_count_cap: int = subsets.DEFAULT_LATTICE_COUNT_CAP) -> dict:
+def ring_report(ring: FiniteRing, *,
+                lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP) -> dict:
     """Everything the analyzer prints for one ring, as a JSON-friendly dict."""
-    vec = predicates.predicate_vector(ring)
     report = {
-        "ring": ring.label,
+        **predicates.predicate_vector(ring).to_json_dict(),
         "order": ring.order,
-        "predicates": dict(vec.values),
-        "witnesses": {k: [int(x) for x in v] for k, v in vec.witnesses.items()},
         "class_sizes": {
             kind: len(getattr(subsets, kind)(ring).members)
             for kind in ("units", "idempotents", "central_idempotents",
@@ -390,17 +389,16 @@ def ring_report(ring: FiniteRing, *, lattice_order_cap: int = subsets.DEFAULT_LA
         "jacobson_radical": [int(x) for x in subsets.jacobson_radical(ring).members],
         "radical_unit_set": [int(x) for x in predicates.radical_unit_set(ring)],
     }
-    caps = {"order_cap": lattice_order_cap, "count_cap": lattice_count_cap}
     try:
-        sp = subsets.spectrum(ring, **caps)
+        sp = subsets.spectrum(ring, order_cap=lattice_order_cap)
         report["spectrum"] = {
             "ideal_count": len(sp.all_ideals),
             "prime": [list(map(int, p.members)) for p in sp.prime],
             "maximal": [list(map(int, m.members)) for m in sp.maximal],
             "j_spec_count": len(sp.j_spec),
         }
-        report["j_star"] = [int(x) for x in subsets.j_star(ring, **caps).members]
-        report["prime_radical"] = [int(x) for x in subsets.prime_radical(ring, **caps).members]
+        for key, radical in (("j_star", subsets.j_star), ("prime_radical", subsets.prime_radical)):
+            report[key] = [int(x) for x in radical(ring, order_cap=lattice_order_cap).members]
     except LatticeCapExceeded as exc:
         report["spectrum"] = {"skipped": str(exc)}
     return report

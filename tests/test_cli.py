@@ -116,6 +116,25 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--ring", f"file:{path}")
         assert code == 2 and "validation failed" in err
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "analyze", "--ring", f"file:{path}")
+        assert code == 2 and "nests too deeply" in err
+
+    def test_deeply_nested_source_exits_2(self, capsys):
+        source = "corner:" * 700 + "zmod2" + ":0" * 700
+        code, _, err = run_cli(capsys, "analyze", "--ring", source)
+        assert code == 2 and "nests too deeply" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-6"])
+    @pytest.mark.parametrize("command", [("analyze", "--ring", "zmod:6"),
+                                         ("verify", "--theorems", "T2.8", "--jobs", "1")],
+                             ids=["analyze", "verify"])
+    def test_nonpositive_order_cap_exits_2(self, capsys, command, cap):
+        code, _, err = run_cli(capsys, *command, "--order-cap", cap)
+        assert code == 2 and "bad configuration" in err and "--order-cap" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--ring", "file:/nonexistent/r.json")
         assert code == 2

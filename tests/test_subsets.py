@@ -31,6 +31,7 @@ from ringlab import (
     units,
     zmod,
 )
+from ringlab import subsets
 from ringlab.sources import parse_ring_source
 from ringlab.subsets import ideal_lattice, radical_quotient
 
@@ -249,14 +250,15 @@ class TestLatticeAndSpectrum:
         ("eqdiag:zmod2:3", 7),      # one of its ideals is not principal
         ("product:gf2,zmod6", 8),   # every ideal is principal
     ])
-    def test_lattice_count_cap(self, source, count):
+    def test_lattice_count_cap(self, source, count, monkeypatch):
+        # the count guard is a fixed constant; each side of it gets a fresh ring
+        monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count - 1)
+        with pytest.raises(LatticeCapExceeded, match=f"more than {count - 1} ideals"):
+            all_ideals(parse_ring_source(source))
+        monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count)
         ring = parse_ring_source(source)
-        with pytest.raises(LatticeCapExceeded):
-            all_ideals(ring, count_cap=count - 1)
-        assert len(all_ideals(ring, count_cap=count)) == count
-        # The lattice is stored once, free of caps, and held to every caller's caps.
-        with pytest.raises(LatticeCapExceeded):
-            all_ideals(ring, count_cap=count - 1)
+        assert len(all_ideals(ring)) == count
+        # The lattice is stored once, free of the order cap, and held to every caller's.
         j_star(ring)
         with pytest.raises(LatticeCapExceeded):
             j_star(ring, order_cap=ring.order - 1)

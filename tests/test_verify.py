@@ -37,6 +37,16 @@ class TestRunVerify:
         assert by_id["radical-set"].skipped
         assert all("uniquely pi-clean" in reason for _, reason in by_id["radical-set"].skipped)
 
+    def test_radical_set_ignores_the_lattice_cap(self, verdicts, catalog):
+        # radical-set compares the unit-shift set with J, neither of which
+        # reads the ideal lattice, so a lattice cap skips none of its rings
+        (capped,) = run_verify(
+            RunConfig(theorems=("radical-set",), lattice_order_cap=4, jobs=1), catalog)
+        assert capped.skipped
+        assert all(reason == "not uniquely pi-clean" for _, reason in capped.skipped)
+        by_id = {v.theorem: v for v in verdicts}
+        assert capped.to_json_dict() == by_id["radical-set"].to_json_dict()
+
     def test_t33_carries_caveat(self, verdicts):
         by_id = {v.theorem: v for v in verdicts}
         assert "strongly pi-clean" in by_id["T3.3"].caveat
