@@ -8,7 +8,8 @@ Grammar (k and n are integers, SRC recurses):
     matrix:<SRC>:<k>    full k-by-k matrices over SRC
     tri:<SRC>:<k>       upper triangular k-by-k matrices over SRC
     eqdiag:<SRC>:<k>    equal-diagonal upper triangular matrices over SRC
-    product:<SRC>,<SRC> componentwise product
+    product:<SRC>,<SRC> componentwise product; a nested product: takes one
+                        comma, so product:product:a,b,c is (a x b) x c
     corner:<SRC>:<e>    corner ring of idempotent index e
     jquot:<SRC>         quotient by the Jacobson radical
     extension:<name>    a named ideal-extension spec (t41-base, ...)
@@ -22,6 +23,7 @@ zn-alpha3), as in ``matrix:zmod2:2``.
 from __future__ import annotations
 
 import re
+from itertools import accumulate
 
 from .core import DEFAULT_ORDER_CAP, FiniteRing, load_ring_file
 from .errors import OrderCapExceeded, RinglabError
@@ -51,6 +53,24 @@ def _parse_capped(source: str, order_cap: int) -> FiniteRing:
     return ring
 
 
+def _product_factors(source: str, rest: str) -> tuple[str, str]:
+    """The two factors of ``product:<rest>``, read in prefix order.
+
+    Each ``product:`` takes exactly one comma: ``product:product:a,b,c`` is
+    (a x b) x c, and ``product:a,product:b,c`` is a x (b x c).
+    """
+    pieces = rest.split(",")
+    # products opened in each comma-separated piece, nested ones included
+    opened = [sum(seg.strip() == "product" for seg in p.split(":")[:-1]) for p in pieces]
+    if len(pieces) != sum(opened) + 2:
+        raise UnknownRingSource(f"product source needs exactly two factors, got {source!r}")
+    # after k pieces, 1 + sum(opened[:k]) - k products still wait for their
+    # comma; the outer product's comma follows the first k pieces after which
+    # none waits
+    k = list(accumulate((n - 1 for n in opened), initial=1)).index(0)
+    return ",".join(pieces[:k]), ",".join(pieces[k:])
+
+
 def _parse(source: str, order_cap: int) -> FiniteRing:
     source = source.strip()
     compact = _COMPACT.match(source)
@@ -77,11 +97,9 @@ def _parse(source: str, order_cap: int) -> FiniteRing:
             return construct.equal_diagonal_subring(base, k, order_cap=order_cap)
         return construct.corner(base, k)
     if kind == "product":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise UnknownRingSource(f"product source needs exactly two factors, got {source!r}")
-        return construct.product(_parse_capped(parts[0], order_cap),
-                                 _parse_capped(parts[1], order_cap), order_cap=order_cap)
+        left, right = _product_factors(source, rest)
+        return construct.product(_parse_capped(left, order_cap),
+                                 _parse_capped(right, order_cap), order_cap=order_cap)
     if kind == "jquot":
         base = _parse_capped(rest, order_cap)
         from .subsets import radical_quotient

@@ -18,6 +18,7 @@ the ring and safe for concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Literal
 
 import numpy as np
@@ -259,18 +260,22 @@ def ideal_generated_by(r: FiniteRing, xs: Iterable[int]) -> Ideal:
     return _ideal(r, _ideal_closure(r, xs)[0])
 
 
-def _principal_ideals(r: FiniteRing) -> dict[bytes, tuple[np.ndarray, list[int]]]:
-    """Every principal ideal (x), keyed by its mask bytes, with its joined set.
+def _principal_ideals(r: FiniteRing, inside: np.ndarray,
+                      ) -> dict[bytes, tuple[np.ndarray, list[int]]]:
+    """Every principal ideal (x) with x in ``inside``, keyed by its mask
+    bytes, with its joined set.
 
-    (x) = R(uxv)R for units u and v, so (x) is computed once per orbit of x
-    under (u, v) -> u*x*v.  The units are read off ``mul_table`` here, so the
-    lattice shares no code with the unit mask that the Jacobson radical uses.
+    ``inside`` is the mask of eR for a central idempotent e.  (x) = R(uxv)R
+    for units u and v, so (x) is computed once per orbit of x under
+    (u, v) -> u*x*v, and the orbit of x = ex stays in eR.  The units are read
+    off ``mul_table`` here, so the lattice shares no code with the unit mask
+    that the Jacobson radical uses.
     """
     mul = r.mul_table
     units = np.flatnonzero((mul == r.one).any(axis=1))  # one-sided inverse: a unit in a finite ring
-    covered = np.zeros(r.order, dtype=bool)
+    covered = ~inside
     principal: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for x in range(r.order):
+    for x in np.flatnonzero(inside).tolist():
         if covered[x]:
             continue
         ux = np.zeros(r.order, dtype=bool)
@@ -281,37 +286,86 @@ def _principal_ideals(r: FiniteRing) -> dict[bytes, tuple[np.ndarray, list[int]]
     return principal
 
 
+def _blocks(r: FiniteRing) -> np.ndarray:
+    """The primitive central idempotents e_1, ..., e_t, ascending.
+
+    They are the minimal nonzero central idempotents, where e <= f means
+    e*f = e.  Central idempotents form a Boolean algebra under e*f and
+    e + f - e*f; its atoms are pairwise orthogonal and sum to 1, so R is the
+    product of the blocks e_i R (Lam, *A First Course in Noncommutative
+    Rings*, section 22).  An indecomposable ring has the one block R, with
+    e_1 = 1; the zero ring has none.
+    """
+    def build() -> np.ndarray:
+        idem = _idempotent_array(r)
+        ci = idem[_central_mask(r)[idem] & (idem != r.zero)]
+        below = r.mul_table[np.ix_(ci, ci)] == ci[:, None]  # [f, e]: f*e = f, so f <= e
+        return ci[below.sum(axis=0) == 1]
+
+    return r.memo("blocks", build)
+
+
 def ideal_lattice(r: FiniteRing, *,
                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    """Every two-sided ideal, as the join-closure of the principal ideals.
+    """Every two-sided ideal, sorted by size, then members.
+
+    With blocks e_1, ..., e_t (see ``_blocks``), R = e_1R x ... x e_tR and
+    every ideal I is the sum of the e_i I, each an ideal of R inside e_iR;
+    conversely every such choice sums to an ideal.  As e_i is central, the
+    ideals of R inside e_iR are exactly the ideals of the ring e_iR, so each
+    block's lattice is the join-closure seeded from e_iR alone
+    (``_join_closure``).  x lies in I exactly when e_i*x lies in e_i I for
+    every i, so each ideal's mask is an AND over the blocks.  A ring of order
+    over ``order_cap``, or with more than ``DEFAULT_LATTICE_COUNT_CAP``
+    ideals, is refused; the product of the block counts is checked before
+    any product is formed.
+    """
+    if r.order > order_cap:
+        raise LatticeCapExceeded(r.order, order_cap)
+    return r.memo("lattice", lambda: _block_product(r))
+
+
+def _count_refused(r: FiniteRing) -> LatticeCapExceeded:
+    return LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
+                              f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
+
+
+def _block_product(r: FiniteRing) -> tuple[Ideal, ...]:
+    """The lattice of ``ideal_lattice``, as the product of the block lattices."""
+    parts = []
+    for e in _blocks(r).tolist():
+        inside = np.zeros(r.order, dtype=bool)
+        inside[r.mul_table[e]] = True
+        parts.append((e, _join_closure(r, inside)))
+    if prod(len(masks) for _, masks in parts) > DEFAULT_LATTICE_COUNT_CAP:
+        raise _count_refused(r)
+    lattice = np.ones((1, r.order), dtype=bool)
+    for e, masks in parts:
+        at_e = masks[:, r.mul_table[e]]  # [k, x]: e*x lies in the block's k-th ideal
+        lattice = (lattice[:, None, :] & at_e[None, :, :]).reshape(-1, r.order)
+    return tuple(sorted((_ideal(r, m) for m in lattice),
+                        key=lambda i: (len(i.members), i.members)))
+
+
+def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
+    """The masks of every ideal within ``inside``, the mask of eR for a
+    central idempotent e, refused once more than ``DEFAULT_LATTICE_COUNT_CAP``
+    ideals are found.
 
     Every ideal is a sum of principal ideals, so joining each newly found
     ideal with every principal ideal reaches them all.  A + B is the subgroup
     join of A with the additive generators of B, done for the whole frontier
-    at once: S + y is the mask shift ``S[sub_table[:, y]]``.  A ring of order
-    over ``order_cap``, or with more than ``DEFAULT_LATTICE_COUNT_CAP``
-    ideals, is refused.
+    at once: S + y is the mask shift ``S[sub_table[:, y]]``.  The count is
+    checked before every round, the last one (which finds nothing new)
+    included, so it is refused exactly when the count exceeds it.
     """
-    if r.order > order_cap:
-        raise LatticeCapExceeded(r.order, order_cap)
-    return r.memo("lattice", lambda: _join_closure(r))
-
-
-def _join_closure(r: FiniteRing) -> tuple[Ideal, ...]:
-    """The lattice of ``ideal_lattice``, refused once more than
-    ``DEFAULT_LATTICE_COUNT_CAP`` ideals are found.
-
-    The count is checked before every round, the last one (which finds
-    nothing new) included, so it is refused exactly when |L| exceeds it.
-    """
-    principal = _principal_ideals(r)
+    principal = _principal_ideals(r, inside)
     found = {k: mask for k, (mask, _) in principal.items()}
     frontier = list(found.values())
     sub, add = r.sub_table, r.add_table
     while frontier:
         if len(found) > DEFAULT_LATTICE_COUNT_CAP:
-            raise LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
-                                     f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
+            raise _count_refused(r)
         masks = np.array(frontier)
         frontier = []
         for _, joined in principal.values():
@@ -329,8 +383,7 @@ def _join_closure(r: FiniteRing) -> tuple[Ideal, ...]:
                 if k not in found:
                     found[k] = mask
                     frontier.append(mask)
-    return tuple(sorted((_ideal(r, m) for m in found.values()),
-                        key=lambda i: (len(i.members), i.members)))
+    return np.array(list(found.values()))
 
 
 def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
@@ -356,20 +409,33 @@ def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
 def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> SpectrumReport:
     """Full lattice plus prime, maximal and J-spec sublists.
 
-    J-spec is the set of prime ideals containing the Jacobson radical.
-    Maximality is read off the lattice; the report verifies (rather than
-    assumes) that every maximal ideal passes the prime test.
+    J-spec is the set of prime ideals containing the Jacobson radical.  Only
+    the candidates are read: with blocks e_1, ..., e_t (see ``_blocks``), the
+    ideals that contain every e_j but one.  With one block they are the
+    proper ideals.
+
+    * Every prime P is a candidate: e_i R e_j = 0 lies in P for i != j, so
+      e_i or e_j lies in P, and a proper P misses some e_i as they sum to 1.
+    * Every maximal M is a candidate: if M missed e_i and e_j, then
+      M + e_jR = (sum over k != j of e_kM) + e_jR would still miss e_i, a
+      proper ideal strictly above M.  A proper ideal above a candidate is a
+      candidate, so the maximal ideals are the maximal candidates.
+
+    Each candidate still runs the full prime test.  Maximality is read off
+    the lattice; the report verifies (rather than assumes) that every
+    maximal ideal passes the prime test.
     """
     ideals = ideal_lattice(r, order_cap=order_cap)
 
     def build() -> SpectrumReport:
-        proper = [i for i in ideals if i.is_proper()]
-        bits = [(i, i.bitmask()) for i in proper]
+        blocks = _blocks(r)
+        candidates = [i for i in ideals if (~i.mask()[blocks]).sum() == 1]
+        bits = [(i, i.bitmask()) for i in candidates]
         maximal = tuple(
             i for i, bi in bits
             if not any(bj != bi and (bi & bj) == bi for _, bj in bits)
         )
-        prime = tuple(i for i in proper if _is_prime_ideal(r, i))
+        prime = tuple(i for i in candidates if _is_prime_ideal(r, i))
         prime_set = {p.members for p in prime}
         for m in maximal:
             if m.members not in prime_set:

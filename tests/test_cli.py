@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from ringlab import load_ring_file, parse_ring_source, zmod
+from ringlab import gf, load_ring_file, parse_ring_source, product, zmod
 from ringlab.cli import main
 from ringlab.sources import UnknownRingSource
 
@@ -37,6 +37,25 @@ class TestRingSources:
         for src in ("nope:3", "paper:other", "matrix:zmod2", "product:zmod2"):
             with pytest.raises((UnknownRingSource, ValueError)):
                 parse_ring_source(src)
+
+    @pytest.mark.parametrize("source, expected", [
+        ("product:product:gf2,gf2,gf2", lambda: product(product(gf(2), gf(2)), gf(2))),
+        ("product:gf2,product:gf2,gf2", lambda: product(gf(2), product(gf(2), gf(2)))),
+        ("product:product:gf2,zmod3,product:zmod2,gf2",
+         lambda: product(product(gf(2), zmod(3)), product(zmod(2), gf(2)))),
+        ("product:tri:product:gf2,gf2:2,zmod2",
+         lambda: product(parse_ring_source("tri:product:gf2,gf2:2"), zmod(2))),
+    ])
+    def test_nested_products_read_in_prefix_order(self, source, expected):
+        ring, want = parse_ring_source(source), expected()
+        assert ring.table_bytes() == want.table_bytes()
+        assert ring.elem_names == want.elem_names
+
+    @pytest.mark.parametrize("source", ["product:gf2,gf2,gf2", "product:gf2",
+                                        "product:product:gf2,gf2"])
+    def test_product_needs_two_factors(self, source):
+        with pytest.raises(UnknownRingSource, match="exactly two factors"):
+            parse_ring_source(source)
 
 
 class TestAnalyze:
@@ -134,6 +153,21 @@ class TestAnalyze:
     def test_nonpositive_order_cap_exits_2(self, capsys, command, cap):
         code, _, err = run_cli(capsys, *command, "--order-cap", cap)
         assert code == 2 and "bad configuration" in err and "--order-cap" in err
+
+    @pytest.mark.parametrize("source, zero", [
+        ("product:product:gf2,gf2,gf2", "((0,0),0)"),
+        ("product:gf2,product:gf2,gf2", "(0,(0,0))"),
+    ])
+    def test_nested_product_analyzes(self, capsys, source, zero):
+        code, out, _ = run_cli(capsys, "analyze", "--ring", source)
+        assert code == 0 and "(order 8)" in out
+        assert "spectrum: 8 ideals, 3 prime, 3 maximal" in out
+        assert f"jacobson radical: 0 ({zero})" in out
+
+    @pytest.mark.parametrize("source", ["product:gf2,gf2,gf2", "product:gf2"])
+    def test_product_without_two_factors_exits_2(self, capsys, source):
+        code, out, err = run_cli(capsys, "analyze", "--ring", source)
+        assert code == 2 and out == "" and "exactly two factors" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--ring", "file:/nonexistent/r.json")

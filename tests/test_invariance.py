@@ -6,24 +6,29 @@ move under ``ring.relabeled(permutation)``, and its ideal, prime and maximal
 sets must be the same sets once each index is mapped back.
 
 Closed forms for Z/n: |U(Z/n)| = phi(n), Z/n has 2^omega(n) idempotents,
-its nilpotents, which form J(Z/n), number n / prod(p | n), and its ideals
-are the d(n) ideals dZ/n for d | n.  Ideal counts of other families: the
-Boolean ring GF(2)^k has 2^k ideals, T_2(F_q) has Catalan(3) = 5, and the
-ideals of a product R x S of unital rings are the products I x J, so their
-count is the product of the factors' counts.  The right-hand sides come from
-sympy.
+its nilpotents, which form J(Z/n), number n / prod(p | n), its ideals
+are the d(n) ideals dZ/n for d | n, and its primes the omega(n) ideals pZ/n
+for p | n.  Ideal counts of other families: the Boolean ring GF(2)^k has 2^k
+ideals, T_2(F_q) has Catalan(3) = 5, and the ideals of a product R x S of
+unital rings are the products I x J, so their count is the product of the
+factors' counts; its primes are P x S and R x Q for P prime in R and Q prime
+in S, and its maximal ideals likewise, so those counts add.  The right-hand
+sides come from sympy.
 """
 
 from __future__ import annotations
 
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import catalan, divisor_count, primefactors, totient
 
 from ringlab import (
     CHARACTERIZATION_IDS,
+    RingCatalogEntry,
+    RunConfig,
     all_ideals,
     central_elements,
     central_idempotents,
@@ -35,8 +40,10 @@ from ringlab import (
     nilpotents,
     potents,
     predicate_vector,
+    prime_ideals,
     prime_radical,
     product,
+    run_verify,
     spectrum,
     units,
     upper_triangular,
@@ -74,6 +81,28 @@ def test_relabelling_changes_nothing(catalog, data):
     assert ideal_sets(relabelled, old_order) == ideal_sets(ring, range(ring.order))
 
 
+@pytest.mark.parametrize("source", [
+    "product:product:gf2,zmod3,zmod4",
+    "product:zmod2,product:tri:gf2:2,gf3",
+    "product:product:matrix:zmod2:2,gf2,zmod3",
+])
+def test_relabelling_a_composed_ring_changes_nothing(source):
+    ring = parse_ring_source(source)
+    old_order = np.random.default_rng(11).permutation(ring.order).tolist()
+    relabelled = ring.relabeled(old_order)
+    assert invariants(relabelled) == invariants(ring)
+    assert ideal_sets(relabelled, old_order) == ideal_sets(ring, range(ring.order))
+    catalog = [RingCatalogEntry(r, source) for r in (ring, relabelled)]
+    for verdict in run_verify(RunConfig(jobs=1), catalog):
+        if verdict.theorem in ("T4.1", "obs-2powers"):  # rows of fixed rings, not the catalog's
+            continue
+        # one row or one skip per ring, the same for both
+        assert len(verdict.rows) in (0, 2) and verdict.rows[:1] == verdict.rows[1:], \
+            verdict.theorem
+        assert len(verdict.skipped) in (0, 2) and verdict.skipped[:1] == verdict.skipped[1:], \
+            verdict.theorem
+
+
 @pytest.mark.parametrize("n", range(1, 121))
 def test_zmod_closed_forms(n):
     r = zmod(n)
@@ -83,6 +112,13 @@ def test_zmod_closed_forms(n):
     assert len(nilpotents(r).members) == radical_order
     assert len(jacobson_radical(r).members) == radical_order
     assert len(all_ideals(r)) == divisor_count(n)
+    assert len(prime_ideals(r)) == len(primefactors(n))
+
+
+def test_zmod_2310_closed_forms():
+    r = zmod(2 * 3 * 5 * 7 * 11)
+    assert len(all_ideals(r, order_cap=4096)) == divisor_count(2310)
+    assert len(prime_ideals(r, order_cap=4096)) == len(primefactors(2310))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -104,5 +140,9 @@ def test_product_ideal_count(catalog):
     assert pairs
     for left, right in pairs + [["zmod:4", "gf:4"]]:
         r, s = parse_ring_source(left), parse_ring_source(right)
-        assert len(all_ideals(product(r, s))) == len(all_ideals(r)) * len(all_ideals(s)), \
-            (left, right)
+        rs = spectrum(product(r, s))
+        assert len(rs.all_ideals) == len(all_ideals(r)) * len(all_ideals(s)), (left, right)
+        for part in ("prime", "maximal"):
+            assert len(getattr(rs, part)) == \
+                len(getattr(spectrum(r), part)) + len(getattr(spectrum(s), part)), \
+                (left, right, part)

@@ -6,11 +6,13 @@ Deselected by default; run with ``pytest -m large``.
 from __future__ import annotations
 
 from math import prod
+from time import perf_counter
 
 import pytest
 from sympy import catalan, divisor_count
 
-from ringlab import all_ideals, gf, jacobson_radical, load_ring_json, nilpotents, product, units
+from ringlab import (all_ideals, gf, jacobson_radical, load_ring_json, nilpotents, product,
+                     spectrum, units)
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
@@ -65,6 +67,19 @@ def test_boolean_ring_of_order_256_ideal_count():
         r = product(r, gf(2))
     # every subset of the 8 coordinates spans one ideal
     assert len(all_ideals(r, order_cap=1024)) == 2 ** 8
+
+
+def test_boolean_ring_of_order_1024_spectrum():
+    r = gf(2)
+    for _ in range(9):
+        r = product(r, gf(2))
+    start = perf_counter()
+    sp = spectrum(r, order_cap=1024)
+    seconds = perf_counter() - start
+    # one ideal per subset of the 10 coordinates; the primes, all maximal,
+    # are the 10 ideals that drop one coordinate
+    assert (len(sp.all_ideals), len(sp.prime), len(sp.maximal)) == (2 ** 10, 10, 10)
+    assert seconds < 1.0, f"lattice and spectrum of GF(2)^10 took {seconds:.2f} s"
 
 
 def test_zmod_1024_n_like_witnesses():

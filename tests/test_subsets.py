@@ -68,6 +68,16 @@ def reference_lattice(ring):
     return sorted(found, key=lambda m: (len(m), m))
 
 
+def reference_is_prime(ring, members):
+    """Independent oracle: proper, and some a*r*b escapes for every a, b outside."""
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[list(members)] = True
+    outside = np.flatnonzero(~mask)
+    mul = ring.mul_table
+    arb = mul[mul[np.ix_(outside, np.arange(ring.order))]][:, :, outside]
+    return len(outside) > 0 and bool((~mask[arb]).any(axis=1).all())
+
+
 def brute_force_units(ring):
     """Independent oracle: two-sided inverse search by double loop."""
     out = []
@@ -163,6 +173,26 @@ class TestLatticeReference:
         for ring in rings:
             assert [i.members for i in all_ideals(ring)] == reference_lattice(ring), ring.label
 
+    @pytest.mark.parametrize("source, blocks", [
+        ("product:product:product:gf2,gf2,gf2,gf2", 4),
+        ("zmod:30", 3),
+        ("product:zmod4,zmod6", 3),
+        ("product:matrix:zmod2:2,zmod3", 2),
+    ])
+    def test_composed_spectrum_matches_reference(self, source, blocks):
+        # rings of several blocks, whose lattice is built block by block
+        ring = parse_ring_source(source)
+        assert len(subsets._blocks(ring)) == blocks
+        for r in (ring, ring.relabeled(range(ring.order - 1, -1, -1))):
+            sp = spectrum(r)
+            ideals = reference_lattice(r)
+            assert [i.members for i in sp.all_ideals] == ideals, r.label
+            assert {p.members for p in sp.prime} == {
+                i for i in ideals if reference_is_prime(r, i)}, r.label
+            assert {m.members for m in sp.maximal} == {
+                i for i in ideals if len(i) < r.order
+                and not any(len(j) < r.order and set(i) < set(j) for j in ideals)}, r.label
+
     def test_generated_ideals_match_reference(self, rings):
         for ring in rings:
             n = ring.order
@@ -203,14 +233,10 @@ class TestLatticeAndSpectrum:
             assert {p.members for p in sp.prime} == {m.members for m in sp.maximal}
 
     def test_prime_test_matches_definition(self, catalog_rings):
-        # reference: some a*r*b escapes P for every a, b outside P, over all r
         for ring in catalog_rings:
-            mul = ring.mul_table
             primes = {p.members for p in spectrum(ring).prime}
             for ideal in all_ideals(ring):
-                outside = np.flatnonzero(~ideal.mask())
-                arb = mul[mul[np.ix_(outside, np.arange(ring.order))]][:, :, outside]
-                prime = len(outside) > 0 and (~ideal.mask()[arb]).any(axis=1).all()
+                prime = reference_is_prime(ring, ideal.members)
                 assert prime == (ideal.members in primes), (ring.label, ideal.members)
 
     def test_j_spec_filters_by_radical(self, catalog_rings):
@@ -249,6 +275,7 @@ class TestLatticeAndSpectrum:
         ("zmod:12", 6),
         ("eqdiag:zmod2:3", 7),      # one of its ideals is not principal
         ("product:gf2,zmod6", 8),   # every ideal is principal
+        ("product:product:product:product:gf2,gf2,gf2,gf2,gf2", 2 ** 5),  # GF(2)^5
     ])
     def test_lattice_count_cap(self, source, count, monkeypatch):
         # the count guard is a fixed constant; each side of it gets a fresh ring
