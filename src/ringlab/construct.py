@@ -37,7 +37,6 @@ from .core import DEFAULT_ORDER_CAP, FiniteRing
 from .errors import (
     BimoduleLawViolation,
     ClosureViolation,
-    NotAnIdeal,
     NotIdempotent,
     OrderCapExceeded,
     UnsupportedFieldOrder,
@@ -284,11 +283,9 @@ def corner(r: FiniteRing, e: int, label: str | None = None) -> FiniteRing:
 
 
 def quotient(r: FiniteRing, ideal: Ideal | tuple[int, ...], label: str | None = None) -> FiniteRing:
-    """Quotient ring by a two-sided ideal."""
+    """Quotient ring by a two-sided ideal of ``r``; ``NotAnIdeal`` otherwise."""
     if not isinstance(ideal, Ideal):
         ideal = Ideal(r, tuple(sorted(int(i) for i in ideal)))
-    if not ideal.verify():
-        raise NotAnIdeal(f"{r.label}: {ideal.members} is not a two-sided ideal")
     return subsets.quotient_ring(r, ideal, label)
 
 

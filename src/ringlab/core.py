@@ -25,6 +25,23 @@ after another (right then left distributivity, associativity of + then of *),
 so a rejection names the first failing law and its least witness at every
 order.  Rings are immutable after validation (the tables are frozen), so every
 operation in the package is a pure read and safe to share across threads.
+
+Rings derived from a ring R are not validated again: each is a ring by
+theorem, behind the exact check that theorem needs.
+
+* ``FiniteRing.subring``: a subset S of R that contains 0, is closed under +
+  and *, and has an element fixing every member on both sides is a ring.  The laws
+  of R (commutativity and associativity of +, distributivity, associativity
+  of *) are identities, so they hold on S; negation needs no check, since a
+  finite subset of a group that is closed under + is a subgroup.  Closure and
+  the identity are checked in O(|S|^2).
+* ``FiniteRing.quotient_by``: once the members are checked to form a
+  two-sided ideal I (``FiniteRing.is_ideal``), + and * are well defined on
+  the cosets, and every identity of R holds for the cosets because it holds
+  for their representatives, so R/I is a ring with identity 1 + I.
+
+Every table handed in from outside (``from_tables``, ring files, the
+constructors) still gets the full validation.
 """
 
 from __future__ import annotations
@@ -42,6 +59,7 @@ from .errors import (
     NoIdentity,
     NonAssociativeMul,
     NotAbelianGroupUnderAdd,
+    NotAnIdeal,
     NotDistributive,
     OrderCapExceeded,
     RingMismatch,
@@ -90,13 +108,19 @@ def _check_quadratic_axioms(add: np.ndarray, mul: np.ndarray, zero: int, one: in
 
     # Multiplicative identity and zero annihilation (the latter is implied by
     # the other axioms; checking it early gives cheaper, clearer reports).
-    if not (np.array_equal(mul[one], idx) and np.array_equal(mul[:, one], idx)):
-        col = mul[:, one]
-        bad = np.flatnonzero((mul[one] != idx) | (col != idx))
-        raise NoIdentity(f"declared identity x{one} does not fix x{bad[0]}", (one, int(bad[0])))
+    bad = _unfixed_by(mul, one)
+    if bad is not None:
+        raise NoIdentity(f"declared identity x{one} does not fix x{bad}", (one, bad))
     if not ((mul[zero] == zero).all() and (mul[:, zero] == zero).all()):
         bad = int(np.flatnonzero((mul[zero] != zero) | (mul[:, zero] != zero))[0])
         raise NotDistributive(f"0*x{bad} or x{bad}*0 nonzero", (zero, bad, bad))
+
+
+def _unfixed_by(mul: np.ndarray, one: int) -> int | None:
+    """The least x with one*x != x or x*one != x, else None."""
+    idx = np.arange(mul.shape[0])
+    bad = np.flatnonzero((mul[one] != idx) | (mul[:, one] != idx))
+    return int(bad[0]) if bad.size else None
 
 
 def _full_scan(add: np.ndarray, mul: np.ndarray) -> None:
@@ -286,9 +310,17 @@ class FiniteRing:
         *,
         order_cap: int = DEFAULT_ORDER_CAP,
     ) -> "FiniteRing":
-        order = len(add)
-        add, mul = validate_tables(add, mul, zero, one, order, order_cap)
-        ring = FiniteRing(label, order, add, mul, zero, one,
+        add, mul = validate_tables(add, mul, zero, one, len(add), order_cap)
+        return FiniteRing._canonical(label, add, mul, zero, one, elem_names)
+
+    @staticmethod
+    def _canonical(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
+                   elem_names: Sequence[str] | None) -> "FiniteRing":
+        """The ring on int32 tables that are known to be a ring, normalized and
+        frozen: after ``validate_tables`` in ``from_tables``, or after the
+        checks of ``subring`` and ``quotient_by`` (see the module docstring).
+        """
+        ring = FiniteRing(label, len(add), add, mul, zero, one,
                           tuple(elem_names) if elem_names is not None else None).normalized()
         ring.add_table.setflags(write=False)
         ring.mul_table.setflags(write=False)
@@ -444,9 +476,12 @@ class FiniteRing:
     def subring(self, members: Sequence[int], one: int, label: str) -> "FiniteRing":
         """Ring on a subset closed under both operations, with its own identity.
 
-        Used for corners eRe (where ``one`` is the idempotent e). The result is
-        normalized and re-validated; a member set that does not contain zero
-        and ``one`` or is not closed raises ``ClosureViolation``.
+        Used for corners eRe (where ``one`` is the idempotent e).  A member set
+        that does not contain zero and ``one`` or is not closed under + and *
+        raises ``ClosureViolation``; a ``one`` that does not fix every member
+        on both sides raises ``NoIdentity``.  A set that passes both is a ring
+        by theorem (see the module docstring), so the result, normalized, is
+        not validated again.
         """
         members = np.unique(np.asarray(members, dtype=np.int64))
         pos = np.full(self.order, -1, dtype=np.int32)
@@ -455,24 +490,51 @@ class FiniteRing:
         mul = pos[self.mul_table[np.ix_(members, members)]]
         if pos[self.zero] < 0 or pos[one] < 0 or (add < 0).any() or (mul < 0).any():
             raise ClosureViolation(f"{label}: member set is not a subring with identity x{one}")
+        bad = _unfixed_by(mul, int(pos[one]))
+        if bad is not None:
+            x = int(members[bad])
+            raise NoIdentity(f"{label}: x{one} does not fix member x{x}", (one, x))
         names = tuple(self.name_array()[members].tolist())
-        return FiniteRing.from_tables(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
+        return FiniteRing._canonical(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
+
+    def is_ideal(self, members: Sequence[int]) -> bool:
+        """Whether ``members`` is a two-sided ideal of this ring, by scan.
+
+        The set must be nonempty and closed under +, x*r and r*x for every
+        r.  Zero and negation need no check: a nonempty finite subset of a
+        group that is closed under + is a subgroup.
+        """
+        mem = np.asarray(members, dtype=np.int64).ravel()
+        if mem.size == 0 or mem.min() < 0 or mem.max() >= self.order:
+            return False
+        mask = np.zeros(self.order, dtype=bool)
+        mask[mem] = True
+        return bool(mask[self.add_table[np.ix_(mem, mem)]].all()
+                    and mask[self.mul_table[:, mem]].all()
+                    and mask[self.mul_table[mem, :]].all())
 
     def quotient_by(self, members: Sequence[int], label: str) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.
 
-        Coset representatives are the minimal element index in each coset; the
-        result is normalized so the zero and one cosets land at 0 and 1.
+        Precondition, checked first on this ring's tables: the members form a
+        two-sided ideal (``is_ideal``), else ``NotAnIdeal`` is raised.  The
+        quotient is then a ring by theorem (see the module docstring), so it
+        is not validated again.  Coset representatives are the minimal element
+        index in each coset; the result is normalized so the zero and one
+        cosets land at 0 and 1.
         """
-        rep = self.add_table[:, np.asarray(members, dtype=np.int64)].min(axis=1)
+        members = np.asarray(members, dtype=np.int64)
+        if not self.is_ideal(members):
+            raise NotAnIdeal(f"{self.label}: {tuple(members.tolist())} is not a two-sided ideal")
+        rep = self.add_table[:, members].min(axis=1)
         reps = np.flatnonzero(rep == np.arange(self.order))
         pos = np.full(self.order, -1, dtype=np.int32)
         pos[reps] = np.arange(len(reps), dtype=np.int32)
         add = pos[rep[self.add_table[np.ix_(reps, reps)]]]
         mul = pos[rep[self.mul_table[np.ix_(reps, reps)]]]
         names = "[" + self.name_array()[reps] + "]"
-        return FiniteRing.from_tables(label, add, mul, int(pos[rep[self.zero]]),
-                                      int(pos[rep[self.one]]), tuple(names.tolist()))
+        return FiniteRing._canonical(label, add, mul, int(pos[rep[self.zero]]),
+                                     int(pos[rep[self.one]]), tuple(names.tolist()))
 
     # -- serialization ---------------------------------------------------------
 

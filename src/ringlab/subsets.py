@@ -90,19 +90,8 @@ class Ideal:
         return set(other.members) <= set(self.members)
 
     def verify(self) -> bool:
-        """Re-check the two-sided ideal axioms by scan."""
-        r = self.ring
-        mask = self.mask()
-        if not mask[r.zero]:
-            return False
-        mem = np.array(self.members, dtype=np.int32)
-        if not mask[r.add_table[np.ix_(mem, mem)]].all():
-            return False
-        if not mask[r.neg_table[mem]].all():
-            return False
-        if not mask[r.mul_table[:, mem]].all():
-            return False
-        return bool(mask[r.mul_table[mem, :]].all())
+        """Re-check the two-sided ideal axioms by scan (``FiniteRing.is_ideal``)."""
+        return self.ring.is_ideal(self.members)
 
 
 @dataclass(frozen=True)
@@ -499,6 +488,10 @@ def prime_radical(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) 
 
 def quotient_ring(r: FiniteRing, ideal: Ideal, label: str | None = None) -> FiniteRing:
     """Quotient by an ideal, memoised per member tuple and label.
+
+    The members must form a two-sided ideal of ``r`` (whatever ring
+    ``ideal.ring`` is); ``FiniteRing.quotient_by`` checks that inside the
+    memoised build and raises ``NotAnIdeal`` otherwise, storing no quotient.
 
     Without a ``label``, the first quotient built by these members is reused,
     whatever it is called; if there is none, one is built as

@@ -9,6 +9,8 @@ from ringlab import (
     BimoduleLawViolation,
     BimoduleSpec,
     ClosureViolation,
+    Ideal,
+    NoIdentity,
     NotAnIdeal,
     NotIdempotent,
     OrderCapExceeded,
@@ -28,6 +30,7 @@ from ringlab import (
     predicate_vector,
     product,
     quotient,
+    quotient_ring,
     strict_upper_bimodule,
     units,
     upper_triangular,
@@ -208,9 +211,24 @@ class TestCornerAndQuotient:
             z6.subring([0, 2, 4], 1, "misses its identity")
         assert z6.subring([0, 3], 3, "e3 Z/6 e3").order == 2
 
+    def test_subring_checks_its_identity(self):
+        z6 = zmod(6)
+        # closed under + and *, but 2*2 = 4
+        with pytest.raises(NoIdentity):
+            z6.subring([0, 2, 4], 2, "2 fixes no member but 0")
+        assert z6.subring([0, 2, 4], 4, "e4 Z/6 e4").table_bytes() == zmod(3).table_bytes()
+
     def test_quotient_rejects_non_ideal(self):
         with pytest.raises(NotAnIdeal):
             quotient(zmod(12), (0, 5))
+
+    def test_quotient_checks_the_ring_it_is_given(self):
+        # (0, 2, 4) is an ideal of Z/6, but not of Z/12: 2 + 4 = 6
+        with pytest.raises(NotAnIdeal):
+            quotient(zmod(12), Ideal(zmod(6), (0, 2, 4)))
+        z6 = zmod(6)
+        with pytest.raises(NotAnIdeal):
+            quotient_ring(z6, Ideal(z6, (0, 2)))  # 2 + 2 = 4
 
 
 class TestBimoduleSpecs:

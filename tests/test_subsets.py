@@ -8,6 +8,7 @@ import pytest
 from ringlab import (
     Ideal,
     LatticeCapExceeded,
+    NotAnIdeal,
     NotProperIdeal,
     all_ideals,
     central_idempotents,
@@ -32,6 +33,7 @@ from ringlab import (
     zmod,
 )
 from ringlab import subsets
+from ringlab.construct import build_from_provenance
 from ringlab.sources import parse_ring_source
 from ringlab.subsets import ideal_lattice, radical_quotient
 
@@ -333,12 +335,53 @@ class TestQuotientTorsion:
         assert quotient_ring(z12, jacobson_radical(z12)) is q
 
 
+def _is_two_sided(ring, members):
+    """Independent oracle: every product r*x and x*r stays in the set."""
+    inside = set(members)
+    return all(ring.mul(r, x) in inside and ring.mul(x, r) in inside
+               for x in members for r in range(ring.order))
+
+
+class TestQuotientNeedsTwoSidedIdeal:
+    def test_right_ideal_of_triangular_ring_rejected(self):
+        r = build_from_provenance("tri:zmod2:2")
+        assert r.name_of(4) == "[[0,1],[0,1]]"
+        right = tuple(sorted({int(v) for v in r.mul_table[4]}))  # 4R
+        assert right == (0, 4) and not _is_two_sided(r, right)
+        with pytest.raises(NotAnIdeal):
+            quotient_ring(r, Ideal(r, right))
+        with pytest.raises(NotAnIdeal):
+            quotient(r, right)
+
+    def test_one_sided_principal_ideals_rejected(self):
+        r = build_from_provenance("paper:gf4-example")
+        one_sided = set()
+        for x in range(r.order):
+            for side in (r.mul_table[x], r.mul_table[:, x]):  # xR and Rx
+                members = tuple(sorted({int(v) for v in side}))
+                if not _is_two_sided(r, members):
+                    one_sided.add(members)
+        assert len(one_sided) == 6
+        for members in sorted(one_sided):
+            assert not Ideal(r, members).verify()
+            with pytest.raises(NotAnIdeal):
+                quotient_ring(r, Ideal(r, members))
+            with pytest.raises(NotAnIdeal):
+                quotient_ring(r, Ideal(r, members), "labelled")
+
+
 class TestIdealInvariants:
     def test_ideal_verify_rejects_non_ideals(self):
         z6 = zmod(6)
         assert not Ideal(z6, (0, 2)).verify()   # not closed under addition: 2+2=4
         assert not Ideal(z6, (1, 2)).verify()   # missing zero
         assert Ideal(z6, (0, 2, 4)).verify()
+
+    def test_ideal_verify_rejects_bad_member_lists(self):
+        z6 = zmod(6)
+        assert not Ideal(z6, ()).verify()
+        assert not Ideal(z6, (0, 6)).verify()   # no such element
+        assert not Ideal(z6, (-1, 0)).verify()
 
     def test_gf_fields_have_trivial_radical(self):
         for q in (2, 3, 4, 5, 7, 8, 9):
