@@ -9,14 +9,14 @@ shows what the validator catches, and walks through element arithmetic.
 
 import numpy as np
 
-from ringlab import validate_ring, zmod
+from ringlab import FiniteRing, zmod
 from ringlab.errors import RingValidationError
 
 # Build Z/6 from raw modular tables and validate every axiom exhaustively.
 idx = np.arange(6)
 add = (idx[:, None] + idx[None, :]) % 6
 mul = (idx[:, None] * idx[None, :]) % 6
-z6 = validate_ring("Z/6 by hand", add, mul, zero=0, one=1)
+z6 = FiniteRing.from_tables("Z/6 by hand", add, mul, zero=0, one=1)
 print(f"validated: {z6.label}, order {z6.order}")
 
 # Corrupt a single multiplication cell.  The validator names the first
@@ -24,7 +24,7 @@ print(f"validated: {z6.label}, order {z6.order}")
 bad = mul.copy()
 bad[2][3] = 1  # 2*3 should be 0
 try:
-    validate_ring("broken Z/6", add, bad, zero=0, one=1)
+    FiniteRing.from_tables("broken Z/6", add, bad, zero=0, one=1)
 except RingValidationError as err:
     print(f"rejected: axiom={err.axiom}, witness={err.witness}")
     print(f"          {err}")

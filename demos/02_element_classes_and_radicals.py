@@ -14,12 +14,10 @@ For finite rings the three coincide, and the library checks that they do.
 
 from ringlab import (
     idempotents,
-    j_star,
     jacobson_radical,
     matrix_ring,
     nilpotents,
     potents,
-    prime_radical,
     quotient_is_torsion,
     spectrum,
     units,
@@ -38,8 +36,8 @@ for ring in (zmod(12), zmod(8), matrix_ring(zmod(2), 2)):
           f"maximal: {len(sp.maximal)}")
     j = jacobson_radical(ring)
     print(f"J  = {list(j.members)}")
-    print(f"J* = {list(j_star(ring).members)}   "
-          f"P = {list(prime_radical(ring).members)}   (all three agree)")
+    print(f"J* = {list(sp.j_star.members)}   "
+          f"P = {list(sp.prime_radical.members)}   (all three agree)")
 
     # Quotients by prime ideals of a finite ring are division rings; the
     # torsion test asks whether every nonzero coset has a power equal to 1.

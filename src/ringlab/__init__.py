@@ -7,7 +7,7 @@ them, as biconditionals of independently computed sides, over a catalog of
 small finite rings.
 """
 
-from .core import Elem, FiniteRing, PowerTrail, load_ring_file, load_ring_json, validate_ring
+from .core import Elem, FiniteRing, PowerTrail, load_ring_file, load_ring_json
 from .errors import (
     BimoduleLawViolation,
     ClosureViolation,
@@ -30,19 +30,13 @@ from .subsets import (
     ElemClass,
     Ideal,
     SpectrumReport,
-    all_ideals,
     central_elements,
     central_idempotents,
     idempotents,
     ideal_generated_by,
-    j_spec,
-    j_star,
     jacobson_radical,
-    maximal_ideals,
     nilpotents,
     potents,
-    prime_ideals,
-    prime_radical,
     quotient_is_torsion,
     quotient_ring,
     spectrum,

@@ -76,10 +76,12 @@ def _encode(digits, q: int):
     return index
 
 
-def zmod(n: int) -> FiniteRing:
+def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Integers mod n; zmod(1) is the zero ring."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
+    if n > order_cap:
+        raise OrderCapExceeded(n, order_cap)
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -126,10 +128,12 @@ def gf(q: int) -> FiniteRing:
     return _quotient_poly_ring(f"GF({q})", p, modulus, "t")
 
 
-def zn_alpha(n: int) -> FiniteRing:
+def zn_alpha(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Z/n adjoined a primitive cube root of unity: Z/n[w]/(w^2 + w + 1)."""
     if n < 2:
         raise ValueError(f"zn_alpha needs n >= 2, got {n}")
+    if n * n > order_cap:
+        raise OrderCapExceeded(n * n, order_cap)
     return _quotient_poly_ring(f"Z/{n}[w]", n, (1, 1), "w")
 
 
@@ -143,8 +147,7 @@ def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP)
     mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * s.order + s.mul_table[np.ix_(si, si)]
     names = "(" + r.name_array()[ri] + "," + s.name_array()[si] + ")"
     return FiniteRing.from_tables(f"{r.label} x {s.label}", add, mul,
-                                  0, r.one * s.order + s.one, tuple(names.tolist()),
-                                  order_cap=order_cap)
+                                  0, r.one * s.order + s.one, tuple(names.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +241,7 @@ def _matrix_ring(
 
     rows = [joined([names[cells[r, c]] if (r, c) in cells else names[base.zero]
                     for c in range(k)]) for r in range(k)]
-    return FiniteRing.from_tables(label, add, mul, 0, one, tuple(joined(rows).tolist()),
-                                  order_cap=order_cap)
+    return FiniteRing.from_tables(label, add, mul, 0, one, tuple(joined(rows).tolist()))
 
 
 def matrix_ring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -407,7 +409,7 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
     mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * ns + s_part
     names = "(" + r.name_array()[ri] + ";s" + si.astype(str).astype(object) + ")"
     return FiniteRing.from_tables(f"I({r.label};{spec.label})", add, mul,
-                                  0, r.one * ns, tuple(names.tolist()), order_cap=order_cap)
+                                  0, r.one * ns, tuple(names.tolist()))
 
 
 def strict_upper_bimodule(base: FiniteRing, k: int, label: str | None = None) -> BimoduleSpec:

@@ -221,7 +221,6 @@ def validate_tables(
     zero: int,
     one: int,
     order: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check every ring axiom on candidate tables, exactly.
 
@@ -238,8 +237,6 @@ def validate_tables(
     """
     if order < 1:
         raise RingValidationError(f"order must be positive, got {order}")
-    if order > order_cap:
-        raise OrderCapExceeded(order, order_cap)
     add = _as_table(add, order, "add")
     mul = _as_table(mul, order, "mul")
     if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (zero, one)):
@@ -307,10 +304,15 @@ class FiniteRing:
         zero: int,
         one: int,
         elem_names: Sequence[str] | None = None,
-        *,
-        order_cap: int = DEFAULT_ORDER_CAP,
     ) -> "FiniteRing":
-        add, mul = validate_tables(add, mul, zero, one, len(add), order_cap)
+        """Validate candidate tables and return the canonical ring.
+
+        The error raised on failure names the first violated axiom and
+        carries a witness index tuple (see ``errors``).  No order cap is
+        applied here: the constructors and the loader check theirs before
+        they allocate tables.
+        """
+        add, mul = validate_tables(add, mul, zero, one, len(add))
         return FiniteRing._canonical(label, add, mul, zero, one, elem_names)
 
     @staticmethod
@@ -476,14 +478,18 @@ class FiniteRing:
     def subring(self, members: Sequence[int], one: int, label: str) -> "FiniteRing":
         """Ring on a subset closed under both operations, with its own identity.
 
-        Used for corners eRe (where ``one`` is the idempotent e).  A member set
-        that does not contain zero and ``one`` or is not closed under + and *
-        raises ``ClosureViolation``; a ``one`` that does not fix every member
-        on both sides raises ``NoIdentity``.  A set that passes both is a ring
-        by theorem (see the module docstring), so the result, normalized, is
-        not validated again.
+        Used for corners eRe (where ``one`` is the idempotent e).  A member or
+        ``one`` outside [0, order), or a member set that does not contain zero
+        and ``one`` or is not closed under + and *, raises
+        ``ClosureViolation``; a ``one`` that does not fix every member on both
+        sides raises ``NoIdentity``.  A set that passes both is a ring by
+        theorem (see the module docstring), so the result, normalized, is not
+        validated again.
         """
         members = np.unique(np.asarray(members, dtype=np.int64))
+        if not 0 <= one < self.order or members.size and (
+                members[0] < 0 or members[-1] >= self.order):
+            raise ClosureViolation(f"{label}: an index is out of range [0, {self.order})")
         pos = np.full(self.order, -1, dtype=np.int32)
         pos[members] = np.arange(len(members), dtype=np.int32)
         add = pos[self.add_table[np.ix_(members, members)]]
@@ -598,24 +604,6 @@ class Elem:
 
     def __repr__(self) -> str:
         return f"<{self.ring.name_of(self.index)} in {self.ring.label}>"
-
-
-def validate_ring(
-    label: str,
-    add,
-    mul,
-    zero: int,
-    one: int,
-    elem_names: Sequence[str] | None = None,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> FiniteRing:
-    """Validate candidate tables and return the canonical FiniteRing.
-
-    The error raised on failure names the first violated axiom and carries a
-    witness index tuple (see ``errors``).
-    """
-    return FiniteRing.from_tables(label, add, mul, zero, one, elem_names, order_cap=order_cap)
 
 
 def _reject_float(literal: str):
@@ -755,12 +743,15 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
     permutation.  A fractional number, ``NaN`` or ``Infinity`` anywhere, a
     table entry that is not an integer (a string, a boolean, null), a label
     that is not a string, or an ``order`` other than the number of rows of
-    ``add``, is rejected.
+    ``add``, is rejected.  Tables of more than ``order_cap`` rows raise
+    ``OrderCapExceeded`` before any validation.
     """
     fields = _ring_fields(text)
     del text  # the tables are all validation needs; let the text go first
+    if len(fields[1]) > order_cap:
+        raise OrderCapExceeded(len(fields[1]), order_cap)
     try:
-        return validate_ring(*fields, order_cap=order_cap)
+        return FiniteRing.from_tables(*fields)
     except RingValidationError as exc:
         # The frames of the validators hold the tables.  A caller that keeps
         # the error in a reference cycle (a frame its own traceback reaches)

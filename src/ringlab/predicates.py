@@ -45,8 +45,6 @@ from .subsets import (
     _units_mask,
     central_idempotents,
     jacobson_radical,
-    j_star,
-    prime_radical,
     quotient_is_torsion,
     quotient_ring,
     radical_quotient,
@@ -82,7 +80,7 @@ class CleanWitness:
             return bool(_nilpotent_mask(r)[self.complement])
         if self.kind == "J-clean":
             return self.complement in jacobson_radical(r).members
-        return self.complement in prime_radical(r).members
+        return self.complement in spectrum(r).prime_radical.members
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +426,8 @@ def characterization(r: FiniteRing, thm_id: str, *,
 
     The "unique e" clauses of T2.10(1) and T3.9(1) are read as "unique
     idempotent e"; the torsion condition of T3.3 is the multiplicative one.
-    ``order_cap`` is forwarded to the spectrum computations where those are
-    needed.
+    ``order_cap`` is the lattice order cap of ``spectrum``, for the
+    characterizations that read the lattice.
     """
     idem = _idempotent_array(r)
     cidem = np.array(central_idempotents(r).members, dtype=np.int32)
@@ -478,15 +476,15 @@ def characterization(r: FiniteRing, thm_id: str, *,
     if thm_id == "T3.7":
         if not is_exchange(r):
             return False
-        js = j_star(r, order_cap=order_cap)
+        js = spectrum(r, order_cap=order_cap).j_star
         return (is_potent_ring(quotient_ring(r, js))
                 and idempotents_lift_uniquely_mod(r, js))
     if thm_id == "T3.9":
-        js = j_star(r, order_cap=order_cap)
+        js = spectrum(r, order_cap=order_cap).j_star
         return (_pi_shift_into(r, js.mask(), idem, unique=True)
                 and radical_unit_set(r) == js.members)
     if thm_id == "C3.10-set":
-        return radical_unit_set(r) == prime_radical(r, order_cap=order_cap).members
+        return radical_unit_set(r) == spectrum(r, order_cap=order_cap).prime_radical.members
     if thm_id == "T4.7-2":
         return is_abelian(r) and is_periodic(r)
     if thm_id == "T4.7-3":
@@ -494,13 +492,14 @@ def characterization(r: FiniteRing, thm_id: str, *,
         # complement landing in the prime radical.  Counting uniqueness over
         # prime-radical complements alone degenerates when P(R) = 0 (any
         # idempotent power would do), which would not characterize anything.
-        pmask = prime_radical(r, order_cap=order_cap).mask()
+        pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
         nmask = _nilpotent_mask(r)
         ok = ((_split_counts(r, nmask, idem) == 1)
               & (_split_counts(r, nmask & ~pmask, idem) == 0))
         return bool(_some_power(r, ok).all())
     if thm_id == "C4.8":
-        return _pi_shift_into(r, prime_radical(r, order_cap=order_cap).mask(), cidem, unique=False)
+        pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
+        return _pi_shift_into(r, pmask, cidem, unique=False)
     raise ValueError(f"unknown characterization id {thm_id!r}")
 
 

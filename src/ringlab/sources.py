@@ -78,11 +78,11 @@ def _parse(source: str, order_cap: int) -> FiniteRing:
         source = f"{compact.group(1)}:{compact.group(2)}"
     kind, _, rest = source.partition(":")
     if kind == "zmod":
-        return construct.zmod(int(rest))
+        return construct.zmod(int(rest), order_cap=order_cap)
     if kind == "gf":
         return construct.gf(int(rest))
     if kind == "zn-alpha":
-        return construct.zn_alpha(int(rest))
+        return construct.zn_alpha(int(rest), order_cap=order_cap)
     if kind in ("matrix", "tri", "eqdiag", "corner"):
         inner, _, num = rest.rpartition(":")
         if not inner:

@@ -8,8 +8,12 @@ and the three radicals the library cross-checks against each other:
 * the Jacobson radical, via quasi-regularity: x is in J(R) exactly when
   1 - r*x is a unit for every r (for finite rings the one-sided test
   suffices, and the result is re-verified to be a two-sided ideal);
-* the intersection of all maximal two-sided ideals;
-* the prime radical, the intersection of all prime ideals.
+* J*, the intersection of all maximal two-sided ideals;
+* the prime radical P, the intersection of all prime ideals.
+
+Everything read off the lattice (the ideals, the prime, maximal and J-spec
+sublists, J* and P) comes from one memoised call, ``spectrum``, which is
+where the lattice order cap is checked.
 
 Everything is a pure function of an immutable ring; results are memoised on
 the ring and safe for concurrent readers.
@@ -75,8 +79,13 @@ class Ideal:
     members: tuple[int, ...]
 
     def mask(self) -> np.ndarray:
+        """The member set as a boolean mask; a member outside [0, order) raises."""
+        members = np.asarray(self.members, dtype=np.int64)
+        if members.size and (members.min() < 0 or members.max() >= self.ring.order):
+            raise ValueError(
+                f"{self.ring.label}: ideal member index out of range [0, {self.ring.order})")
         m = np.zeros(self.ring.order, dtype=bool)
-        m[list(self.members)] = True
+        m[members] = True
         return m
 
     def bitmask(self) -> int:
@@ -86,9 +95,6 @@ class Ideal:
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.order
 
-    def contains(self, other: "Ideal") -> bool:
-        return set(other.members) <= set(self.members)
-
     def verify(self) -> bool:
         """Re-check the two-sided ideal axioms by scan (``FiniteRing.is_ideal``)."""
         return self.ring.is_ideal(self.members)
@@ -96,13 +102,17 @@ class Ideal:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """The ideal lattice of a ring with its prime/maximal/J-spec sublists."""
+    """The ideal lattice of a ring with its prime/maximal/J-spec sublists,
+    and the intersections of the maximal ideals (J*) and of the prime ideals
+    (the prime radical P)."""
 
     ring: FiniteRing
     all_ideals: tuple[Ideal, ...]
     maximal: tuple[Ideal, ...]
     prime: tuple[Ideal, ...]
     j_spec: tuple[Ideal, ...]
+    j_star: Ideal
+    prime_radical: Ideal
 
     def to_json_dict(self) -> dict:
         prime = {i.members for i in self.prime}
@@ -345,16 +355,16 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
     ideal with every principal ideal reaches them all.  A + B is the subgroup
     join of A with the additive generators of B, done for the whole frontier
     at once: S + y is the mask shift ``S[sub_table[:, y]]``.  The count is
-    checked before every round, the last one (which finds nothing new)
-    included, so it is refused exactly when the count exceeds it.
+    checked as each ideal is found, so the lattice is refused exactly when
+    it has more ideals than the guard, and as soon as one more is found.
     """
     principal = _principal_ideals(r, inside)
     found = {k: mask for k, (mask, _) in principal.items()}
+    if len(found) > DEFAULT_LATTICE_COUNT_CAP:
+        raise _count_refused(r)
     frontier = list(found.values())
     sub, add = r.sub_table, r.add_table
     while frontier:
-        if len(found) > DEFAULT_LATTICE_COUNT_CAP:
-            raise _count_refused(r)
         masks = np.array(frontier)
         frontier = []
         for _, joined in principal.values():
@@ -372,6 +382,8 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
                 if k not in found:
                     found[k] = mask
                     frontier.append(mask)
+                    if len(found) > DEFAULT_LATTICE_COUNT_CAP:
+                        raise _count_refused(r)
     return np.array(list(found.values()))
 
 
@@ -395,8 +407,20 @@ def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
     return bool(escapes.all())
 
 
+def _intersection(r: FiniteRing, ideals: tuple[Ideal, ...]) -> Ideal:
+    """The intersection of the ideals (the whole ring when there are none),
+    re-verified as an ideal."""
+    mask = np.ones(r.order, dtype=bool)
+    for i in ideals:
+        mask &= i.mask()
+    ideal = _ideal(r, mask)
+    if not ideal.verify():
+        raise InternalInvariantViolation(f"{r.label}: radical intersection is not an ideal")
+    return ideal
+
+
 def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> SpectrumReport:
-    """Full lattice plus prime, maximal and J-spec sublists.
+    """Full lattice, its prime, maximal and J-spec sublists, J* and P.
 
     J-spec is the set of prime ideals containing the Jacobson radical.  Only
     the candidates are read: with blocks e_1, ..., e_t (see ``_blocks``), the
@@ -412,7 +436,8 @@ def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Sp
 
     Each candidate still runs the full prime test.  Maximality is read off
     the lattice; the report verifies (rather than assumes) that every
-    maximal ideal passes the prime test.
+    maximal ideal passes the prime test.  J* and P are the intersections of
+    the maximal and of the prime ideals, built with the rest, once per ring.
     """
     ideals = ideal_lattice(r, order_cap=order_cap)
 
@@ -432,54 +457,10 @@ def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Sp
                     f"{r.label}: maximal ideal {m.members} fails the prime test")
         jset = set(jacobson_radical(r).members)
         j_spec = tuple(p for p in prime if jset <= set(p.members))
-        return SpectrumReport(r, ideals, maximal, prime, j_spec)
+        return SpectrumReport(r, ideals, maximal, prime, j_spec,
+                              _intersection(r, maximal), _intersection(r, prime))
 
     return r.memo("spectrum", build)
-
-
-def all_ideals(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    return spectrum(r, order_cap=order_cap).all_ideals
-
-
-def prime_ideals(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    return spectrum(r, order_cap=order_cap).prime
-
-
-def maximal_ideals(r: FiniteRing, *,
-                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    return spectrum(r, order_cap=order_cap).maximal
-
-
-def j_spec(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    return spectrum(r, order_cap=order_cap).j_spec
-
-
-def _spectrum_intersection(r: FiniteRing, part: Literal["maximal", "prime"],
-                           order_cap: int) -> Ideal:
-    """Intersection of the maximal or of the prime ideals, memoised per part."""
-    sp = spectrum(r, order_cap=order_cap)
-
-    def build() -> Ideal:
-        # The empty intersection is the whole ring.
-        mask = np.ones(r.order, dtype=bool)
-        for i in getattr(sp, part):
-            mask &= i.mask()
-        ideal = Ideal(r, tuple(int(i) for i in np.flatnonzero(mask)))
-        if not ideal.verify():
-            raise InternalInvariantViolation(f"{r.label}: radical intersection is not an ideal")
-        return ideal
-
-    return r.memo(("intersection", part), build)
-
-
-def j_star(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Ideal:
-    """Intersection of all maximal two-sided ideals, memoised."""
-    return _spectrum_intersection(r, "maximal", order_cap)
-
-
-def prime_radical(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Ideal:
-    """Intersection of all prime ideals, memoised."""
-    return _spectrum_intersection(r, "prime", order_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -163,16 +163,14 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
     j = subsets.jacobson_radical(ring)
     j_nil = _nil_ideal(ring, j.members)
 
-    spectra_ok = True
-    spectra_reason = ""
+    sp, spectra_reason = None, ""
     try:
-        subsets.spectrum(ring, order_cap=lattice_cap)
+        sp = subsets.spectrum(ring, order_cap=lattice_cap)
     except LatticeCapExceeded as exc:
-        spectra_ok = False
         spectra_reason = str(exc)
 
     for tid in suite_ids:
-        if tid in _SPECTRUM_SUITES and not spectra_ok:
+        if tid in _SPECTRUM_SUITES and sp is None:
             out[tid] = spectra_reason
             continue
         if tid in predicates.CHARACTERIZATION_IDS:
@@ -184,7 +182,6 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
                     continue
                 lhs = upc
             elif tid == "C3.10-set":
-                sp = subsets.spectrum(ring, order_cap=lattice_cap)
                 hyp = upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}
                 if not hyp:
                     out[tid] = "hypothesis unmet (uniquely pi-clean with all primes maximal)"
@@ -201,8 +198,7 @@ def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
         elif tid == "collapse":
             out[tid] = (upc, vec["abelian"], None)
         elif tid == "radical-triple":
-            js = subsets.j_star(ring, order_cap=lattice_cap).members
-            pr = subsets.prime_radical(ring, order_cap=lattice_cap).members
+            js, pr = sp.j_star.members, sp.prime_radical.members
             ok = j.members == js == pr
             wit = None if ok else f"J={j.members} J*={js} P={pr}"
             out[tid] = (True, ok, wit)
@@ -397,8 +393,8 @@ def ring_report(ring: FiniteRing, *,
             "maximal": [list(map(int, m.members)) for m in sp.maximal],
             "j_spec_count": len(sp.j_spec),
         }
-        for key, radical in (("j_star", subsets.j_star), ("prime_radical", subsets.prime_radical)):
-            report[key] = [int(x) for x in radical(ring, order_cap=lattice_order_cap).members]
+        report["j_star"] = [int(x) for x in sp.j_star.members]
+        report["prime_radical"] = [int(x) for x in sp.prime_radical.members]
     except LatticeCapExceeded as exc:
         report["spectrum"] = {"skipped": str(exc)}
     return report

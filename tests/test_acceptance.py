@@ -28,12 +28,11 @@ from ringlab import (
     is_uniquely_pi_nil_clean,
     is_exchange,
     is_periodic,
-    j_star,
     jacobson_radical,
-    prime_radical,
     quotient_ring,
     radical_unit_set,
     run_verify,
+    spectrum,
     zmod,
 )
 from ringlab.construct import T41_SPECS
@@ -93,7 +92,8 @@ class TestAcceptance:
         exceptions = []
         for e in catalog:
             j = jacobson_radical(e.ring).members
-            if not (j == j_star(e.ring).members == prime_radical(e.ring).members):
+            sp = spectrum(e.ring)
+            if not (j == sp.j_star.members == sp.prime_radical.members):
                 exceptions.append(e.provenance)
         report(5, not exceptions, f"exceptions={exceptions}")
 

@@ -5,12 +5,37 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ringlab import gf, load_ring_file, parse_ring_source, product, zmod
 from ringlab.cli import main
 from ringlab.sources import UnknownRingSource
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# ``ringlab`` in a child process under a 2 GB address-space limit, so a
+# source that allocated its tables before checking the order cap fails with a
+# MemoryError instead of taking the host's memory.
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from ringlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_limited_cli(*argv):
+    env = {**{k: v for k, v in os.environ.items() if k != "RINGLAB_CAP"},
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", LIMITED_CLI, str(SRC), *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +131,13 @@ class TestAnalyze:
         monkeypatch.setenv("RINGLAB_CAP", "5")
         code, _, err = run_cli(capsys, "analyze", "--ring", "zmod:16")
         assert code == 3
+
+    @pytest.mark.parametrize("source, order", [("zmod:100000", 100_000),
+                                               ("zn-alpha:400", 160_000)])
+    def test_oversized_source_exits_3_before_allocating(self, source, order):
+        proc = run_limited_cli("analyze", "--ring", source)
+        assert proc.returncode == 3, proc.stderr
+        assert f"ring order {order} exceeds cap 4096" in proc.stderr
 
     def test_corner_index_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--ring", "corner:zmod6:99")

@@ -9,6 +9,7 @@ from ringlab import (
     BimoduleLawViolation,
     BimoduleSpec,
     ClosureViolation,
+    FiniteRing,
     Ideal,
     NoIdentity,
     NotAnIdeal,
@@ -34,7 +35,6 @@ from ringlab import (
     strict_upper_bimodule,
     units,
     upper_triangular,
-    validate_ring,
     zmod,
     zn_alpha,
 )
@@ -218,6 +218,12 @@ class TestCornerAndQuotient:
             z6.subring([0, 2, 4], 2, "2 fixes no member but 0")
         assert z6.subring([0, 2, 4], 4, "e4 Z/6 e4").table_bytes() == zmod(3).table_bytes()
 
+    @pytest.mark.parametrize("members, one", [([-3, 0], 3), ([0, 3], -3), ([0, 3, 6], 3)])
+    def test_subring_rejects_out_of_range_indices(self, members, one):
+        # -3 would otherwise wrap round to 3, and {0, 3} is a subring of Z/6
+        with pytest.raises(ClosureViolation, match="out of range"):
+            zmod(6).subring(members, one, "x")
+
     def test_quotient_rejects_non_ideal(self):
         with pytest.raises(NotAnIdeal):
             quotient(zmod(12), (0, 5))
@@ -323,7 +329,7 @@ class TestGf4Example:
 
     def test_validates(self):
         g = gf4_triangular_example()
-        validate_ring(g.label, g.add_table, g.mul_table, g.zero, g.one)
+        FiniteRing.from_tables(g.label, g.add_table, g.mul_table, g.zero, g.one)
 
 
 class TestCatalog:
@@ -352,7 +358,7 @@ class TestCatalog:
     def test_every_entry_revalidates(self, catalog):
         for entry in catalog:
             r = entry.ring
-            validate_ring(r.label, r.add_table, r.mul_table, r.zero, r.one)
+            FiniteRing.from_tables(r.label, r.add_table, r.mul_table, r.zero, r.one)
 
     def test_provenance_reexecutes_byte_identically(self, catalog):
         for entry in catalog:

@@ -10,6 +10,7 @@ import pytest
 
 from ringlab import (
     Elem,
+    FiniteRing,
     NoIdentity,
     NonAssociativeMul,
     NotAbelianGroupUnderAdd,
@@ -20,7 +21,6 @@ from ringlab import (
     load_ring_json,
     matrix_ring,
     product,
-    validate_ring,
     zmod,
 )
 from ringlab import core, predicates, subsets
@@ -40,11 +40,11 @@ def modular_tables(n):
 class TestValidation:
     def test_zmod4_tables_valid(self):
         add, mul = modular_tables(4)
-        ring = validate_ring("Z/4", add, mul, 0, 1)
+        ring = FiniteRing.from_tables("Z/4", add, mul, 0, 1)
         assert ring.order == 4
 
     def test_zero_ring_valid(self):
-        ring = validate_ring("0", [[0]], [[0]], 0, 0)
+        ring = FiniteRing.from_tables("0", [[0]], [[0]], 0, 0)
         assert ring.order == 1 and ring.zero == ring.one == 0
 
     def test_corrupted_zmod6_mul_rejected_with_witness(self):
@@ -53,39 +53,41 @@ class TestValidation:
         assert mul[2][3] == 0
         mul[2][3] = 1
         with pytest.raises((NotDistributive, NonAssociativeMul)) as exc:
-            validate_ring("Z/6-broken", add, mul, 0, 1)
+            FiniteRing.from_tables("Z/6-broken", add, mul, 0, 1)
         assert len(exc.value.witness) >= 2
 
     def test_zero_one_collision_rejected(self):
         add, mul = modular_tables(4)
         with pytest.raises(RingValidationError):
-            validate_ring("bad", add, mul, 0, 0)
+            FiniteRing.from_tables("bad", add, mul, 0, 0)
 
     def test_out_of_range_entry(self):
         add, mul = modular_tables(3)
         add = add.copy()
         add[1][1] = 7
         with pytest.raises(RingValidationError):
-            validate_ring("bad", add, mul, 0, 1)
+            FiniteRing.from_tables("bad", add, mul, 0, 1)
 
     def test_broken_identity(self):
         add, mul = modular_tables(4)
         mul = mul.copy()
         mul[1][2] = 3
         with pytest.raises((NoIdentity, NotDistributive, NonAssociativeMul)):
-            validate_ring("bad", add, mul, 0, 1)
+            FiniteRing.from_tables("bad", add, mul, 0, 1)
 
     def test_non_commutative_add(self):
         add, mul = modular_tables(4)
         add = add.copy()
         add[1][2] = 0
         with pytest.raises(NotAbelianGroupUnderAdd):
-            validate_ring("bad", add, mul, 0, 1)
+            FiniteRing.from_tables("bad", add, mul, 0, 1)
 
     def test_order_cap(self):
-        add, mul = modular_tables(8)
-        with pytest.raises(OrderCapExceeded):
-            validate_ring("Z/8", add, mul, 0, 1, order_cap=4)
+        # the loader checks its cap before it validates; from_tables has none
+        doc = zmod(8).to_json()
+        with pytest.raises(OrderCapExceeded, match="ring order 8 exceeds cap 4"):
+            load_ring_json(doc, order_cap=4)
+        assert load_ring_json(doc, order_cap=8).order == 8
 
 
 class TestCorruptionSweep:
@@ -369,7 +371,7 @@ class TestPowerTrail:
 class TestNormalizationAndJson:
     def test_loader_normalizes_zero_and_one(self):
         doc = _rotated_z3_doc("rot")
-        ring = validate_ring("rot", doc["add"], doc["mul"], doc["zero"], doc["one"])
+        ring = FiniteRing.from_tables("rot", doc["add"], doc["mul"], doc["zero"], doc["one"])
         assert ring.zero == 0 and ring.one == 1
         assert ring.table_bytes() == zmod(3).table_bytes()
 
@@ -446,7 +448,7 @@ def reference_load(text: str):
 
     ``json.loads`` builds nested lists; the same type rules as
     ``load_ring_json`` apply (int cells, a string label, no NaN or Infinity);
-    ``validate_ring`` then turns the lists into arrays with ``np.asarray``.
+    ``FiniteRing.from_tables`` then turns the lists into arrays with ``np.asarray``.
     """
     def non_integer(literal):
         raise RingValidationError(f"non-integer number {literal}")
@@ -466,7 +468,7 @@ def reference_load(text: str):
             raise RingValidationError("table is not an array of integer rows")
     if "order" in obj and (type(obj["order"]) is not int or obj["order"] != len(add)):
         raise RingValidationError("order does not match")
-    return validate_ring(label, add, mul, zero, one)
+    return FiniteRing.from_tables(label, add, mul, zero, one)
 
 
 def _load_outcome(load, text):

@@ -58,7 +58,7 @@ def test_corners_and_quotients_skip_the_scan(monkeypatch):
     monkeypatch.setattr(core, "validate_tables", counting)
     corners = [construct.corner(r, e) for e in subsets.idempotents(r).members]
     quotients = [subsets.quotient_ring(r, subsets.jacobson_radical(r))]
-    quotients += [subsets.quotient_ring(r, p) for p in subsets.prime_ideals(r)]
+    quotients += [subsets.quotient_ring(r, p) for p in subsets.spectrum(r).prime]
     assert len(corners) > 1 and len(quotients) > 1
     assert calls == []
     # a table handed in from outside is still validated in full

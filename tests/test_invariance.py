@@ -29,19 +29,15 @@ from ringlab import (
     CHARACTERIZATION_IDS,
     RingCatalogEntry,
     RunConfig,
-    all_ideals,
     central_elements,
     central_idempotents,
     characterization,
     gf,
     idempotents,
-    j_star,
     jacobson_radical,
     nilpotents,
     potents,
     predicate_vector,
-    prime_ideals,
-    prime_radical,
     product,
     run_verify,
     spectrum,
@@ -58,7 +54,8 @@ def invariants(r) -> dict:
     return {
         "predicates": predicate_vector(r).values,
         "class_sizes": [len(cls(r).members) for cls in CLASSES],
-        "radical_sizes": [len(rad(r).members) for rad in (jacobson_radical, j_star, prime_radical)],
+        "radical_sizes": [len(i.members) for i in (
+            jacobson_radical(r), spectrum(r).j_star, spectrum(r).prime_radical)],
         "characterizations": {t: characterization(r, t) for t in CHARACTERIZATION_IDS},
     }
 
@@ -111,14 +108,16 @@ def test_zmod_closed_forms(n):
     radical_order = n // prod(primefactors(n))
     assert len(nilpotents(r).members) == radical_order
     assert len(jacobson_radical(r).members) == radical_order
-    assert len(all_ideals(r)) == divisor_count(n)
-    assert len(prime_ideals(r)) == len(primefactors(n))
+    sp = spectrum(r)
+    assert len(sp.all_ideals) == divisor_count(n)
+    assert len(sp.prime) == len(primefactors(n))
 
 
 def test_zmod_2310_closed_forms():
     r = zmod(2 * 3 * 5 * 7 * 11)
-    assert len(all_ideals(r, order_cap=4096)) == divisor_count(2310)
-    assert len(prime_ideals(r, order_cap=4096)) == len(primefactors(2310))
+    sp = spectrum(r, order_cap=4096)
+    assert len(sp.all_ideals) == divisor_count(2310)
+    assert len(sp.prime) == len(primefactors(2310))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -126,12 +125,12 @@ def test_boolean_ring_ideal_count(k):
     r = gf(2)
     for _ in range(k - 1):
         r = product(r, gf(2))
-    assert len(all_ideals(r)) == 2 ** k
+    assert len(spectrum(r).all_ideals) == 2 ** k
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_triangular_ideal_count(q):
-    assert len(all_ideals(upper_triangular(gf(q), 2))) == catalan(3)
+    assert len(spectrum(upper_triangular(gf(q), 2)).all_ideals) == catalan(3)
 
 
 def test_product_ideal_count(catalog):
@@ -141,7 +140,8 @@ def test_product_ideal_count(catalog):
     for left, right in pairs + [["zmod:4", "gf:4"]]:
         r, s = parse_ring_source(left), parse_ring_source(right)
         rs = spectrum(product(r, s))
-        assert len(rs.all_ideals) == len(all_ideals(r)) * len(all_ideals(s)), (left, right)
+        assert len(rs.all_ideals) == \
+            len(spectrum(r).all_ideals) * len(spectrum(s).all_ideals), (left, right)
         for part in ("prime", "maximal"):
             assert len(getattr(rs, part)) == \
                 len(getattr(spectrum(r), part)) + len(getattr(spectrum(s), part)), \

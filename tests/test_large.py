@@ -5,19 +5,26 @@ Deselected by default; run with ``pytest -m large``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from sympy import catalan, divisor_count
 
-from ringlab import (all_ideals, gf, jacobson_radical, load_ring_json, nilpotents, product,
-                     spectrum, units)
+from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, spectrum,
+                     units)
+from ringlab.cli import main
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
 
 pytestmark = pytest.mark.large
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def gl_order(q: int, k: int) -> int:
@@ -58,7 +65,7 @@ def test_zmod_1024_units():
     ("zmod:1024", int(divisor_count(1024))),
 ])
 def test_ideal_counts(source, count):
-    assert len(all_ideals(parse_ring_source(source), order_cap=1024)) == count
+    assert len(spectrum(parse_ring_source(source), order_cap=1024).all_ideals) == count
 
 
 def test_boolean_ring_of_order_256_ideal_count():
@@ -66,7 +73,7 @@ def test_boolean_ring_of_order_256_ideal_count():
     for _ in range(7):
         r = product(r, gf(2))
     # every subset of the 8 coordinates spans one ideal
-    assert len(all_ideals(r, order_cap=1024)) == 2 ** 8
+    assert len(spectrum(r, order_cap=1024).all_ideals) == 2 ** 8
 
 
 def test_boolean_ring_of_order_1024_spectrum():
@@ -99,3 +106,42 @@ def test_triangular_n_like_witnesses(source):
 def test_json_round_trip(source):
     ring = parse_ring_source(source)
     assert load_ring_json(ring.to_json()).table_bytes() == ring.table_bytes()
+
+
+def test_raised_env_cap_admits_an_order_above_the_default(capsys, monkeypatch):
+    # 4097 is over the default cap of 4096, which from_tables does not apply
+    monkeypatch.setenv("RINGLAB_CAP", "5000")
+    assert main(["analyze", "--ring", "zmod:4097"]) == 0
+    assert "ring: Z/4097 (order 4097)" in capsys.readouterr().out
+
+
+# F_2 + V with V = F_2^9 and V*V = 0, element (a, v) at index a*2^9 + v.  Its
+# ideals are R and the subspaces of V, millions of them, so the lattice must
+# be refused by the count guard; under a 2 GB address-space limit it must be
+# refused before the search runs out of memory.
+COUNT_GUARD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from ringlab import FiniteRing, LatticeCapExceeded
+from ringlab.subsets import ideal_lattice
+
+dim = 9
+idx = np.arange(2 << dim)
+a, v = idx >> dim, idx & ((1 << dim) - 1)
+mul = ((a[:, None] & a[None, :]) << dim) | ((a[:, None] * v[None, :]) ^ (v[:, None] * a[None, :]))
+ring = FiniteRing.from_tables("F2+V9", idx[:, None] ^ idx[None, :], mul, 0, 1 << dim)
+try:
+    ideal_lattice(ring, order_cap=1024)
+except LatticeCapExceeded as exc:
+    print(exc)
+"""
+
+
+def test_count_guard_refuses_within_bounded_memory():
+    proc = subprocess.run([sys.executable, "-c", COUNT_GUARD, str(SRC)], capture_output=True,
+                          text=True, timeout=600,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "more than 100000 ideals" in proc.stdout

@@ -10,21 +10,15 @@ from ringlab import (
     LatticeCapExceeded,
     NotAnIdeal,
     NotProperIdeal,
-    all_ideals,
     central_idempotents,
     gf,
     idempotents,
     ideal_generated_by,
     is_commutative,
-    j_spec,
-    j_star,
     jacobson_radical,
     matrix_ring,
-    maximal_ideals,
     nilpotents,
     potents,
-    prime_ideals,
-    prime_radical,
     quotient,
     quotient_is_torsion,
     quotient_ring,
@@ -173,7 +167,8 @@ class TestLatticeReference:
 
     def test_lattice_matches_reference(self, rings):
         for ring in rings:
-            assert [i.members for i in all_ideals(ring)] == reference_lattice(ring), ring.label
+            ideals = spectrum(ring).all_ideals
+            assert [i.members for i in ideals] == reference_lattice(ring), ring.label
 
     @pytest.mark.parametrize("source, blocks", [
         ("product:product:product:gf2,gf2,gf2,gf2", 4),
@@ -207,25 +202,25 @@ class TestLatticeReference:
 
 class TestLatticeAndSpectrum:
     def test_zmod12_lattice(self):
-        ideals = all_ideals(zmod(12))
+        ideals = spectrum(zmod(12)).all_ideals
         assert len(ideals) == 6
         members = {i.members for i in ideals}
         assert (0, 6) in members and (0, 4, 8) in members
 
     def test_zmod4_lattice(self):
-        assert len(all_ideals(zmod(4))) == 3
+        assert len(spectrum(zmod(4)).all_ideals) == 3
 
     def test_matrix_ring_is_simple(self):
-        assert len(all_ideals(matrix_ring(zmod(2), 2))) == 2
+        assert len(spectrum(matrix_ring(zmod(2), 2)).all_ideals) == 2
 
     def test_primes_and_maximals(self):
         z6 = zmod(6)
-        assert {p.members for p in prime_ideals(z6)} == {(0, 2, 4), (0, 3)}
-        assert {m.members for m in maximal_ideals(z6)} == {(0, 2, 4), (0, 3)}
+        assert {p.members for p in spectrum(z6).prime} == {(0, 2, 4), (0, 3)}
+        assert {m.members for m in spectrum(z6).maximal} == {(0, 2, 4), (0, 3)}
         z4 = zmod(4)
-        assert {p.members for p in prime_ideals(z4)} == {(0, 2)}
+        assert {p.members for p in spectrum(z4).prime} == {(0, 2)}
         z12 = zmod(12)
-        primes = {p.members for p in prime_ideals(z12)}
+        primes = {p.members for p in spectrum(z12).prime}
         assert primes == {(0, 2, 4, 6, 8, 10), (0, 3, 6, 9)}
         assert (0, 4, 8) not in primes and (0, 6) not in primes
 
@@ -237,7 +232,7 @@ class TestLatticeAndSpectrum:
     def test_prime_test_matches_definition(self, catalog_rings):
         for ring in catalog_rings:
             primes = {p.members for p in spectrum(ring).prime}
-            for ideal in all_ideals(ring):
+            for ideal in spectrum(ring).all_ideals:
                 prime = reference_is_prime(ring, ideal.members)
                 assert prime == (ideal.members in primes), (ring.label, ideal.members)
 
@@ -247,31 +242,30 @@ class TestLatticeAndSpectrum:
             sp = spectrum(ring)
             expected = [p for p in sp.prime if jset <= set(p.members)]
             assert [p.members for p in sp.j_spec] == [p.members for p in expected]
-            assert j_spec(ring) == sp.j_spec
 
     def test_radicals_examples(self):
-        z12 = zmod(12)
-        assert j_star(z12).members == (0, 6)
-        assert prime_radical(z12).members == (0, 6)
-        assert j_star(zmod(6)).members == (0,)
-        assert j_star(matrix_ring(zmod(2), 2)).members == (0,)
+        sp = spectrum(zmod(12))
+        assert sp.j_star.members == sp.prime_radical.members == (0, 6)
+        assert spectrum(zmod(6)).j_star.members == (0,)
+        assert spectrum(matrix_ring(zmod(2), 2)).j_star.members == (0,)
 
     def test_radical_triple_equality(self, catalog_rings):
         for ring in catalog_rings:
             j = jacobson_radical(ring).members
-            assert j == j_star(ring).members == prime_radical(ring).members
+            sp = spectrum(ring)
+            assert j == sp.j_star.members == sp.prime_radical.members
 
     def test_nilpotent_inclusions(self, catalog_rings):
         for ring in catalog_rings:
             nil = set(nilpotents(ring).members)
-            pr = set(prime_radical(ring).members)
+            pr = set(spectrum(ring).prime_radical.members)
             assert pr <= nil
             if is_commutative(ring):
                 assert nil <= pr
 
     def test_lattice_cap(self):
         with pytest.raises(LatticeCapExceeded):
-            all_ideals(zmod(12), order_cap=4)
+            spectrum(zmod(12), order_cap=4)
 
     @pytest.mark.parametrize("source, count", [
         ("zmod:12", 6),
@@ -283,14 +277,14 @@ class TestLatticeAndSpectrum:
         # the count guard is a fixed constant; each side of it gets a fresh ring
         monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count - 1)
         with pytest.raises(LatticeCapExceeded, match=f"more than {count - 1} ideals"):
-            all_ideals(parse_ring_source(source))
+            spectrum(parse_ring_source(source))
         monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count)
         ring = parse_ring_source(source)
-        assert len(all_ideals(ring)) == count
+        assert len(spectrum(ring).all_ideals) == count
         # The lattice is stored once, free of the order cap, and held to every caller's.
-        j_star(ring)
+        spectrum(ring)
         with pytest.raises(LatticeCapExceeded):
-            j_star(ring, order_cap=ring.order - 1)
+            spectrum(ring, order_cap=ring.order - 1)
         assert ideal_lattice(ring, order_cap=64) is ideal_lattice(ring, order_cap=128)
 
     def test_spectrum_json_shape(self):
@@ -305,13 +299,13 @@ class TestLatticeAndSpectrum:
 class TestQuotientTorsion:
     def test_examples(self):
         z6 = zmod(6)
-        p = [i for i in prime_ideals(z6) if i.members == (0, 2, 4)][0]
+        p = [i for i in spectrum(z6).prime if i.members == (0, 2, 4)][0]
         assert quotient_is_torsion(z6, p)
         z12 = zmod(12)
-        four = [i for i in all_ideals(z12) if i.members == (0, 4, 8)][0]
+        four = [i for i in spectrum(z12).all_ideals if i.members == (0, 4, 8)][0]
         assert not quotient_is_torsion(z12, four)
         z3 = zmod(3)
-        zero_ideal = [i for i in all_ideals(z3) if i.members == (0,)][0]
+        zero_ideal = [i for i in spectrum(z3).all_ideals if i.members == (0,)][0]
         assert quotient_is_torsion(z3, zero_ideal)
 
     def test_whole_ring_rejected(self):
@@ -382,6 +376,12 @@ class TestIdealInvariants:
         assert not Ideal(z6, ()).verify()
         assert not Ideal(z6, (0, 6)).verify()   # no such element
         assert not Ideal(z6, (-1, 0)).verify()
+
+    @pytest.mark.parametrize("members", [(-3, 0), (0, 6)])
+    def test_ideal_mask_rejects_out_of_range_members(self, members):
+        # (-3, 0) would otherwise mark index 3
+        with pytest.raises(ValueError, match="out of range"):
+            Ideal(zmod(6), members).mask()
 
     def test_gf_fields_have_trivial_radical(self):
         for q in (2, 3, 4, 5, 7, 8, 9):
