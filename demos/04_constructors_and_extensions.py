@@ -4,11 +4,14 @@ Constructors and ideal extensions
 
 The catalog rings come from a small algebra of constructors: modular rings,
 finite fields, products, matrix and triangular rings, corners, quotients,
-and ideal extensions I(R;S) built from a bimodule spec.  Every constructor
-emits canonical tables, so rebuilding an entry is byte-identical.
+and ideal extensions I(R;S) built from a bimodule spec, whose laws are
+decided by the ring axioms of R x S.  Every constructor emits canonical
+tables, so rebuilding an entry is byte-identical.
 """
 
 from ringlab import (
+    BimoduleSpec,
+    RingValidationError,
     corner,
     equal_diagonal_subring,
     gf,
@@ -58,6 +61,17 @@ same = predicate_vector(ed).values == predicate_vector(ext).values
 print(f"{ed.label} vs {ext.label}: orders {ed.order}/{ext.order}, "
       f"unit counts {len(units(ed).members)}/{len(units(ext).members)}, "
       f"identical predicate vectors: {same}")
+
+# The ring axioms of R x S decide the bimodule laws: a spec on which 2*s is
+# 0 while s + s is not breaks additivity of the left action in R, and
+# ideal_extension names the ring axiom that fails, with a witness triple.
+bad_left = spec.left.copy()
+bad_left[2, 1] = 0
+broken = BimoduleSpec("broken", spec.base, spec.s_add, spec.s_mul, bad_left, spec.right)
+try:
+    ideal_extension(broken)
+except RingValidationError as err:
+    print(f"\nbroken left action rejected: axiom {err.axiom}, witness {err.witness} ({err})")
 
 # Quotients by the radical turn uniquely pi-clean rings potent.
 for base in (zmod(4), zmod(9), ed):

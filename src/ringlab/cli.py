@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     theorems = None
-    if args.theorems:
+    if args.theorems is not None:
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     try:
         config = RunConfig(order_cap=_order_cap(args), lattice_order_cap=args.lattice_cap,

@@ -299,11 +299,9 @@ def quotient(r: FiniteRing, ideal: Ideal | tuple[int, ...], label: str | None = 
 class BimoduleSpec:
     """Data for an ideal extension: base ring R, pseudo-ring S, and actions.
 
-    ``s_add``/``s_mul`` are |S|x|S| tables over S's indices (S needs no
-    identity); ``left[r, s]`` and ``right[s, r]`` give the module actions.
-    ``validate`` checks that S is an associative pseudo-ring, both actions are
-    biadditive module actions, and the three compatibility laws between
-    actions and S-multiplication hold.
+    ``s_add``/``s_mul`` are |S|x|S| tables over S's indices, zero at index 0
+    (S needs no identity); ``left[r, s]`` and ``right[s, r]`` give the module
+    actions.  ``ideal_extension`` decides the bimodule laws.
     """
 
     label: str
@@ -318,58 +316,24 @@ class BimoduleSpec:
         return self.s_add.shape[0]
 
     def validate(self) -> None:
-        r, ns = self.base, self.s_order
-        s_add = np.asarray(self.s_add, dtype=np.int32)
-        s_mul = np.asarray(self.s_mul, dtype=np.int32)
-        left = np.asarray(self.left, dtype=np.int32)
-        right = np.asarray(self.right, dtype=np.int32)
-        if left.shape != (r.order, ns) or right.shape != (ns, r.order):
-            raise BimoduleLawViolation("action table shape")
-        # S is an abelian group with associative multiplication distributing
-        # over addition.
-        if not np.array_equal(s_add, s_add.T):
-            raise BimoduleLawViolation("S addition commutative")
-        if not np.array_equal(s_add[0], np.arange(ns)):
-            raise BimoduleLawViolation("S zero at index 0")
-        if not (s_add == 0).any(axis=1).all():
-            raise BimoduleLawViolation("S additive inverses")
-        if not np.array_equal(s_add[s_add, :], s_add[:, s_add]):
-            raise BimoduleLawViolation("S addition associative")
-        if not np.array_equal(s_mul[s_mul, :], s_mul[:, s_mul]):
-            raise BimoduleLawViolation("S multiplication associative")
-        if not np.array_equal(s_mul[:, s_add], s_add[s_mul[:, :, None], s_mul[:, None, :]]):
-            raise BimoduleLawViolation("S left distributivity")
-        if not np.array_equal(s_mul[s_add, :], s_add[s_mul[:, None, :], s_mul[None, :, :]]):
-            raise BimoduleLawViolation("S right distributivity")
-        # Biadditivity of the actions.
-        if not np.array_equal(left[r.add_table, :], s_add[left[:, None, :], left[None, :, :]]):
-            raise BimoduleLawViolation("left action additive in R")
-        if not np.array_equal(left[:, s_add], s_add[left[:, :, None], left[:, None, :]]):
-            raise BimoduleLawViolation("left action additive in S")
-        if not np.array_equal(right[s_add, :], s_add[right[:, None, :], right[None, :, :]]):
-            raise BimoduleLawViolation("right action additive in S")
-        if not np.array_equal(right[:, r.add_table], s_add[right[:, :, None], right[:, None, :]]):
-            raise BimoduleLawViolation("right action additive in R")
-        # Module laws, each laid out so both gathers share the same axes.
-        if not np.array_equal(left[r.mul_table, :], left[:, left]):
-            # [r1, r2, s]: left[r1*r2, s] == left[r1, left[r2, s]]
-            raise BimoduleLawViolation("(r1*r2)s = r1(r2*s)")
-        if not np.array_equal(right[:, r.mul_table], right[right, :]):
-            # [s, r1, r2]: right[s, r1*r2] == right[right[s, r1], r2]
-            raise BimoduleLawViolation("s(r1*r2) = (s*r1)r2")
-        if not np.array_equal(right[left, :], left[:, right]):
-            # [r1, s, r2]: right[left[r1, s], r2] == left[r1, right[s, r2]]
-            raise BimoduleLawViolation("(r1*s)r2 = r1(s*r2)")
-        # Compatibility with S multiplication.
-        if not np.array_equal(right[s_mul, :], s_mul[:, right]):
-            # [s1, s2, r]: right[s1*s2, r] == s_mul[s1, right[s2, r]]
-            raise BimoduleLawViolation("(s1*s2)r = s1(s2*r)")
-        if not np.array_equal(left[:, s_mul], s_mul[left, :]):
-            # [r, s1, s2]: left[r, s1*s2] == s_mul[left[r, s1], s2]
-            raise BimoduleLawViolation("r(s1*s2) = (r*s1)s2")
-        if not np.array_equal(s_mul[right, :], s_mul[:, left]):
-            # [s1, r, s2]: s_mul[right[s1, r], s2] == s_mul[s1, left[r, s2]]
-            raise BimoduleLawViolation("(s1*r)s2 = s1(r*s2)")
+        """Check the format, and that the zero of R acts as zero (row 0 of
+        ``left``, column 0 of ``right``), the one law the extension cannot
+        see; ``BimoduleLawViolation`` otherwise."""
+        tables = dict(s_add=self.s_add, s_mul=self.s_mul, left=self.left, right=self.right)
+        if not all(isinstance(t, np.ndarray) and t.ndim == 2 and t.dtype.kind in "iu"
+                   for t in tables.values()):
+            raise BimoduleLawViolation("tables must be two-dimensional integer arrays")
+        ns, nr = self.s_order, self.base.order
+        shapes = dict(s_add=(ns, ns), s_mul=(ns, ns), left=(nr, ns), right=(ns, nr))
+        for name, t in tables.items():
+            if t.shape != shapes[name]:
+                raise BimoduleLawViolation(f"{name} has shape {t.shape}, not {shapes[name]}")
+            bad = np.argwhere((t < 0) | (t >= ns))
+            if bad.size:
+                raise BimoduleLawViolation(f"{name} entry out of range [0, {ns})",
+                                           tuple(bad[0].tolist()))
+        if self.left[0].any() or self.right[:, 0].any():
+            raise BimoduleLawViolation("the zero of R acts as zero")
 
     def s_is_idempotent_free(self) -> bool:
         """No nonzero s with s*s = s."""
@@ -391,9 +355,16 @@ class BimoduleSpec:
 def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """The ring on R x S with product (r1,s1)(r2,s2) = (r1r2, s1s2 + r1s2 + s1r2).
 
-    The bimodule data is validated first; the resulting tables then go through
-    ring axiom validation, which in particular requires (1_R, 0) to act as
-    identity.
+    Its ring axiom validation decides the bimodule laws.  As R is a ring and
+    0_R acts as zero (``spec.validate``), zero annihilation on (0,0) makes
+    (r,0)(0,s), (0,s)(r,0), (0,s1)(0,s2) and (r1,0)(r2,0) equal (0,rs),
+    (0,sr), (0,s1s2) and (r1r2,0); each law is then a ring axiom on such
+    elements, e.g. (r1r2)s = r1(r2s) is associativity on (r1,0), (r2,0),
+    (0,s), and 1s = s = s1 is the identity (1,0).  Conversely the laws make
+    the product biadditive, and the associator, being trilinear, vanishes
+    everywhere.  The extension sees only the sum s1s2 + r1s2 + s1r2, hence
+    the zero-action check: adding one t = -t to every entry of ``left`` and
+    ``right`` changes no table of R x S.
     """
     spec.validate()
     r, ns = spec.base, spec.s_order

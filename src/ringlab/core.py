@@ -431,9 +431,6 @@ class FiniteRing:
     def elem(self, index: int) -> "Elem":
         return Elem(index, self)
 
-    def elements(self) -> Iterator["Elem"]:
-        return (Elem(i, self) for i in range(self.order))
-
     def name_of(self, index: int) -> str:
         if self.elem_names is not None:
             return self.elem_names[index]

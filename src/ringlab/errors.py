@@ -88,15 +88,18 @@ class NotProperIdeal(RinglabError):
 
 
 class BimoduleLawViolation(RinglabError):
-    """A bimodule axiom or compatibility law failed.
+    """A bimodule spec is malformed: a table is not a two-dimensional integer
+    array of the right shape with entries in [0, |S|), or the zero of the base
+    ring does not act as zero.  ``ideal_extension`` reports every other law
+    as the ring axiom of R x S that fails, with a witness.
 
     Attributes:
-        law: name of the violated law.
-        witness: offending indices.
+        law: what is malformed.
+        witness: the first out-of-range cell, or ().
     """
 
     def __init__(self, law: str, witness: tuple[int, ...] = ()):
-        super().__init__(f"bimodule law violated: {law} at {witness}")
+        super().__init__(f"malformed bimodule spec: {law}" + (f" at {witness}" if witness else ""))
         self.law = law
         self.witness = witness
 

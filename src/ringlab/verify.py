@@ -130,6 +130,11 @@ class RunConfig:
             unknown = [t for t in self.theorems if t not in ALL_SUITE_IDS]
             if unknown:
                 raise ValueError(f"unknown suite ids {unknown}; known: {ALL_SUITE_IDS}")
+            if not self.theorems:
+                raise ValueError("empty suite selection")
+            repeated = sorted({t for t in self.theorems if self.theorems.count(t) > 1})
+            if repeated:
+                raise ValueError(f"suite ids selected more than once: {repeated}")
 
     def effective_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
@@ -318,13 +323,8 @@ def run_verify(config: RunConfig | None = None,
     selected = config.selected()
     per_ring = tuple(t for t in selected if t not in ("T4.1", "obs-2powers"))
 
-    verdicts: dict[str, TheoremVerdict] = {}
-    for tid in selected:
-        verdicts[tid] = TheoremVerdict(tid)
-        if tid == "T3.3":
-            verdicts[tid].caveat = T33_CAVEAT
-        if tid == "T4.7-3":
-            verdicts[tid].caveat = T473_NOTE
+    caveats = {"T3.3": T33_CAVEAT, "T4.7-3": T473_NOTE}
+    verdicts = {tid: TheoremVerdict(tid, caveat=caveats.get(tid)) for tid in per_ring}
 
     entries = [(e, e.ring.order <= config.order_cap) for e in catalog]
 
@@ -357,12 +357,9 @@ def run_verify(config: RunConfig | None = None,
                     verdicts[tid].rows.append(SuiteRow(e.ring.label, e.provenance, lhs, rhs, wit))
 
     if "T4.1" in selected:
-        t41 = _t41_verdict()
-        verdicts["T4.1"].rows = t41.rows
+        verdicts["T4.1"] = _t41_verdict()
     if "obs-2powers" in selected:
-        obs = _obs_2powers_verdict()
-        verdicts["obs-2powers"].rows = obs.rows
-        verdicts["obs-2powers"].caveat = obs.caveat
+        verdicts["obs-2powers"] = _obs_2powers_verdict()
 
     return [verdicts[tid] for tid in selected]
 

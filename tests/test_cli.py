@@ -233,6 +233,11 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--theorems", "T9.9")
         assert code == 2 and "unknown suite ids" in err
 
+    @pytest.mark.parametrize("selection", ["T2.8,T2.8", ",", ""])
+    def test_repeated_or_empty_selection_exits_2(self, capsys, selection):
+        code, out, err = run_cli(capsys, "verify", "--theorems", selection)
+        assert code == 2 and "bad configuration" in err and out == ""
+
     def test_negative_jobs_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--theorems", "T2.8", "--jobs", "-3")
         assert code == 2 and "jobs" in err and out == ""

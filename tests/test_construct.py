@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ringlab import (
     Ideal,
     NoIdentity,
     NotAnIdeal,
+    NotDistributive,
     NotIdempotent,
     OrderCapExceeded,
     UnsupportedFieldOrder,
@@ -237,6 +240,12 @@ class TestCornerAndQuotient:
             quotient_ring(z6, Ideal(z6, (0, 2)))  # 2 + 2 = 4
 
 
+def _set_cell(table: np.ndarray, value: int) -> np.ndarray:
+    out = table.copy()
+    out[1, 1] = value
+    return out
+
+
 class TestBimoduleSpecs:
     def test_strict_upper_bimodule_validates(self):
         spec = strict_upper_bimodule(zmod(2), 2)
@@ -269,8 +278,17 @@ class TestBimoduleSpecs:
         bad_left = spec.left.copy()
         bad_left[2, 1] = 0  # 2*s = 0 while 1*s + 1*s = 2s: breaks additivity in R
         broken = BimoduleSpec(spec.label, spec.base, spec.s_add, spec.s_mul, bad_left, spec.right)
+        with pytest.raises(NotDistributive) as err:
+            ideal_extension(broken)
+        assert err.value.witness
+
+    def test_actions_shifted_by_an_element_of_order_2_rejected(self):
+        # s1s2 + r1s2 + s1r2 is unchanged when one t = -t is added to every
+        # entry of both actions, so the tables of R x S cannot see the shift
+        spec = T41_SPECS["t41-base"][0]()
+        shifted = replace(spec, left=spec.s_add[spec.left, 1], right=spec.s_add[spec.right, 1])
         with pytest.raises(BimoduleLawViolation):
-            broken.validate()
+            ideal_extension(shifted)
 
     def test_lawful_spec_without_identity_action_rejected_at_extension(self):
         # the zero action satisfies every bimodule law, but the extension then
@@ -290,6 +308,25 @@ class TestBimoduleSpecs:
         with pytest.raises(BimoduleLawViolation):
             BimoduleSpec(spec.label, spec.base, spec.s_add, spec.s_mul,
                          spec.left[:1], spec.right).validate()
+
+    @pytest.mark.parametrize("malform", [
+        lambda s: replace(s, s_mul=_set_cell(s.s_mul, 2)),
+        lambda s: replace(s, left=_set_cell(s.left, 2)),
+        lambda s: replace(s, right=_set_cell(s.right, 2)),
+        lambda s: replace(s, s_mul=_set_cell(s.s_mul, -1)),
+        lambda s: replace(s, left=_set_cell(s.left, -1)),
+        lambda s: replace(s, s_add=s.s_add.tolist(), s_mul=s.s_mul.tolist()),
+        lambda s: replace(s, left=s.left.tolist()),
+        lambda s: replace(s, s_mul=s.s_mul.astype(float)),
+        lambda s: replace(s, s_mul=s.s_mul[:, :1]),
+    ], ids=["s_mul-too-big", "left-too-big", "right-too-big", "s_mul-negative",
+            "left-negative", "list-s-tables", "list-left", "float-s_mul", "non-square-s_mul"])
+    def test_malformed_spec_rejected(self, malform):
+        spec = malform(strict_upper_bimodule(zmod(2), 2))
+        with pytest.raises(BimoduleLawViolation):
+            spec.validate()
+        with pytest.raises(BimoduleLawViolation):
+            ideal_extension(spec)
 
 
 class TestIdealExtension:

@@ -59,6 +59,11 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             RunConfig(theorems=("T77",))
 
+    @pytest.mark.parametrize("theorems", [("T2.8", "T2.8"), ("T4.1", "T2.8", "T4.1"), ()])
+    def test_repeated_or_empty_selection_rejected(self, theorems):
+        with pytest.raises(ValueError):
+            RunConfig(theorems=theorems)
+
     def test_order_cap_skips_large_rings(self, catalog):
         out = run_verify(RunConfig(theorems=("T2.8",), order_cap=16, jobs=1), catalog)
         v = out[0]
