@@ -8,7 +8,10 @@ Subcommands:
 Exit codes: 0 success / all suites agree; 2 ring validation failure;
 3 cap exceeded; 4 theorem disagreement; 5 IO error writing --out or the dump
 directory.
-The RINGLAB_CAP environment variable overrides the ring order cap.
+analyze builds its ring under an order cap, --order-cap, which the
+RINGLAB_CAP environment variable overrides.  verify checks every catalog
+ring: it skips a ring only for a suite that reads the spectrum of a ring over
+--lattice-cap, or whose hypothesis the ring does not meet.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ EXIT_IO = 5
 
 
 def _order_cap(args) -> int:
-    """RINGLAB_CAP if set, else --order-cap; either must be a positive integer."""
+    """analyze's build cap: RINGLAB_CAP if set, else --order-cap; either must
+    be a positive integer."""
     env = os.environ.get("RINGLAB_CAP")
     if env:
         name, given, cap = "RINGLAB_CAP", env, int(env) if env.strip().isdecimal() else 0
@@ -116,8 +120,8 @@ def cmd_verify(args) -> int:
     if args.theorems is not None:
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     try:
-        config = RunConfig(order_cap=_order_cap(args), lattice_order_cap=args.lattice_cap,
-                           theorems=theorems, jobs=args.jobs)
+        config = RunConfig(lattice_order_cap=args.lattice_cap, theorems=theorems,
+                           jobs=args.jobs)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -221,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run theorem suites over the catalog")
     pv.add_argument("--theorems", default=None,
                     help=f"comma-separated suite ids; known: {', '.join(ALL_SUITE_IDS)}")
-    pv.add_argument("--order-cap", type=int, default=RunConfig.order_cap,
-                    help="skip catalog rings above this order")
     pv.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP,
                     help="skip spectrum suites for rings above this order")
     pv.add_argument("--jobs", type=int, default=0, help="worker processes (0 = cores)")

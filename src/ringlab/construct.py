@@ -383,7 +383,7 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
                                   0, r.one * ns, tuple(names.tolist()))
 
 
-def strict_upper_bimodule(base: FiniteRing, k: int, label: str | None = None) -> BimoduleSpec:
+def strict_upper_bimodule(base: FiniteRing, k: int) -> BimoduleSpec:
     """Strictly upper triangular k-by-k matrices over ``base`` as an R-R-bimodule.
 
     S multiplies as matrices (nilpotent, no identity); the base ring acts by
@@ -391,7 +391,7 @@ def strict_upper_bimodule(base: FiniteRing, k: int, label: str | None = None) ->
     """
     if k < 2:
         raise ValueError("strict upper bimodule needs k >= 2")
-    label = label if label is not None else f"N{k}({base.label})"
+    label = f"N{k}({base.label})"
     strict = [(i, j) for i in range(k) for j in range(i + 1, k)]
     s_add, s_mul, cells = _matrix_tables(label, base, k, strict)
     left = _encode((base.mul_table[:, cells[cell]] for cell in strict), base.order)
@@ -419,7 +419,7 @@ def gf4_triangular_example() -> FiniteRing:
 def t41_base_spec() -> BimoduleSpec:
     """Characteristic-2 strictly-upper bimodule over Z/2: all three extension
     conditions hold (s' = s works since 2s = 0 and s^2 = 0)."""
-    return strict_upper_bimodule(zmod(2), 2, "N2(Z/2)")
+    return strict_upper_bimodule(zmod(2), 2)
 
 
 def _projection_through(base: FiniteRing, e: int) -> np.ndarray:

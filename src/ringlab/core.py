@@ -36,9 +36,9 @@ theorem, behind the exact check that theorem needs.
   finite subset of a group that is closed under + is a subgroup.  Closure and
   the identity are checked in O(|S|^2).
 * ``FiniteRing.quotient_by``: once the members are checked to form a
-  two-sided ideal I (``FiniteRing.is_ideal``), + and * are well defined on
-  the cosets, and every identity of R holds for the cosets because it holds
-  for their representatives, so R/I is a ring with identity 1 + I.
+  two-sided ideal I (``FiniteRing.ideal_witness``), + and * are well defined
+  on the cosets, and every identity of R holds for the cosets because it
+  holds for their representatives, so R/I is a ring with identity 1 + I.
 
 Every table handed in from outside (``from_tables``, ring files, the
 constructors) still gets the full validation.
@@ -500,34 +500,44 @@ class FiniteRing:
         names = tuple(self.name_array()[members].tolist())
         return FiniteRing._canonical(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
 
-    def is_ideal(self, members: Sequence[int]) -> bool:
-        """Whether ``members`` is a two-sided ideal of this ring, by scan.
+    def ideal_witness(self, members: Sequence[int]) -> tuple[int, ...] | None:
+        """Why ``members`` is not a two-sided ideal of this ring, by scan.
 
-        The set must be nonempty and closed under +, x*r and r*x for every
-        r.  Zero and negation need no check: a nonempty finite subset of a
-        group that is closed under + is a subgroup.
+        Returns None for a two-sided ideal; () for an empty set or one with a
+        member outside [0, order); otherwise the first pair whose result
+        leaves the set: two members (m1, m2) with m1 + m2 outside, else
+        (r, m) with r*m outside, else (m, r) with m*r outside, each scanned
+        row-major in the given member order.  Zero and negation need no
+        check: a nonempty finite subset of a group that is closed under + is
+        a subgroup.
         """
         mem = np.asarray(members, dtype=np.int64).ravel()
         if mem.size == 0 or mem.min() < 0 or mem.max() >= self.order:
-            return False
+            return ()
         mask = np.zeros(self.order, dtype=bool)
         mask[mem] = True
-        return bool(mask[self.add_table[np.ix_(mem, mem)]].all()
-                    and mask[self.mul_table[:, mem]].all()
-                    and mask[self.mul_table[mem, :]].all())
+        everything = np.arange(self.order)
+        for rows, cols, block in ((mem, mem, self.add_table[np.ix_(mem, mem)]),
+                                  (everything, mem, self.mul_table[:, mem]),
+                                  (mem, everything, self.mul_table[mem])):
+            inside = mask[block]
+            if not inside.all():
+                i, j = np.argwhere(~inside)[0]
+                return int(rows[i]), int(cols[j])
+        return None
 
     def quotient_by(self, members: Sequence[int], label: str) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.
 
         Precondition, checked first on this ring's tables: the members form a
-        two-sided ideal (``is_ideal``), else ``NotAnIdeal`` is raised.  The
+        two-sided ideal (``ideal_witness``), else ``NotAnIdeal`` is raised.  The
         quotient is then a ring by theorem (see the module docstring), so it
         is not validated again.  Coset representatives are the minimal element
         index in each coset; the result is normalized so the zero and one
         cosets land at 0 and 1.
         """
         members = np.asarray(members, dtype=np.int64)
-        if not self.is_ideal(members):
+        if self.ideal_witness(members) is not None:
             raise NotAnIdeal(f"{self.label}: {tuple(members.tolist())} is not a two-sided ideal")
         rep = self.add_table[:, members].min(axis=1)
         reps = np.flatnonzero(rep == np.arange(self.order))
@@ -595,9 +605,6 @@ class Elem:
 
     def __pow__(self, k: int) -> "Elem":
         return Elem(self.ring.pow(self.index, k), self.ring)
-
-    def power_trail(self) -> PowerTrail:
-        return self.ring.power_trail(self.index)
 
     def __repr__(self) -> str:
         return f"<{self.ring.name_of(self.index)} in {self.ring.label}>"

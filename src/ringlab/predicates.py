@@ -267,23 +267,10 @@ def is_boolean(r: FiniteRing) -> bool:
 def local_witness(r: FiniteRing) -> Witness:
     """Non-units form a two-sided ideal (the finite-ring reading of local).
 
-    The witness is a closure failure of the non-unit set: a pair summing or
-    absorbing to a unit, or () when there are no non-units at all.
+    The witness is ``FiniteRing.ideal_witness`` of the non-unit set: a pair
+    summing or absorbing to a unit, or () when there are no non-units at all.
     """
-    umask = _units_mask(r)
-    nonunits = np.flatnonzero(~umask)
-    if len(nonunits) == 0:
-        return ()
-    bad = np.argwhere(umask[r.add_table[np.ix_(nonunits, nonunits)]])
-    if len(bad):
-        return int(nonunits[bad[0][0]]), int(nonunits[bad[0][1]])
-    bad = np.argwhere(umask[r.mul_table[:, nonunits]])
-    if len(bad):
-        return int(bad[0][0]), int(nonunits[bad[0][1]])
-    bad = np.argwhere(umask[r.mul_table[nonunits, :]])
-    if len(bad):
-        return int(nonunits[bad[0][0]]), int(bad[0][1])
-    return None
+    return r.ideal_witness(np.flatnonzero(~_units_mask(r)))
 
 
 def is_local(r: FiniteRing) -> bool:

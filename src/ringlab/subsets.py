@@ -46,9 +46,6 @@ class ElemClass:
     kind: ClassKind
     members: tuple[int, ...]
 
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.members)
-
     def verify(self) -> bool:
         """Re-check every member against the defining equation of its kind."""
         r = self.ring
@@ -96,8 +93,8 @@ class Ideal:
         return len(self.members) < self.ring.order
 
     def verify(self) -> bool:
-        """Re-check the two-sided ideal axioms by scan (``FiniteRing.is_ideal``)."""
-        return self.ring.is_ideal(self.members)
+        """Re-check the two-sided ideal axioms by scan (``FiniteRing.ideal_witness``)."""
+        return self.ring.ideal_witness(self.members) is None
 
 
 @dataclass(frozen=True)
@@ -113,23 +110,6 @@ class SpectrumReport:
     j_spec: tuple[Ideal, ...]
     j_star: Ideal
     prime_radical: Ideal
-
-    def to_json_dict(self) -> dict:
-        prime = {i.members for i in self.prime}
-        maximal = {i.members for i in self.maximal}
-        jspec = {i.members for i in self.j_spec}
-        return {
-            "ring": self.ring.label,
-            "ideals": [
-                {
-                    "members": list(i.members),
-                    "prime": i.members in prime,
-                    "maximal": i.members in maximal,
-                    "contains_J": i.members in jspec,
-                }
-                for i in self.all_ideals
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------

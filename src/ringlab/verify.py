@@ -3,8 +3,10 @@
 Each suite checks one biconditional (or implication battery) by computing its
 two sides independently on every catalog ring and recording per-ring
 agreement.  A suite's overall flag is the conjunction of the row agreements
-over the rings that were not skipped; rings can be skipped for cap reasons or
-because a suite's hypothesis (local, ...) does not apply.
+over the rings that were not skipped.  Every ring of the catalog is checked;
+a ring is skipped by a suite only when the suite reads the spectrum and the
+ring is over the lattice order cap, or when the suite's hypothesis (local,
+...) does not apply.
 
 Suite identifiers
 -----------------
@@ -116,14 +118,13 @@ class TheoremVerdict:
 class RunConfig:
     """Knobs for a verification run; defaults match the acceptance setup."""
 
-    order_cap: int = 128
     lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP
     theorems: tuple[str, ...] | None = None
     jobs: int = 0  # 0 -> one worker per core
 
     def __post_init__(self):
-        if self.order_cap < 1 or self.lattice_order_cap < 1:
-            raise ValueError("caps must be positive")
+        if self.lattice_order_cap < 1:
+            raise ValueError("the lattice order cap must be positive")
         if self.jobs < 0:
             raise ValueError(f"jobs must be 0 (one per core) or positive, got {self.jobs}")
         if self.theorems is not None:
@@ -326,30 +327,19 @@ def run_verify(config: RunConfig | None = None,
     caveats = {"T3.3": T33_CAVEAT, "T4.7-3": T473_NOTE}
     verdicts = {tid: TheoremVerdict(tid, caveat=caveats.get(tid)) for tid in per_ring}
 
-    entries = [(e, e.ring.order <= config.order_cap) for e in catalog]
-
     if per_ring:
         jobs = config.effective_jobs()
-        todo = [i for i, (_, ok) in enumerate(entries) if ok]
-        if jobs > 1 and len(todo) > 1:
-            # workers get the catalog's own rings, without the parent's memo,
-            # and answer by catalog position
-            work = [(i, replace(entries[i][0].ring, _memo={}), per_ring, config.lattice_order_cap)
-                    for i in todo]
-            with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
-                results = dict(pool.map(_worker, work))
+        if jobs > 1 and len(catalog) > 1:
+            # workers get the catalog's own rings, without the parent's memo;
+            # map keeps catalog order
+            work = [(i, replace(e.ring, _memo={}), per_ring, config.lattice_order_cap)
+                    for i, e in enumerate(catalog)]
+            with ProcessPoolExecutor(max_workers=min(jobs, len(catalog))) as pool:
+                results = [rows for _, rows in pool.map(_worker, work)]
         else:
-            results = {i: _ring_rows(entries[i][0].ring, per_ring, config.lattice_order_cap)
-                       for i in todo}
-        for i, (e, ok) in enumerate(entries):
-            if not ok:
-                for tid in per_ring:
-                    verdicts[tid].skipped.append(
-                        (e.provenance, f"order {e.ring.order} over cap {config.order_cap}"))
-                continue
-            rows = results[i]
-            for tid in per_ring:
-                cell = rows[tid]
+            results = [_ring_rows(e.ring, per_ring, config.lattice_order_cap) for e in catalog]
+        for e, rows in zip(catalog, results):
+            for tid, cell in rows.items():
                 if isinstance(cell, str):
                     verdicts[tid].skipped.append((e.provenance, cell))
                 else:

@@ -146,10 +146,8 @@ class TestAnalyze:
     def test_bad_env_cap_exits_2(self, capsys, monkeypatch):
         for value in ("abc", "0"):
             monkeypatch.setenv("RINGLAB_CAP", value)
-            for argv in (("analyze", "--ring", "zmod:3"),
-                         ("verify", "--theorems", "T2.8", "--jobs", "1")):
-                code, _, err = run_cli(capsys, *argv)
-                assert code == 2 and "RINGLAB_CAP" in err, (value, argv)
+            code, _, err = run_cli(capsys, "analyze", "--ring", "zmod:3")
+            assert code == 2 and "RINGLAB_CAP" in err, value
 
     @pytest.mark.parametrize("change", [
         None, {"zero": "0"}, {"zero": 0.0}, {"add": 5},
@@ -179,9 +177,7 @@ class TestAnalyze:
         assert code == 2 and "nests too deeply" in err
 
     @pytest.mark.parametrize("cap", ["0", "-6"])
-    @pytest.mark.parametrize("command", [("analyze", "--ring", "zmod:6"),
-                                         ("verify", "--theorems", "T2.8", "--jobs", "1")],
-                             ids=["analyze", "verify"])
+    @pytest.mark.parametrize("command", [("analyze", "--ring", "zmod:6")], ids=["analyze"])
     def test_nonpositive_order_cap_exits_2(self, capsys, command, cap):
         code, _, err = run_cli(capsys, *command, "--order-cap", cap)
         assert code == 2 and "bad configuration" in err and "--order-cap" in err
@@ -246,6 +242,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "yaml"])
         assert exc.value.code == 2
+
+    def test_order_cap_is_not_a_verify_option(self, capsys):
+        # --order-cap and RINGLAB_CAP are analyze's build cap; verify checks
+        # every catalog ring
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--order-cap", "16"])
+        assert exc.value.code == 2
+
+    def test_verify_ignores_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("RINGLAB_CAP", "abc")
+        code, out, _ = run_cli(capsys, "verify", "--theorems", "T2.8", "--jobs", "1")
+        assert code == 0 and "[PASS] T2.8" in out
 
     def test_disagreement_exits_4(self, capsys, monkeypatch):
         # a correct build never disagrees, so fake one verdict to check the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from ringlab import (
     units,
     zmod,
 )
-from ringlab import subsets
+from ringlab import ring_report, subsets
 from ringlab.construct import build_from_provenance
+from ringlab.predicates import local_witness
 from ringlab.sources import parse_ring_source
 from ringlab.subsets import ideal_lattice, radical_quotient
 
@@ -72,6 +75,23 @@ def reference_is_prime(ring, members):
     mul = ring.mul_table
     arb = mul[mul[np.ix_(outside, np.arange(ring.order))]][:, :, outside]
     return len(outside) > 0 and bool((~mask[arb]).any(axis=1).all())
+
+
+def brute_force_local_witness(ring):
+    """Independent oracle: the first closure failure of the non-units, by
+    plain loops: a sum of two non-units, then r*m, then m*r, that is a unit."""
+    units = set(brute_force_units(ring))
+    nonunits = [x for x in range(ring.order) if x not in units]
+    if not nonunits:
+        return ()
+    everything = range(ring.order)
+    for pairs, op in (([(a, b) for a in nonunits for b in nonunits], ring.add),
+                      ([(r, m) for r in everything for m in nonunits], ring.mul),
+                      ([(m, r) for m in nonunits for r in everything], ring.mul)):
+        for a, b in pairs:
+            if op(a, b) in units:
+                return a, b
+    return None
 
 
 def brute_force_units(ring):
@@ -288,12 +308,12 @@ class TestLatticeAndSpectrum:
         assert ideal_lattice(ring, order_cap=64) is ideal_lattice(ring, order_cap=128)
 
     def test_spectrum_json_shape(self):
-        doc = spectrum(zmod(6)).to_json_dict()
+        # ring_report is the one rendering of the spectrum
+        doc = json.loads(json.dumps(ring_report(zmod(6))))
         assert doc["ring"] == "Z/6"
-        flags = {tuple(i["members"]): i for i in doc["ideals"]}
-        assert flags[(0, 3)]["prime"] and flags[(0, 3)]["maximal"]
-        assert not flags[(0,)]["prime"]
-        assert flags[(0, 3)]["contains_J"]
+        assert doc["spectrum"] == {"ideal_count": 4, "prime": [[0, 3], [0, 2, 4]],
+                                   "maximal": [[0, 3], [0, 2, 4]], "j_spec_count": 2}
+        assert doc["j_star"] == doc["prime_radical"] == [0]
 
 
 class TestQuotientTorsion:
@@ -376,6 +396,25 @@ class TestIdealInvariants:
         assert not Ideal(z6, ()).verify()
         assert not Ideal(z6, (0, 6)).verify()   # no such element
         assert not Ideal(z6, (-1, 0)).verify()
+
+    def test_ideal_witness(self):
+        z6 = zmod(6)
+        assert z6.ideal_witness((0, 2, 4)) is None
+        for members in ((), (0, 6), (-1, 0)):
+            assert z6.ideal_witness(members) == (), members
+        assert z6.ideal_witness((0, 2)) == (2, 2)   # 2 + 2 = 4
+
+    def test_ideal_witness_of_a_right_ideal_is_a_product(self):
+        m2 = matrix_ring(zmod(2), 2)
+        e = next(x for x in idempotents(m2).members if x not in (m2.zero, m2.one))
+        right = tuple(sorted({int(v) for v in m2.mul_table[e]}))   # eR
+        assert not _is_two_sided(m2, right)
+        r, m = m2.ideal_witness(right)
+        assert m in right and m2.mul(r, m) not in right
+
+    def test_local_witness_matches_brute_force(self, catalog_rings):
+        for ring in catalog_rings:
+            assert local_witness(ring) == brute_force_local_witness(ring), ring.label
 
     @pytest.mark.parametrize("members", [(-3, 0), (0, 6)])
     def test_ideal_mask_rejects_out_of_range_members(self, members):

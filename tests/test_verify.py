@@ -7,7 +7,7 @@ import json
 import pytest
 
 from ringlab import RunConfig, matrix_ring, ring_report, run_verify, verify, zmod
-from ringlab.construct import RingCatalogEntry
+from ringlab.construct import RingCatalogEntry, build_from_provenance
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
 
@@ -64,13 +64,13 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             RunConfig(theorems=theorems)
 
-    def test_order_cap_skips_large_rings(self, catalog):
-        out = run_verify(RunConfig(theorems=("T2.8",), order_cap=16, jobs=1), catalog)
-        v = out[0]
-        skipped_provs = {p for p, _ in v.skipped}
-        assert "matrix:zmod3:2" in skipped_provs
-        assert "paper:gf4-example" in skipped_provs
-        assert v.overall
+    def test_every_given_ring_is_checked(self):
+        # no order cap filters the catalog: a ring of order 144 gets its row
+        source = "product:zmod12,zmod12"
+        catalog = [RingCatalogEntry(build_from_provenance(source), source)]
+        (v,) = run_verify(RunConfig(theorems=("T2.8",), jobs=1), catalog)
+        assert [(r.provenance, r.agree) for r in v.rows] == [(source, True)]
+        assert v.skipped == []
 
     def test_parallel_matches_sequential(self, catalog):
         seq = run_verify(RunConfig(theorems=("T2.10", "L4.6"), jobs=1), catalog)
@@ -173,7 +173,7 @@ class TestRingReport:
 class TestConfig:
     def test_bad_caps_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig(order_cap=0)
+            RunConfig(lattice_order_cap=0)
 
     def test_effective_jobs(self):
         assert RunConfig(jobs=3).effective_jobs() == 3
