@@ -9,7 +9,9 @@ encoding that changes consistently everywhere.  To pin a new source, print
 The analysis digests pin the verdict JSON of a sequential ``ringlab verify``
 run and each catalog ring's ``ring_report`` (predicate values, witnesses,
 class sizes, radicals, the unit-shift radical set and the spectrum), so a
-refactor of the predicates or radicals cannot move any of them.
+refactor of the predicates or radicals cannot move any of them.  The ladder
+rings of order 64-512 get a report digest too, under a lattice cap of 1024 so
+their spectra are computed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import pytest
 from ringlab import cli, gf, parse_ring_source, strict_upper_bimodule, upper_triangular, zmod
 from ringlab.construct import T41_SPECS
 from ringlab.verify import ring_report
+
+GF2_7 = "product:product:product:product:product:product:gf2,gf2,gf2,gf2,gf2,gf2,gf2"
 
 # parse_ring_source(source) by source; commutative and noncommutative bases
 RING_DIGESTS = {
@@ -78,6 +82,13 @@ RING_DIGESTS = {
         "0b530ca3616579d92b1e87461d86b2a3d8f7be0e557f80b42b1b3e39168296f7",
     "extension:t41-break-base-ring":
         "52572cae793131d72f1d28603d7917f5c3220d08db8a0b0df83a825e923a234f",
+    # the ladder rings of order 64-512; GF(2)^7 nested, as chained products give it
+    "matrix:zmod2:3":
+        "a1e627f218905aee0d5b2e9244751ec9aac38e4e8a2e7caf1c3604ff6d29027a",
+    "eqdiag:gf4:3":
+        "21a0da9577c600b22fc8d18f800b1ab4fda2ada132ef2289621e561ac4b85af0",
+    GF2_7:
+        "d24817285bc8ea44666e819c6c2ad805abbeaa01c9fd21ab172a0c80f70ef469",
 }
 
 # strict_upper_bimodule(base, k) by (base, k), and the named harness specs
@@ -249,6 +260,19 @@ REPORT_DIGESTS = {
         "d215acf3aa334dd3eec2e3c0e5da0d88ccf541153e6a1248a745aa1fc3d8e57a",
 }
 
+# sha256 of json.dumps(ring_report(ring, lattice_order_cap=1024), sort_keys=True)
+# by source: the ladder rings, whose lattices the default cap would skip
+LADDER_REPORT_DIGESTS = {
+    "matrix:zmod2:3":
+        "335ea28848d8e9b36c120ffabb3feb26fa8a345efeb78d3940bd3d2f4f152aac",
+    "eqdiag:gf4:3":
+        "ab931e48153de12ad1ccbab5d26cce6701c7b3cce01d68931fb48bdd1f9de37b",
+    GF2_7:
+        "8752bfb83191a51ff98aab775567c22c5de41f779c546fcf7361426b502632e0",
+    "paper:gf4-example":
+        "78acc9718435c75134c360ee41ed308a02f10ba39a214433c8980516f2619679",
+}
+
 
 BIMODULE_BASES = {
     "zmod2": zmod(2),
@@ -302,3 +326,10 @@ def test_report_digest(catalog, provenance):
     (ring,) = [e.ring for e in catalog if e.provenance == provenance]
     text = json.dumps(ring_report(ring), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[provenance]
+
+
+@pytest.mark.parametrize("source", list(LADDER_REPORT_DIGESTS))
+def test_ladder_report_digest(source):
+    ring = parse_ring_source(source)
+    text = json.dumps(ring_report(ring, lattice_order_cap=1024), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_REPORT_DIGESTS[source]
