@@ -4,6 +4,11 @@ Every constructor emits canonical tables: zero at index 0, one at index 1, and
 stable human-readable element names.  Rebuilding any catalog entry reproduces
 byte-identical tables, so golden files and cross-run diffs stay stable.
 
+The structured constructors build rings by theorem, without
+``validate_tables``: each runs only the checks its theorem needs, and its
+docstring states the theorem.  Only ``ideal_extension`` validates its tables,
+because that validation decides the bimodule laws of its spec.
+
 Structured rings share one digit encoding (``_digits`` / ``_encode``): an
 element is a tuple of m coordinates in 0..q-1 and its index is the base-q
 number they spell, most significant first.  Tables are computed a whole
@@ -20,9 +25,11 @@ n-by-n coordinate table is live per step.  Two builders use it:
   read from its *home* cell; homes are listed row-major.  A *tied* cell holds
   a fixed image of one coordinate (the shared diagonal of the equal-diagonal
   ring, the Frobenius-twisted middle entry of the GF(4) showcase), and every
-  other cell is zero.  Closure is verified cell by cell, not assumed: each
-  product cell that is not a home must equal zero or its tie image.  The
-  identity matrix is then moved to index 1 by the normalization pass.
+  other cell is zero.  Closure is verified, not assumed: under + by checking
+  that each tie image is additive, under * cell by cell (each product cell
+  that is not a home must equal zero or its tie image).  ``_matrix_ring`` then
+  checks that its identity fixes every element; the normalization pass moves
+  it to index 1.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ORDER_CAP, FiniteRing
+from .core import DEFAULT_ORDER_CAP, FiniteRing, _unfixed_by
 from .errors import (
     BimoduleLawViolation,
     ClosureViolation,
+    NoIdentity,
     NotIdempotent,
     OrderCapExceeded,
     UnsupportedFieldOrder,
@@ -77,16 +85,22 @@ def _encode(digits, q: int):
 
 
 def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Integers mod n; zmod(1) is the zero ring."""
+    """Integers mod n; zmod(1) is the zero ring.
+
+    Z/n is the quotient of the ring Z by the ideal nZ, so its tables, taken
+    mod n, are a ring's and are not validated.  Products are formed in int64,
+    where (n-1)^2 cannot overflow, and stored as int32.
+    """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
     idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    add = ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
+    mul = np.multiply.outer(idx, idx)
+    mul %= n  # in place: one int64 n-by-n table live, not two
     names = tuple(idx.astype(str).tolist())
-    return FiniteRing.from_tables(f"Z/{n}", add, mul, 0, 1 % n, names)
+    return FiniteRing._canonical(f"Z/{n}", add, mul.astype(np.int32), 0, 1 % n, names)
 
 
 def _poly_names(coeffs: list[np.ndarray], var: str) -> tuple[str, ...]:
@@ -105,7 +119,11 @@ def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str) 
     """Z/p[x] mod a monic polynomial with the given lower coefficients.
 
     ``modulus`` lists c_0..c_{d-1} of x^d = -(c_{d-1} x^{d-1} + ... + c_0).
-    The coefficient a_i of every element is digit d-1-i of its index.
+    The coefficient a_i of every element is digit d-1-i of its index.  For
+    any p >= 2, Z/p[x] is a ring and the polynomials of degree below d are
+    representatives of its quotient by the ideal (f) of a monic f of degree
+    d (division by a monic polynomial leaves a unique remainder), so the
+    tables are a ring's and are not validated.
     """
     d = len(modulus)
     coeffs = _digits(np.arange(p ** d, dtype=np.int32), p, d)[::-1]
@@ -117,7 +135,7 @@ def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str) 
     add = _encode(((a[:, None] + a[None, :]) % p for a in reversed(coeffs)), p)
     mul = _encode((sum(shifted[j][i][:, None] * coeffs[j][None, :] for j in range(d)) % p
                    for i in reversed(range(d))), p)
-    return FiniteRing.from_tables(label, add, mul, 0, 1, _poly_names(coeffs, var))
+    return FiniteRing._canonical(label, add, mul, 0, 1, _poly_names(coeffs, var))
 
 
 def gf(q: int) -> FiniteRing:
@@ -138,16 +156,21 @@ def zn_alpha(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
 
 
 def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    """Componentwise product ring; element (i, j) encodes as i*|S| + j."""
+    """Componentwise product ring; element (i, j) encodes as i*|S| + j.
+
+    Every ring law holds in R x S because it holds in each coordinate, and
+    (1, 1) is its identity, so the tables of two rings' product are not
+    validated.
+    """
     n = r.order * s.order
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
     ri, si = np.divmod(np.arange(n, dtype=np.int64), s.order)
-    add = r.add_table[np.ix_(ri, ri)].astype(np.int64) * s.order + s.add_table[np.ix_(si, si)]
-    mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * s.order + s.mul_table[np.ix_(si, si)]
+    add = r.add_table[np.ix_(ri, ri)] * s.order + s.add_table[np.ix_(si, si)]
+    mul = r.mul_table[np.ix_(ri, ri)] * s.order + s.mul_table[np.ix_(si, si)]
     names = "(" + r.name_array()[ri] + "," + s.name_array()[si] + ")"
-    return FiniteRing.from_tables(f"{r.label} x {s.label}", add, mul,
-                                  0, r.one * s.order + s.one, tuple(names.tolist()))
+    return FiniteRing._canonical(f"{r.label} x {s.label}", add, mul,
+                                 0, r.one * s.order + s.one, tuple(names.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +189,14 @@ def _matrix_tables(
     Coordinate t is read from cell ``homes[t]``; each ``(cell, t, image)`` in
     ``ties`` makes ``cell`` hold ``image[coordinate t]``; every other cell is
     zero.  Also returns the entries of every element: cell -> index array.
-    Raises ``ClosureViolation`` when a product leaves the family.
+    Raises ``ClosureViolation`` when a sum or a product leaves the family: a
+    sum stays in it exactly when every tie image is additive,
+    image[a + b] = image[a] + image[b].
     """
     q, m = base.order, len(homes)
+    for cell, _, image in ties:
+        if (image[base.add_table] != base.add_table[image[:, None], image[None, :]]).any():
+            raise ClosureViolation(f"{label}: sums leave the family at cell {cell}")
     digits = _digits(np.arange(q ** m, dtype=np.int32), q, m)
     cells = dict(zip(homes, digits))
     cells.update({cell: image[digits[t]] for cell, t, image in ties})
@@ -228,12 +256,25 @@ def _matrix_ring(
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteRing:
-    """The matrix family of ``_matrix_tables`` as a ring, with matrix element names."""
+    """The matrix family of ``_matrix_tables`` as a ring, with matrix element names.
+
+    The encoded elements are matrices of M_k(base), itself a ring, and the
+    encoding respects + and * once ``_matrix_tables`` has checked closure
+    under both.  A subset of a ring that is closed under + and * and has an
+    element fixing every member on both sides is a ring (see the ``core``
+    module docstring).  So the one check left is that ``one``, the element
+    with 1 in each diagonal home and 0 in every other home, fixes every
+    element, else ``NoIdentity`` (the error and witness that full validation
+    gives); the tables are not validated.
+    """
     n = base.order ** len(homes)
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
     add, mul, cells = _matrix_tables(label, base, k, homes, ties)
     one = _encode((base.one if r == c else base.zero for r, c in homes), base.order)
+    bad = _unfixed_by(mul, one)
+    if bad is not None:
+        raise NoIdentity(f"declared identity x{one} does not fix x{bad}", (one, bad))
     names = base.name_array()
 
     def joined(parts):
@@ -241,7 +282,7 @@ def _matrix_ring(
 
     rows = [joined([names[cells[r, c]] if (r, c) in cells else names[base.zero]
                     for c in range(k)]) for r in range(k)]
-    return FiniteRing.from_tables(label, add, mul, 0, one, tuple(joined(rows).tolist()))
+    return FiniteRing._canonical(label, add, mul, 0, one, tuple(joined(rows).tolist()))
 
 
 def matrix_ring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:

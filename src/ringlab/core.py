@@ -26,8 +26,9 @@ so a rejection names the first failing law and its least witness at every
 order.  Rings are immutable after validation (the tables are frozen), so every
 operation in the package is a pure read and safe to share across threads.
 
-Rings derived from a ring R are not validated again: each is a ring by
-theorem, behind the exact check that theorem needs.
+Rings derived from a ring R, and the structured rings of ``construct``, are
+not validated again: each is a ring by theorem, behind the exact check that
+theorem needs.
 
 * ``FiniteRing.subring``: a subset S of R that contains 0, is closed under +
   and *, and has an element fixing every member on both sides is a ring.  The laws
@@ -39,9 +40,16 @@ theorem, behind the exact check that theorem needs.
   two-sided ideal I (``FiniteRing.ideal_witness``), + and * are well defined
   on the cosets, and every identity of R holds for the cosets because it
   holds for their representatives, so R/I is a ring with identity 1 + I.
+* The constructors ``zmod``, ``gf``, ``zn_alpha``, ``product`` and the matrix
+  families (``matrix_ring``, ``upper_triangular``, ``equal_diagonal_subring``,
+  ``gf4_triangular_example``): Z/n, Z/p[x]/(f) for monic f, and R x S are
+  rings by theorem and need no check; a matrix family is a subring of
+  M_k(R), checked for closure under + and * and for an identity.  Each
+  constructor's docstring states its theorem.
 
-Every table handed in from outside (``from_tables``, ring files, the
-constructors) still gets the full validation.
+Every table handed in from outside (``from_tables``, ring files) still gets
+the full validation, and so does ``construct.ideal_extension``, whose
+validation decides the bimodule laws of its spec.
 """
 
 from __future__ import annotations
@@ -320,7 +328,8 @@ class FiniteRing:
                    elem_names: Sequence[str] | None) -> "FiniteRing":
         """The ring on int32 tables that are known to be a ring, normalized and
         frozen: after ``validate_tables`` in ``from_tables``, or after the
-        checks of ``subring`` and ``quotient_by`` (see the module docstring).
+        checks of ``subring``, ``quotient_by`` or a constructor's theorem (see
+        the module docstring).
         """
         ring = FiniteRing(label, len(add), add, mul, zero, one,
                           tuple(elem_names) if elem_names is not None else None).normalized()

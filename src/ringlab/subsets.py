@@ -374,17 +374,21 @@ def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
     representative per nonzero coset is scanned: its least element, as in
     ``FiniteRing.quotient_by``.  Every r is a sum of additive generators g
     and P is closed under +, so aRb lies in P exactly when every a*g*b does.
+    Each generator is tried only on the pairs that no earlier one took out
+    of P, and the test stops once every pair has escaped.
     """
     if not ideal.is_proper():
         return False
     mask = ideal.mask()
     rep = r.add_table[:, list(ideal.members)].min(axis=1)
     outside = np.flatnonzero((rep == np.arange(r.order)) & ~mask)
-    escapes = np.zeros((len(outside), len(outside)), dtype=bool)
+    a, b = outside[:, None], outside[None, :]  # the pairs with a*g*b in P so far
     for g in r.additive_generators():
-        ag = r.mul_table[outside, g]
-        escapes |= ~mask[r.mul_table[ag[:, None], outside]]  # [a, b] -> (a*g)*b
-    return bool(escapes.all())
+        stay = mask[r.mul_table[r.mul_table[a, g], b]]
+        if not stay.any():
+            return True
+        a, b = np.broadcast_to(a, stay.shape)[stay], np.broadcast_to(b, stay.shape)[stay]
+    return False
 
 
 def _intersection(r: FiniteRing, ideals: tuple[Ideal, ...]) -> Ideal:

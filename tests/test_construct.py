@@ -177,6 +177,19 @@ class TestMatrixShapedRings:
             _matrix_ring("bad tie", f, 3, homes,
                          [((1, 1), 0, not_frobenius), ((2, 2), 0, np.arange(4))])
 
+    def test_matrix_family_sums_are_checked(self):
+        from ringlab.construct import _matrix_ring
+        # [[a, b], [0, a^2]] over Z/3: squaring is multiplicative, not additive
+        with pytest.raises(ClosureViolation):
+            _matrix_ring("sq-tie", zmod(3), 2, [(0, 0), (0, 1)],
+                         [((1, 1), 0, np.array([0, 1, 1]))])
+
+    def test_matrix_family_identity_is_checked(self):
+        from ringlab.construct import _matrix_ring
+        # [[a, b], [0, 0]] is closed under both operations but has no identity
+        with pytest.raises(NoIdentity):
+            _matrix_ring("row", zmod(2), 2, [(0, 0), (0, 1)])
+
     def test_order_caps(self):
         with pytest.raises(OrderCapExceeded):
             matrix_ring(zmod(9), 2)

@@ -255,6 +255,8 @@ class TestLatticeAndSpectrum:
             for ideal in spectrum(ring).all_ideals:
                 prime = reference_is_prime(ring, ideal.members)
                 assert prime == (ideal.members in primes), (ring.label, ideal.members)
+                # the test itself, on the ideals that are not candidates too
+                assert prime == subsets._is_prime_ideal(ring, ideal), (ring.label, ideal.members)
 
     def test_j_spec_filters_by_radical(self, catalog_rings):
         for ring in catalog_rings[:25]:
