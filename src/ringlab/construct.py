@@ -12,8 +12,9 @@ because that validation decides the bimodule laws of its spec.
 Structured rings share one digit encoding (``_digits`` / ``_encode``): an
 element is a tuple of m coordinates in 0..q-1 and its index is the base-q
 number they spell, most significant first.  Tables are computed a whole
-coordinate at a time with numpy and folded into indices Horner style, so one
-n-by-n coordinate table is live per step.  Two builders use it:
+coordinate at a time with numpy and folded Horner style into one running index
+table, in place, so besides it one n-by-n coordinate table is live per step.
+Two builders use it:
 
 - ``_quotient_poly_ring`` builds Z/p[x] modulo a monic polynomial (``gf``,
   ``zn_alpha``).  The coordinates are the coefficients, highest degree first,
@@ -75,12 +76,17 @@ def _digits(index, q: int, m: int) -> list:
 def _encode(digits, q: int):
     """Inverse of ``_digits``: fold digits, most significant first.
 
-    ``digits`` may be a generator of equal-shape tables, so folding a whole
-    table keeps one coordinate table live per step.
+    ``digits`` may be a generator of equal-shape tables.  The first step makes
+    a fresh array; later ones fold into it in place, so no digit table is
+    written and only the running index and one coordinate table are live.
     """
     index = 0
     for d in digits:
-        index = index * q + d
+        if isinstance(index, np.ndarray) and index.shape == np.shape(d):
+            index *= q
+            index += d
+        else:
+            index = index * q + d
     return index
 
 
@@ -219,7 +225,7 @@ def _matrix_tables(
             small = term if small is None else base.add_table[small, term]
         left = _encode((cells[r, mid] for mid in mids), q)
         right = _encode((cells[mid, c] for mid in mids), q)
-        return small[left[:, None], right[None, :]]
+        return small.take(right, axis=1).take(left, axis=0)
 
     tie_of = {cell: (t, image) for cell, t, image in ties}
     held = dict.fromkeys(t for t, _ in tie_of.values())  # what tied cells must match
@@ -232,7 +238,8 @@ def _matrix_tables(
             held[t] = tab
         return tab
 
-    add = _encode((base.add_table[d[:, None], d[None, :]] for d in digits), q)
+    # gathers go column then row: a narrow q^j x n middle table, then whole C-order rows copied
+    add = _encode((base.add_table.take(d, axis=1).take(d, axis=0) for d in digits), q)
     mul = _encode(map(coordinate, range(m)), q)
     for cell in itertools.product(range(k), repeat=2):
         tab = None if cell in homes else product_cell(*cell)

@@ -100,7 +100,8 @@ def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
 def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
     """``m[x, z]``: whether z lies in xR (in Rx when ``left``)."""
     m = np.zeros((r.order, r.order), dtype=bool)
-    m[np.arange(r.order)[:, None], r.mul_table.T if left else r.mul_table] = True
+    products = r.mul_table.T if left else r.mul_table
+    m.reshape(-1)[products + (np.arange(r.order) * r.order)[:, None]] = True
     return m
 
 
@@ -336,7 +337,8 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
 
     and the identity holds at (a, b) exactly when d(ab) = a d(b) + d(a) b.
     That is four gathers per cell, through the length-n vector d, scanned a
-    block of rows at a time.
+    block of rows at a time; the sum is read from the flat add table, so
+    every gather has one index array.
     """
     if n < 2:
         raise ValueError(f"generalized n-like needs n >= 2, got {n}")
@@ -346,11 +348,14 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
     for _ in range(n - 1):
         pow_n = mul[pow_n, idx]
     d = r.sub_table[pow_n, idx]
+    add_flat = r.add_table.ravel()
     rows = max(1, _N_LIKE_BLOCK_CELLS // order)
     for start in range(0, order, rows):
         block = slice(start, start + rows)
         ab = mul[block]
-        bad = np.flatnonzero(d[ab] != r.add_table[ab[:, d], mul[d[block]]])
+        sums = np.multiply(ab.take(d, axis=1), order, dtype=np.intp)  # a d(b), as a row offset
+        sums += mul.take(d[block], axis=0)                             # d(a) b
+        bad = np.flatnonzero(d.take(ab) != add_flat.take(sums))
         if len(bad):
             a, b = divmod(int(bad[0]), order)
             return start + a, b

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,8 @@ from ringlab import (
     zmod,
     zn_alpha,
 )
-from ringlab.construct import SUPPORTED_FIELD_ORDERS, T41_SPECS, build_from_provenance
+from ringlab import construct
+from ringlab.construct import SUPPORTED_FIELD_ORDERS, T41_SPECS, _encode, build_from_provenance
 
 
 # Closed forms over F_q, computed without the library.
@@ -431,3 +433,85 @@ class TestCatalog:
             if e.provenance.startswith(("corner:", "jquot:")):
                 assert key not in seen, (e.provenance, seen.get(key))
             seen.setdefault(key, e.provenance)
+
+
+# ---------------------------------------------------------------------------
+# matrix tables against plain matrix arithmetic, sharing no code with the builder
+
+
+def _entries(ring: FiniteRing, base: FiniteRing, k: int) -> np.ndarray:
+    """Each element's k x k entries as base indices, parsed from its name."""
+    pos = {name: i for i, name in enumerate(base.elem_names)}
+    out = np.empty((ring.order, k, k), dtype=np.int64)
+    for x, name in enumerate(ring.elem_names):
+        rows = name[2:-2].split("],[")
+        out[x] = [[pos[entry] for entry in row.split(",")] for row in rows]
+    return out
+
+
+def _lookup_by_name(ring: FiniteRing, base: FiniteRing, matrices: np.ndarray) -> np.ndarray:
+    """The index of the element named by each k x k matrix of base indices."""
+    k = matrices.shape[-1]
+    names = np.asarray(base.elem_names, dtype=object)[matrices]
+    rows = ["[" + functools.reduce(lambda a, b: a + "," + b, [names[..., r, c] for c in range(k)])
+            + "]" for r in range(k)]
+    text = "[" + functools.reduce(lambda a, b: a + "," + b, rows) + "]"
+    index = {name: i for i, name in enumerate(ring.elem_names)}
+    return np.array([index[t] for t in np.ravel(text)]).reshape(text.shape)
+
+
+@pytest.mark.parametrize("source, base, k", [
+    ("matrix:zmod3:2", zmod(3), 2),
+    ("tri:zmod2:3", zmod(2), 3),
+    ("eqdiag:gf4:2", gf(4), 2),
+    ("paper:gf4-example", gf(4), 3),
+    pytest.param("matrix:gf4:2", gf(4), 2, marks=pytest.mark.large),
+])
+def test_matrix_tables_match_matrix_arithmetic(source, base, k):
+    ring = build_from_provenance(source)
+    entries = _entries(ring, base, k)
+    np.testing.assert_array_equal(entries[ring.zero], np.full((k, k), base.zero))
+    np.testing.assert_array_equal(entries[ring.one], np.where(np.eye(k), base.one, base.zero))
+    a, b = entries[:, None], entries[None, :]  # left and right operand of every pair
+    sums = base.add_table[a, b]
+    products = np.empty_like(sums)
+    for r in range(k):
+        for c in range(k):
+            cell = np.full(sums.shape[:2], base.zero, dtype=np.int64)
+            for mid in range(k):
+                cell = base.add_table[cell, base.mul_table[a[..., r, mid], b[..., mid, c]]]
+            products[..., r, c] = cell
+    np.testing.assert_array_equal(_lookup_by_name(ring, base, sums), ring.add_table)
+    np.testing.assert_array_equal(_lookup_by_name(ring, base, products), ring.mul_table)
+
+
+def test_encode_leaves_its_digits_unchanged():
+    digits = [np.arange(12, dtype=np.int32).reshape(3, 4) % q for q in (3, 2, 3)]
+    before = [d.copy() for d in digits]
+    index = _encode(iter(digits), 3)
+    assert index.dtype == np.int32
+    assert all(index is not d for d in digits)
+    np.testing.assert_array_equal(index, (before[0] * 3 + before[1]) * 3 + before[2])
+    for d, copy in zip(digits, before):
+        np.testing.assert_array_equal(d, copy)
+
+
+@pytest.mark.parametrize("source", ["tri:zmod2:3", "eqdiag:gf4:2", "paper:gf4-example"])
+def test_matrix_builds_leave_encoded_digits_unchanged(source, monkeypatch):
+    # every digit table a build folds, the cells and the held tie tables among
+    # them, must read the same after the fold as before it
+    folded = []
+
+    def checked(digits, q):
+        digits = list(digits)
+        copies = [np.copy(d) for d in digits]
+        index = _encode(iter(digits), q)
+        folded.append((digits, copies))
+        return index
+
+    monkeypatch.setattr(construct, "_encode", checked)
+    build_from_provenance(source)
+    assert folded
+    for digits, copies in folded:
+        for d, copy in zip(digits, copies):
+            np.testing.assert_array_equal(d, copy)

@@ -89,7 +89,20 @@ RING_DIGESTS = {
         "21a0da9577c600b22fc8d18f800b1ab4fda2ada132ef2289621e561ac4b85af0",
     GF2_7:
         "d24817285bc8ea44666e819c6c2ad805abbeaa01c9fd21ab172a0c80f70ef469",
+    # matrix families of order 256-4096, the sizes the gathers of the builder
+    # are tuned for
+    "matrix:gf4:2":
+        "dcdda794fbaa4b181a4a26b2b5113f1b30264a9d11b479af0d5c69fce114f6b3",
+    "tri:zmod3:3":
+        "d15975b124d3bdcd6d92f618c5cf52c2de2893289899fee187b87a03fae75b9d",
+    "tri:zmod2:4":
+        "b02fba490bad7e645e7f8b1fbb9ccebccbec1c1a377ba4f95576877ee7906ef2",
+    "tri:gf4:3":
+        "bfa166497ad67d19552dd6fefa1908bb5e417926448fff539b2f44683772d45d",
 }
+
+# digests whose build takes over a second run in the large tier
+LARGE_DIGESTS = {"tri:gf4:3"}
 
 # strict_upper_bimodule(base, k) by (base, k), and the named harness specs
 BIMODULE_DIGESTS = {
@@ -101,6 +114,8 @@ BIMODULE_DIGESTS = {
         "a9dd6693505cb6505c2a7f679168bdb2ff63abdd3a7fff525880dd3981c2e200",
     ("gf4", 3):
         "31816db5e3e3ca6107d5279510f13abf121bb9d831264cf411661f4a4260347b",
+    ("zmod2", 4):
+        "64c70495a79262207c0daba50f8d5f7a522e70a5d97d38fd3e4e364f4b20a1ca",
     ("tri:zmod2:2", 2):
         "0669da18ac7383f7de3dd87eed8aab672a19005cfa5c3a710f8132e1eb8be9dd",
     "t41-base":
@@ -297,7 +312,9 @@ def spec_digest(spec) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("source", sorted(RING_DIGESTS))
+@pytest.mark.parametrize("source", [
+    pytest.param(source, marks=pytest.mark.large) if source in LARGE_DIGESTS else source
+    for source in sorted(RING_DIGESTS)])
 def test_ring_digest(source):
     assert ring_digest(parse_ring_source(source)) == RING_DIGESTS[source]
 

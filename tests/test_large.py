@@ -1,4 +1,4 @@
-"""Rings of order 256-1024 against closed forms that share no code with the library.
+"""Rings of order 256-4096 against closed forms and oracles that share no code with the library.
 
 Deselected by default; run with ``pytest -m large``.
 """
@@ -97,6 +97,13 @@ def test_zmod_1024_n_like_witnesses():
 
 @pytest.mark.parametrize("source", ["tri:zmod2:4", "tri:zmod3:3"])
 def test_triangular_n_like_witnesses(source):
+    ring = parse_ring_source(source)
+    for n in GENERALIZED_RANGE:
+        assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
+
+
+@pytest.mark.parametrize("source", ["matrix:zmod2:3", "eqdiag:gf4:3", "matrix:gf4:2"])
+def test_ladder_n_like_witnesses(source):
     ring = parse_ring_source(source)
     for n in GENERALIZED_RANGE:
         assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
