@@ -5,6 +5,8 @@ indices and element names, or a bimodule spec's four tables.  Unlike the
 determinism tests, which compare a rebuild against a rebuild, these catch an
 encoding that changes consistently everywhere.  To pin a new source, print
 ``ring_digest(parse_ring_source(src))`` on a build whose output is trusted.
+The catalog digest chains the ring digests of every ``default_catalog()``
+entry in order, so the assembly of the catalog is pinned as well as its parts.
 
 The analysis digests pin the verdict JSON of a sequential ``ringlab verify``
 run and each catalog ring's ``ring_report`` (predicate values, witnesses,
@@ -80,6 +82,12 @@ RING_DIGESTS = {
         "ca5f6bc3bff3b2eb1ab537ab591c97a391d6234ef652858397608c570663e8ce",
     "paper:gf4-example":
         "0b530ca3616579d92b1e87461d86b2a3d8f7be0e557f80b42b1b3e39168296f7",
+    "extension:t41-base":
+        "ec9362021f5bee6a691b171b0693c1fd16e14145c82c9153b7ebd814b7a0c5c9",
+    "extension:t41-break-central-action":
+        "ecec04f2ad4bd16b938701755dcbfd8ebca5e8d48810e5267299897a5acf34fd",
+    "extension:t41-break-quasi-inverse":
+        "b4fa15be8526774b3bc83995cd1502fd2ccf1e655b40bc076855ad20ea0fffc4",
     "extension:t41-break-base-ring":
         "52572cae793131d72f1d28603d7917f5c3220d08db8a0b0df83a825e923a234f",
     # the ladder rings of order 64-512; GF(2)^7 nested, as chained products give it
@@ -99,10 +107,16 @@ RING_DIGESTS = {
         "b02fba490bad7e645e7f8b1fbb9ccebccbec1c1a377ba4f95576877ee7906ef2",
     "tri:gf4:3":
         "bfa166497ad67d19552dd6fefa1908bb5e417926448fff539b2f44683772d45d",
+    # the largest product the default cap allows, order 4096
+    "product:zmod64,zmod64":
+        "e2528d17ff8edf4733da9a2393ff10e5a4aa51cb688b64b65693556c9eaeecec",
 }
 
 # digests whose build takes over a second run in the large tier
-LARGE_DIGESTS = {"tri:gf4:3"}
+LARGE_DIGESTS = {"tri:gf4:3", "product:zmod64,zmod64"}
+
+# sha256 over the ring digest of every default_catalog() entry, in catalog order
+CATALOG_DIGEST = "48b7b57bdd3c4046b793b05f5837965c24df20074ab049602dd8b864337333ed"
 
 # strict_upper_bimodule(base, k) by (base, k), and the named harness specs
 BIMODULE_DIGESTS = {
@@ -327,6 +341,13 @@ def test_bimodule_digest(key):
     else:
         spec = T41_SPECS[key][0]()
     assert spec_digest(spec) == BIMODULE_DIGESTS[key]
+
+
+def test_catalog_digest(catalog):
+    h = hashlib.sha256()
+    for entry in catalog:
+        h.update(ring_digest(entry.ring).encode())
+    assert h.hexdigest() == CATALOG_DIGEST
 
 
 def test_verify_json_digest(capsys):
