@@ -2,7 +2,13 @@
 
 Every constructor emits canonical tables: zero at index 0, one at index 1, and
 stable human-readable element names.  Rebuilding any catalog entry reproduces
-byte-identical tables, so golden files and cross-run diffs stay stable.
+byte-identical tables, so golden files and cross-run diffs stay stable.  The
+catalog is data: ``CATALOG_SOURCES`` lists its primary rings as ring sources
+(see ``sources``), and each is built from its source, the one path that also
+re-executes a provenance id.
+
+Rings on R x S (``product``, ``ideal_extension``) share one table builder,
+``_pair_table``, which puts element (r, s) at index r*|S| + s.
 
 The structured constructors build rings by theorem, without
 ``validate_tables``: each runs only the checks its theorem needs, and its
@@ -161,6 +167,19 @@ def zn_alpha(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     return _quotient_poly_ring(f"Z/{n}[w]", n, (1, 1), "w")
 
 
+def _pair_table(rt: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """A table on R x S, element (r, s) at index r*|S| + s.
+
+    Cell ((r1, s1), (r2, s2)) holds rt[r1, r2]*|S| + st[s1, s2], built as one
+    broadcast over the four axes (r1, s1, r2, s2) and reshaped to n x n.  An
+    S part that depends on r1 and r2 as well is given on all four axes.
+    """
+    ns = st.shape[-1]
+    if st.ndim == 2:
+        st = st[None, :, None, :]
+    return (rt[:, None, :, None] * ns + st).reshape(len(rt) * ns, -1)
+
+
 def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Componentwise product ring; element (i, j) encodes as i*|S| + j.
 
@@ -171,12 +190,10 @@ def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP)
     n = r.order * s.order
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
-    ri, si = np.divmod(np.arange(n, dtype=np.int64), s.order)
-    add = r.add_table[np.ix_(ri, ri)] * s.order + s.add_table[np.ix_(si, si)]
-    mul = r.mul_table[np.ix_(ri, ri)] * s.order + s.mul_table[np.ix_(si, si)]
-    names = "(" + r.name_array()[ri] + "," + s.name_array()[si] + ")"
-    return FiniteRing._canonical(f"{r.label} x {s.label}", add, mul,
-                                 0, r.one * s.order + s.one, tuple(names.tolist()))
+    names = "(" + r.name_array()[:, None] + "," + s.name_array()[None, :] + ")"
+    return FiniteRing._canonical(f"{r.label} x {s.label}", _pair_table(r.add_table, s.add_table),
+                                 _pair_table(r.mul_table, s.mul_table),
+                                 0, r.one * s.order + s.one, tuple(names.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +436,13 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
     n = r.order * ns
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
-    ri, si = np.divmod(np.arange(n, dtype=np.int64), ns)
-    add = r.add_table[np.ix_(ri, ri)].astype(np.int64) * ns + spec.s_add[np.ix_(si, si)]
-    s_part = spec.s_add[
-        spec.s_add[spec.s_mul[np.ix_(si, si)], spec.left[np.ix_(ri, si)]],
-        spec.right[np.ix_(si, ri)],
-    ]
-    mul = r.mul_table[np.ix_(ri, ri)].astype(np.int64) * ns + s_part
-    names = "(" + r.name_array()[ri] + ";s" + si.astype(str).astype(object) + ")"
+    # s1s2 + r1s2 + s1r2 on the axes (r1, s1, r2, s2)
+    s_part = spec.s_add[spec.s_add[spec.s_mul[None, :, None, :], spec.left[:, None, None, :]],
+                        spec.right[None, :, :, None]]
+    names = "(" + r.name_array()[:, None] + ";s" + np.arange(ns).astype(str).astype(object) + ")"
+    add, mul = _pair_table(r.add_table, spec.s_add), _pair_table(r.mul_table, s_part)
     return FiniteRing.from_tables(f"I({r.label};{spec.label})", add, mul,
-                                  0, r.one * ns, tuple(names.tolist()))
+                                  0, r.one * ns, tuple(names.ravel().tolist()))
 
 
 def strict_upper_bimodule(base: FiniteRing, k: int) -> BimoduleSpec:
@@ -543,76 +557,57 @@ def build_from_provenance(provenance: str) -> FiniteRing:
     return parse_ring_source(provenance)
 
 
-def _catalog_primary() -> list[RingCatalogEntry]:
-    classified = {
-        "zmod:3": {
-            "uniquely_clean": (False, "2 splits both as 0+2 and as 1+1"),
-            "uniquely_pi_clean": (True, "squares of nonzero elements are 1"),
-        },
-        "zn-alpha:3": {
-            "uniquely_pi_clean": (True, "finite commutative"),
-        },
-        "matrix:zmod2:2": {
-            "clean": (True, "exchange plus lifted idempotents"),
-            "uniquely_pi_clean": (False, "non-central idempotent"),
-        },
-        "paper:gf4-example": {
-            "uniquely_pi_clean": (True, "generalized 7-like"),
-            "commutative": (False, "off-diagonal entries twist"),
-            "generalized_7_like": (True, "each element has a^7 = a or a^2 = 0"),
-        },
-    }
-    entries: list[RingCatalogEntry] = []
+# the primary entries, in catalog order, as ring sources (see ``sources``)
+CATALOG_SOURCES: tuple[str, ...] = (
+    *(f"zmod:{n}" for n in [*range(1, 17), 27, 32]),
+    *(f"gf:{q}" for q in SUPPORTED_FIELD_ORDERS),
+    *(f"product:{a},{b}" for a, b in itertools.combinations_with_replacement(
+        ("zmod2", "zmod3", "zmod4", "zmod6", "gf4"), 2)),
+    "matrix:zmod2:2", "matrix:zmod3:2", "tri:zmod2:2", "tri:zmod3:2",
+    "eqdiag:zmod2:2", "eqdiag:zmod2:3", "eqdiag:zmod3:2",
+    *(f"zn-alpha:{n}" for n in (2, 3, 4)),
+    *(f"extension:{name}" for name in T41_SPECS),
+    "paper:gf4-example",
+)
 
-    def put(provenance: str, ring: FiniteRing):
-        entries.append(RingCatalogEntry(ring, provenance, classified.get(provenance)))
-
-    for n in list(range(1, 17)) + [27, 32]:
-        put(f"zmod:{n}", zmod(n))
-    for q in SUPPORTED_FIELD_ORDERS:
-        put(f"gf:{q}", gf(q))
-    bases = [("zmod2", zmod(2)), ("zmod3", zmod(3)), ("zmod4", zmod(4)),
-             ("zmod6", zmod(6)), ("gf4", gf(4))]
-    for (ida, a), (idb, b) in itertools.combinations_with_replacement(bases, 2):
-        if a.order * b.order <= 36:
-            put(f"product:{ida},{idb}", product(a, b))
-    put("matrix:zmod2:2", matrix_ring(zmod(2), 2))
-    put("matrix:zmod3:2", matrix_ring(zmod(3), 2))
-    put("tri:zmod2:2", upper_triangular(zmod(2), 2))
-    put("tri:zmod3:2", upper_triangular(zmod(3), 2))
-    put("eqdiag:zmod2:2", equal_diagonal_subring(zmod(2), 2))
-    put("eqdiag:zmod2:3", equal_diagonal_subring(zmod(2), 3))
-    put("eqdiag:zmod3:2", equal_diagonal_subring(zmod(3), 2))
-    for n in (2, 3, 4):
-        put(f"zn-alpha:{n}", zn_alpha(n))
-    for name, (builder, _) in T41_SPECS.items():
-        put(f"extension:{name}", ideal_extension(builder()))
-    put("paper:gf4-example", gf4_triangular_example())
-    return entries
+# expected predicate values of primary entries by source: name -> (value, why)
+CATALOG_EXPECTED: dict[str, dict] = {
+    "zmod:3": {
+        "uniquely_clean": (False, "2 splits both as 0+2 and as 1+1"),
+        "uniquely_pi_clean": (True, "squares of nonzero elements are 1"),
+    },
+    "zn-alpha:3": {"uniquely_pi_clean": (True, "finite commutative")},
+    "matrix:zmod2:2": {
+        "clean": (True, "exchange plus lifted idempotents"),
+        "uniquely_pi_clean": (False, "non-central idempotent"),
+    },
+    "paper:gf4-example": {
+        "uniquely_pi_clean": (True, "generalized 7-like"),
+        "commutative": (False, "off-diagonal entries twist"),
+        "generalized_7_like": (True, "each element has a^7 = a or a^2 = 0"),
+    },
+}
 
 
 def default_catalog() -> list[RingCatalogEntry]:
     """The deterministic verification catalog.
 
-    The explicitly constructed entries come first; then, for each of them, the
-    corner ring of every idempotent and the quotient by the Jacobson radical,
-    skipping derived rings whose canonical tables duplicate an earlier entry
-    byte for byte.
+    The rings of ``CATALOG_SOURCES`` come first, each built from its source;
+    then, for each of them, the corner ring of every idempotent and the
+    quotient by the Jacobson radical, skipping derived rings whose canonical
+    tables duplicate an earlier entry byte for byte.
     """
-    entries = _catalog_primary()
+    entries = [RingCatalogEntry(build_from_provenance(source), source, CATALOG_EXPECTED.get(source))
+               for source in CATALOG_SOURCES]
     seen = {e.ring.table_bytes() for e in entries}
     derived: list[RingCatalogEntry] = []
     for entry in entries:
-        r = entry.ring
-        for e in idempotents(r).members:
-            c = corner(r, e, f"corner {e} of {r.label}")
-            key = c.table_bytes()
+        r, source = entry.ring, entry.provenance
+        candidates = [(corner(r, e, f"corner {e} of {r.label}"), f"corner:{source}:{e}")
+                      for e in idempotents(r).members]
+        for ring, provenance in candidates + [(subsets.radical_quotient(r), f"jquot:{source}")]:
+            key = ring.table_bytes()
             if key not in seen:
                 seen.add(key)
-                derived.append(RingCatalogEntry(c, f"corner:{entry.provenance}:{e}"))
-        q = subsets.radical_quotient(r)
-        key = q.table_bytes()
-        if key not in seen:
-            seen.add(key)
-            derived.append(RingCatalogEntry(q, f"jquot:{entry.provenance}"))
+                derived.append(RingCatalogEntry(ring, provenance))
     return entries + derived

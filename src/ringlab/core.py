@@ -390,7 +390,7 @@ class FiniteRing:
     @property
     def sub_table(self) -> np.ndarray:
         """sub_table[x, y] = x - y."""
-        return self.memo("sub_table", lambda: self.add_table[:, self.neg_table])
+        return self.memo("sub_table", lambda: self.add_table.take(self.neg_table, axis=1))
 
     def additive_generators(self) -> np.ndarray:
         """A generating set G of (R, +) with at most log2(order) elements.

@@ -391,6 +391,13 @@ class TestCatalog:
         assert {"zmod:3", "gf:4", "matrix:zmod2:2", "paper:gf4-example",
                 "extension:t41-base", "zn-alpha:3"} <= provs
 
+    def test_sources_are_distinct_and_cover_the_expectations(self, catalog):
+        sources = construct.CATALOG_SOURCES
+        assert len(set(sources)) == len(sources)
+        assert set(construct.CATALOG_EXPECTED) <= set(sources)
+        assert [e.provenance for e in catalog[:len(sources)]] == list(sources)
+        assert all(e.expected == construct.CATALOG_EXPECTED.get(e.provenance) for e in catalog)
+
     def test_contains_nonabelian_and_noncommutative_upc(self, catalog):
         by_prov = {e.provenance: e.ring for e in catalog}
         m2 = by_prov["matrix:zmod2:2"]

@@ -420,6 +420,13 @@ class TestNormalizationAndJson:
         with pytest.raises(ValueError):
             arr[0] = 1
 
+    def test_sub_table_is_c_ordered_differences(self):
+        ring = matrix_ring(zmod(2), 3)
+        sub = ring.sub_table
+        assert sub.flags.c_contiguous
+        x, y = np.meshgrid(np.arange(ring.order), np.arange(ring.order), indexing="ij")
+        np.testing.assert_array_equal(sub, ring.add_table[x, ring.neg_table[y]])
+
     def test_memo_stores_none_and_skips_failed_builds(self):
         ring = zmod(5)
         calls = []

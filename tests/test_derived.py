@@ -80,10 +80,9 @@ def test_corners_and_quotients_skip_the_scan(validations):
 
 
 def test_only_extensions_validate_among_the_primary_sources(validations):
-    sources = [e.provenance for e in construct._catalog_primary()]
-    extensions = [s for s in sources if s.startswith("extension:")]
-    assert len(extensions) == 4 and len(validations) == 4
-    for source in sources:
+    extensions = [s for s in construct.CATALOG_SOURCES if s.startswith("extension:")]
+    assert len(extensions) == 4
+    for source in construct.CATALOG_SOURCES:
         del validations[:]
         construct.build_from_provenance(source)
         assert len(validations) == (source in extensions), source

@@ -28,12 +28,14 @@ from ringlab import (
     is_strongly_clean,
     is_strongly_pi_regular,
     is_uniquely_clean,
+    is_uniquely_clean_element,
     is_uniquely_nil_clean_element,
     is_uniquely_pi_clean,
     is_uniquely_pi_clean_element,
     is_uniquely_pi_nil_clean,
     jacobson_radical,
     matrix_ring,
+    pi_clean_witness,
     predicate_vector,
     quotient_ring,
     radical_unit_set,
@@ -107,12 +109,21 @@ class TestCleanDecompositions:
         assert not CleanWitness(z3, 2, 1, 0, 1, "nil-clean").verify()
 
     def test_pi_clean_witness(self):
-        from ringlab import pi_clean_witness
         w = pi_clean_witness(zmod(3), 2)
         assert (w.exponent, w.idempotent, w.complement) == (2, 0, 1) and w.verify()
         m2 = matrix_ring(zmod(2), 2)
         e11 = m2.elem_names.index("[[1,0],[0,0]]")
         assert pi_clean_witness(m2, e11) is None
+
+
+@pytest.mark.parametrize("predicate", [
+    clean_decompositions, is_uniquely_clean_element, is_uniquely_pi_clean_element,
+    is_uniquely_nil_clean_element, pi_clean_witness])
+@pytest.mark.parametrize("a", [-1, 6])
+def test_element_predicates_reject_out_of_range_indices(predicate, a):
+    # numpy would wrap -1 round to element 5 and fail on 6 with a bare IndexError
+    with pytest.raises(ValueError, match="out of range"):
+        predicate(zmod(6), a)
 
 
 class TestUniquelyPiClean:
