@@ -7,8 +7,10 @@ catalog is data: ``CATALOG_SOURCES`` lists its primary rings as ring sources
 (see ``sources``), and each is built from its source, the one path that also
 re-executes a provenance id.
 
-Rings on R x S (``product``, ``ideal_extension``) share one table builder,
-``_pair_table``, which puts element (r, s) at index r*|S| + s.
+Rings on R x S share one table builder, ``_pair_table``, which puts element
+(r, s) at index r*|S| + s: ``product``, ``ideal_extension``, and the additive
+group of every structured ring below, the m-fold product of its coordinate
+group.
 
 The structured constructors build rings by theorem, without
 ``validate_tables``: each runs only the checks its theorem needs, and its
@@ -17,7 +19,8 @@ because that validation decides the bimodule laws of its spec.
 
 Structured rings share one digit encoding (``_digits`` / ``_encode``): an
 element is a tuple of m coordinates in 0..q-1 and its index is the base-q
-number they spell, most significant first.  Tables are computed a whole
+number they spell, most significant first, which is the index that m - 1
+folds of ``_pair_table`` give.  Multiplication tables are computed a whole
 coordinate at a time with numpy and folded Horner style into one running index
 table, in place, so besides it one n-by-n coordinate table is live per step.
 Two builders use it:
@@ -96,6 +99,19 @@ def _encode(digits, q: int):
     return index
 
 
+def _pair_table(rt: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """A table on R x S, element (r, s) at index r*|S| + s.
+
+    Cell ((r1, s1), (r2, s2)) holds rt[r1, r2]*|S| + st[s1, s2], built as one
+    broadcast over the four axes (r1, s1, r2, s2) and reshaped to n x n.  An
+    S part that depends on r1 and r2 as well is given on all four axes.
+    """
+    ns = st.shape[-1]
+    if st.ndim == 2:
+        st = st[None, :, None, :]
+    return (rt[:, None, :, None] * ns + st).reshape(len(rt) * ns, -1)
+
+
 def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Integers mod n; zmod(1) is the zero ring.
 
@@ -144,7 +160,8 @@ def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str) 
     for _ in range(d - 1):
         prev = shifted[-1]
         shifted.append([(low - prev[-1] * c) % p for low, c in zip([0] + prev[:-1], modulus)])
-    add = _encode(((a[:, None] + a[None, :]) % p for a in reversed(coeffs)), p)
+    digit = np.arange(p, dtype=np.int32)
+    add = functools.reduce(_pair_table, [(digit[:, None] + digit[None, :]) % p] * d)
     mul = _encode((sum(shifted[j][i][:, None] * coeffs[j][None, :] for j in range(d)) % p
                    for i in reversed(range(d))), p)
     return FiniteRing._canonical(label, add, mul, 0, 1, _poly_names(coeffs, var))
@@ -165,19 +182,6 @@ def zn_alpha(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     if n * n > order_cap:
         raise OrderCapExceeded(n * n, order_cap)
     return _quotient_poly_ring(f"Z/{n}[w]", n, (1, 1), "w")
-
-
-def _pair_table(rt: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """A table on R x S, element (r, s) at index r*|S| + s.
-
-    Cell ((r1, s1), (r2, s2)) holds rt[r1, r2]*|S| + st[s1, s2], built as one
-    broadcast over the four axes (r1, s1, r2, s2) and reshaped to n x n.  An
-    S part that depends on r1 and r2 as well is given on all four axes.
-    """
-    ns = st.shape[-1]
-    if st.ndim == 2:
-        st = st[None, :, None, :]
-    return (rt[:, None, :, None] * ns + st).reshape(len(rt) * ns, -1)
 
 
 def product(r: FiniteRing, s: FiniteRing, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
@@ -255,8 +259,7 @@ def _matrix_tables(
             held[t] = tab
         return tab
 
-    # gathers go column then row: a narrow q^j x n middle table, then whole C-order rows copied
-    add = _encode((base.add_table.take(d, axis=1).take(d, axis=0) for d in digits), q)
+    add = functools.reduce(_pair_table, [base.add_table] * m)
     mul = _encode(map(coordinate, range(m)), q)
     for cell in itertools.product(range(k), repeat=2):
         tab = None if cell in homes else product_cell(*cell)
@@ -341,8 +344,7 @@ def equal_diagonal_subring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT
 
 def corner(r: FiniteRing, e: int, label: str | None = None) -> FiniteRing:
     """The corner ring eRe with identity e."""
-    if not 0 <= e < r.order:
-        raise ValueError(f"{r.label}: element index {e} out of range [0, {r.order})")
+    e = r.elem(e).index
     if r.mul(e, e) != e:
         raise NotIdempotent(f"{r.label}: element {e} is not idempotent")
     exe = np.unique(r.mul_table[r.mul_table[e, :], e])

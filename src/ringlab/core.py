@@ -374,7 +374,7 @@ class FiniteRing:
         if k < 1:
             raise ValueError(f"exponent must be >= 1, got {k}")
         acc = None
-        base = x
+        base = self.elem(x).index
         while k:
             if k & 1:
                 acc = base if acc is None else self.mul(acc, base)
@@ -403,6 +403,7 @@ class FiniteRing:
 
     def power_trail(self, x: int) -> PowerTrail:
         """Successive powers of x up to (excluding) the first repetition."""
+        x = self.elem(x).index
         seen: dict[int, int] = {}
         powers: list[int] = []
         cur = x

@@ -137,28 +137,21 @@ def _first_noncentral(r: FiniteRing, candidates: np.ndarray) -> Witness:
 # element-level decompositions
 
 
-def _element(r: FiniteRing, a: int) -> int:
-    """``a`` itself, after checking that it indexes an element of ``r``."""
-    if not 0 <= a < r.order:
-        raise ValueError(f"{r.label}: element index {a} out of range [0, {r.order})")
-    return a
-
-
 def clean_decompositions(r: FiniteRing, a: int) -> list[tuple[int, int]]:
     """All pairs (e, u) with e idempotent, u a unit, e + u = a, ordered by e."""
     idem = _idempotent_array(r)
     umask = _units_mask(r)
-    compl = r.sub_table[_element(r, a), idem]
+    compl = r.sub_table[r.elem(a).index, idem]
     return [(int(e), int(u)) for e, u in zip(idem, compl) if umask[u]]
 
 
 def is_uniquely_clean_element(r: FiniteRing, a: int) -> bool:
-    return bool(_clean_counts(r)[_element(r, a)] == 1)
+    return bool(_clean_counts(r)[r.elem(a).index] == 1)
 
 
 def is_uniquely_pi_clean_element(r: FiniteRing, a: int) -> tuple[bool, int | None]:
     """Whether some power of a is uniquely clean; returns the smallest exponent."""
-    hits = _clean_counts(r)[r.power_matrix()[_element(r, a)]] == 1
+    hits = _clean_counts(r)[r.power_matrix()[r.elem(a).index]] == 1
     if not hits.any():
         return False, None
     return True, int(hits.argmax()) + 1
@@ -167,7 +160,7 @@ def is_uniquely_pi_clean_element(r: FiniteRing, a: int) -> tuple[bool, int | Non
 def is_uniquely_nil_clean_element(r: FiniteRing, a: int) -> bool:
     """Exactly one idempotent e with a - e nilpotent."""
     idem = _idempotent_array(r)
-    return int(_nilpotent_mask(r)[r.sub_table[_element(r, a), idem]].sum()) == 1
+    return int(_nilpotent_mask(r)[r.sub_table[r.elem(a).index, idem]].sum()) == 1
 
 
 def pi_clean_witness(r: FiniteRing, a: int) -> CleanWitness | None:

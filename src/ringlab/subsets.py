@@ -13,7 +13,8 @@ and the three radicals the library cross-checks against each other:
 
 Everything read off the lattice (the ideals, the prime, maximal and J-spec
 sublists, J* and P) comes from one memoised call, ``spectrum``, which is
-where the lattice order cap is checked.
+where the lattice order cap is checked.  A refusal by the ideal-count guard
+is memoised with the lattice, so each ring is enumerated at most once.
 
 Everything is a pure function of an immutable ring; results are memoised on
 the ring and safe for concurrent readers.
@@ -235,8 +236,8 @@ def _ideal(r: FiniteRing, mask: np.ndarray) -> Ideal:
 
 
 def ideal_generated_by(r: FiniteRing, xs: Iterable[int]) -> Ideal:
-    """Smallest two-sided ideal containing xs."""
-    return _ideal(r, _ideal_closure(r, xs)[0])
+    """Smallest two-sided ideal containing xs; an index outside the ring raises."""
+    return _ideal(r, _ideal_closure(r, [r.elem(x).index for x in xs])[0])
 
 
 def _principal_ideals(r: FiniteRing, inside: np.ndarray,
@@ -297,27 +298,31 @@ def ideal_lattice(r: FiniteRing, *,
     every i, so each ideal's mask is an AND over the blocks.  A ring of order
     over ``order_cap``, or with more than ``DEFAULT_LATTICE_COUNT_CAP``
     ideals, is refused; the product of the block counts is checked before
-    any product is formed.
+    any product is formed.  A count refusal is stored like a lattice, so a
+    refused ring is enumerated once however often it is asked for.
     """
     if r.order > order_cap:
         raise LatticeCapExceeded(r.order, order_cap)
-    return r.memo("lattice", lambda: _block_product(r))
+    lattice = r.memo("lattice", lambda: _block_product(r))
+    if lattice is None:
+        raise LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
+                                 f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
+    return lattice
 
 
-def _count_refused(r: FiniteRing) -> LatticeCapExceeded:
-    return LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
-                              f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
-
-
-def _block_product(r: FiniteRing) -> tuple[Ideal, ...]:
-    """The lattice of ``ideal_lattice``, as the product of the block lattices."""
+def _block_product(r: FiniteRing) -> tuple[Ideal, ...] | None:
+    """The lattice of ``ideal_lattice``, as the product of the block lattices,
+    or None when the count guard refuses it."""
     parts = []
     for e in _blocks(r).tolist():
         inside = np.zeros(r.order, dtype=bool)
         inside[r.mul_table[e]] = True
-        parts.append((e, _join_closure(r, inside)))
+        masks = _join_closure(r, inside)
+        if masks is None:
+            return None
+        parts.append((e, masks))
     if prod(len(masks) for _, masks in parts) > DEFAULT_LATTICE_COUNT_CAP:
-        raise _count_refused(r)
+        return None
     lattice = np.ones((1, r.order), dtype=bool)
     for e, masks in parts:
         at_e = masks[:, r.mul_table[e]]  # [k, x]: e*x lies in the block's k-th ideal
@@ -326,9 +331,9 @@ def _block_product(r: FiniteRing) -> tuple[Ideal, ...]:
                         key=lambda i: (len(i.members), i.members)))
 
 
-def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
+def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
     """The masks of every ideal within ``inside``, the mask of eR for a
-    central idempotent e, refused once more than ``DEFAULT_LATTICE_COUNT_CAP``
+    central idempotent e, or None once more than ``DEFAULT_LATTICE_COUNT_CAP``
     ideals are found.
 
     Every ideal is a sum of principal ideals, so joining each newly found
@@ -341,7 +346,7 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
     principal = _principal_ideals(r, inside)
     found = {k: mask for k, (mask, _) in principal.items()}
     if len(found) > DEFAULT_LATTICE_COUNT_CAP:
-        raise _count_refused(r)
+        return None
     frontier = list(found.values())
     sub, add = r.sub_table, r.add_table
     while frontier:
@@ -363,7 +368,7 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray:
                     found[k] = mask
                     frontier.append(mask)
                     if len(found) > DEFAULT_LATTICE_COUNT_CAP:
-                        raise _count_refused(r)
+                        return None
     return np.array(list(found.values()))
 
 

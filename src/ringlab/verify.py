@@ -4,8 +4,8 @@ Each suite checks one biconditional (or implication battery) by computing its
 two sides independently on every catalog ring and recording per-ring
 agreement.  A suite's overall flag is the conjunction of the row agreements
 over the rings that were not skipped.  Every ring of the catalog is checked;
-a ring is skipped by a suite only when the suite reads the spectrum and the
-ring is over the lattice order cap, or when the suite's hypothesis (local,
+a ring is skipped by a suite only when deciding the suite on it reads an
+ideal lattice that the caps refuse, or when the suite's hypothesis (local,
 ...) does not apply.
 
 Suite identifiers
@@ -148,104 +148,84 @@ class RunConfig:
 # per-ring suite evaluation
 
 
-_SPECTRUM_SUITES = {"T3.3", "C3.4", "T3.7", "T3.9", "C3.10-set", "T4.7-3", "C4.8",
-                    "radical-triple"}
-
-
-def _nil_ideal(r: FiniteRing, members: tuple[int, ...]) -> bool:
-    return bool(subsets._nilpotent_mask(r)[list(members)].all())
-
-
 def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
                lattice_cap: int) -> dict[str, tuple | str]:
     """Evaluate every requested per-ring suite on one ring.
 
     ``lattice_cap`` is the lattice order cap.  Returns suite id ->
-    (lhs, rhs, witness) or a skip-reason string.
+    (lhs, rhs, witness) or a skip-reason string.  A suite whose evaluation
+    reads an ideal lattice that the caps refuse is skipped with the refusal's
+    message; a suite that decides the ring without the lattice keeps its row.
     """
     out: dict[str, tuple | str] = {}
+    for tid in suite_ids:
+        try:
+            out[tid] = _cell(ring, tid, lattice_cap)
+        except LatticeCapExceeded as exc:
+            out[tid] = str(exc)
+    return out
+
+
+def _cell(ring: FiniteRing, tid: str, lattice_cap: int) -> tuple | str:
+    """One per-ring suite on one ring: (lhs, rhs, witness) or a skip reason."""
     vec = predicates.predicate_vector(ring).values
     upc = vec["uniquely_pi_clean"]
     j = subsets.jacobson_radical(ring)
-    j_nil = _nil_ideal(ring, j.members)
-
-    sp, spectra_reason = None, ""
-    try:
+    if tid in predicates.CHARACTERIZATION_IDS:
+        if tid in ("C2.9", "C3.4"):
+            lhs = vec["uniquely_clean"]
+        elif tid == "C2.12":
+            if not vec["local"]:
+                return "not a local ring"
+            lhs = upc
+        elif tid == "C3.10-set":
+            # read before upc: the hypothesis needs the lattice, so a ring it
+            # cannot read is skipped for the cap, not for the hypothesis
+            sp = subsets.spectrum(ring, order_cap=lattice_cap)
+            if not (upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}):
+                return "hypothesis unmet (uniquely pi-clean with all primes maximal)"
+            lhs = True
+        elif tid in ("T4.7-2", "T4.7-3", "C4.8"):
+            lhs = upc and bool(subsets._nilpotent_mask(ring)[list(j.members)].all())
+        else:
+            lhs = upc
+        return lhs, predicates.characterization(ring, tid, order_cap=lattice_cap), None
+    if tid == "L4.6":
+        return vec["uniquely_pi_nil_clean"], vec["abelian"] and vec["periodic"], None
+    if tid == "collapse":
+        return upc, vec["abelian"], None
+    if tid == "radical-triple":
         sp = subsets.spectrum(ring, order_cap=lattice_cap)
-    except LatticeCapExceeded as exc:
-        spectra_reason = str(exc)
-
-    for tid in suite_ids:
-        if tid in _SPECTRUM_SUITES and sp is None:
-            out[tid] = spectra_reason
-            continue
-        if tid in predicates.CHARACTERIZATION_IDS:
-            if tid in ("C2.9", "C3.4"):
-                lhs = vec["uniquely_clean"]
-            elif tid == "C2.12":
-                if not vec["local"]:
-                    out[tid] = "not a local ring"
-                    continue
-                lhs = upc
-            elif tid == "C3.10-set":
-                hyp = upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}
-                if not hyp:
-                    out[tid] = "hypothesis unmet (uniquely pi-clean with all primes maximal)"
-                    continue
-                lhs = True
-            elif tid in ("T4.7-2", "T4.7-3", "C4.8"):
-                lhs = upc and j_nil
-            else:
-                lhs = upc
-            rhs = predicates.characterization(ring, tid, order_cap=lattice_cap)
-            out[tid] = (lhs, rhs, None)
-        elif tid == "L4.6":
-            out[tid] = (vec["uniquely_pi_nil_clean"], vec["abelian"] and vec["periodic"], None)
-        elif tid == "collapse":
-            out[tid] = (upc, vec["abelian"], None)
-        elif tid == "radical-triple":
-            js, pr = sp.j_star.members, sp.prime_radical.members
-            ok = j.members == js == pr
-            wit = None if ok else f"J={j.members} J*={js} P={pr}"
-            out[tid] = (True, ok, wit)
-        elif tid == "radical-set":
-            if not upc:
-                out[tid] = "not uniquely pi-clean"
-                continue
-            rus = predicates.radical_unit_set(ring)
-            ok = rus == j.members
-            wit = None if ok else f"unit-shift set {rus} vs J {j.members}"
-            out[tid] = (True, ok, wit)
-        elif tid == "corner-quotient":
-            if not upc:
-                out[tid] = "not uniquely pi-clean"
-                continue
-            ok, wit = True, None
-            for e in subsets.idempotents(ring).members:
-                if not predicates.is_uniquely_pi_clean(construct.corner(ring, e)):
-                    ok, wit = False, f"corner at idempotent {e}"
-                    break
-            if ok:
-                q = subsets.radical_quotient(ring)
-                if not predicates.is_uniquely_pi_clean(q):
-                    ok, wit = False, "radical quotient not uniquely pi-clean"
-                elif not predicates.is_potent_ring(q):
-                    ok, wit = False, "radical quotient not potent"
-            out[tid] = (True, ok, wit)
-        elif tid == "implications":
-            ok, wit = True, None
-            for name, ante, cons in IMPLICATIONS:
-                if ante == "abelian&potently_j_clean":
-                    a = vec["abelian"] and vec["potently_j_clean"]
-                elif ante == "generalized_n_like":
-                    a = any(vec[f"generalized_{n}_like"] for n in predicates.GENERALIZED_RANGE)
-                else:
-                    a = vec[ante]
-                if a and not all(vec[c] for c in cons):
-                    ok, wit = False, name
-                    break
-            out[tid] = (True, ok, wit)
-    return out
+        js, pr = sp.j_star.members, sp.prime_radical.members
+        ok = j.members == js == pr
+        return True, ok, None if ok else f"J={j.members} J*={js} P={pr}"
+    if tid in ("radical-set", "corner-quotient") and not upc:
+        return "not uniquely pi-clean"
+    if tid == "radical-set":
+        rus = predicates.radical_unit_set(ring)
+        ok = rus == j.members
+        return True, ok, None if ok else f"unit-shift set {rus} vs J {j.members}"
+    if tid == "corner-quotient":
+        for e in subsets.idempotents(ring).members:
+            if not predicates.is_uniquely_pi_clean(construct.corner(ring, e)):
+                return True, False, f"corner at idempotent {e}"
+        q = subsets.radical_quotient(ring)
+        if not predicates.is_uniquely_pi_clean(q):
+            return True, False, "radical quotient not uniquely pi-clean"
+        if not predicates.is_potent_ring(q):
+            return True, False, "radical quotient not potent"
+        return True, True, None
+    # the implication battery
+    for name, ante, cons in IMPLICATIONS:
+        if ante == "abelian&potently_j_clean":
+            a = vec["abelian"] and vec["potently_j_clean"]
+        elif ante == "generalized_n_like":
+            a = any(vec[f"generalized_{n}_like"] for n in predicates.GENERALIZED_RANGE)
+        else:
+            a = vec[ante]
+        if a and not all(vec[c] for c in cons):
+            return True, False, name
+    return True, True, None
 
 
 def _worker(args: tuple) -> tuple[int, dict]:

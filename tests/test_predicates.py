@@ -13,6 +13,7 @@ from ringlab import (
     clean_decompositions,
     gf,
     gf4_triangular_example,
+    ideal_generated_by,
     idempotents_lift_mod,
     idempotents_lift_uniquely_mod,
     is_abelian,
@@ -124,6 +125,19 @@ def test_element_predicates_reject_out_of_range_indices(predicate, a):
     # numpy would wrap -1 round to element 5 and fail on 6 with a bare IndexError
     with pytest.raises(ValueError, match="out of range"):
         predicate(zmod(6), a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda r, a: r.power_trail(a),
+    lambda r, a: r.pow(a, 2),
+    lambda r, a: ideal_generated_by(r, [0, a]),
+], ids=["power_trail", "pow", "ideal_generated_by"])
+@pytest.mark.parametrize("a", [-1, 6])
+def test_element_apis_reject_out_of_range_indices(call, a):
+    # each goes through the one element check of Elem: -1 would otherwise
+    # stand for 5 (power_trail(-1) listed -1 and 5 as distinct powers)
+    with pytest.raises(ValueError, match="out of range"):
+        call(zmod(6), a)
 
 
 class TestUniquelyPiClean:

@@ -309,6 +309,25 @@ class TestLatticeAndSpectrum:
             spectrum(ring, order_cap=ring.order - 1)
         assert ideal_lattice(ring, order_cap=64) is ideal_lattice(ring, order_cap=128)
 
+    def test_count_refusal_is_stored(self, monkeypatch):
+        # Z/12 has 6 ideals; the refusal is kept in the ring's memo, so a
+        # second reader is refused without a second enumeration
+        monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", 5)
+        calls = []
+        build = subsets._block_product
+        monkeypatch.setattr(subsets, "_block_product", lambda r: calls.append(r) or build(r))
+        ring = zmod(12)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(LatticeCapExceeded) as exc:
+                spectrum(ring)
+            messages.append(str(exc.value))
+        assert len(calls) == 1
+        assert messages == [str(LatticeCapExceeded(12, 5, "more than 5 ideals"))] * 2
+        # the order cap is still checked before the memo is read
+        with pytest.raises(LatticeCapExceeded, match=r"cap 4\)$"):
+            spectrum(ring, order_cap=4)
+
     def test_spectrum_json_shape(self):
         # ring_report is the one rendering of the spectrum
         doc = json.loads(json.dumps(ring_report(zmod(6))))

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from ringlab import RunConfig, matrix_ring, ring_report, run_verify, verify, zmod
+from ringlab import (LatticeCapExceeded, RunConfig, matrix_ring, ring_report, run_verify,
+                     subsets, verify, zmod)
 from ringlab.construct import RingCatalogEntry, build_from_provenance
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
@@ -46,6 +47,39 @@ class TestRunVerify:
         assert all(reason == "not uniquely pi-clean" for _, reason in capped.skipped)
         by_id = {v.theorem: v for v in verdicts}
         assert capped.to_json_dict() == by_id["radical-set"].to_json_dict()
+
+    def test_lattice_cap_skips_only_suites_that_read_the_lattice(self, catalog):
+        # at cap 16 the 11 catalog rings of larger order lose exactly the
+        # suites whose evaluation on them reads the lattice; T3.3 and C3.4
+        # decide M2(Z/3) and T2(Z/3) before they would read it
+        lattice_suites = ("T3.3", "C3.4", "T3.7", "T3.9", "C3.10-set", "T4.7-3", "C4.8",
+                          "radical-triple")
+        out = run_verify(RunConfig(lattice_order_cap=16, theorems=lattice_suites, jobs=1),
+                         catalog)
+        by_id = {v.theorem: v for v in out}
+        counts = {tid: (len(v.rows), len(v.skipped)) for tid, v in by_id.items()}
+        assert counts == {"T3.3": (61, 9), "C3.4": (61, 9), "T3.7": (59, 11),
+                          "T3.9": (59, 11), "C3.10-set": (55, 15), "T4.7-3": (59, 11),
+                          "C4.8": (59, 11), "radical-triple": (59, 11)}
+        for tid in ("T3.3", "C3.4"):
+            rows = {r.provenance: r for r in by_id[tid].rows}
+            for source in ("matrix:zmod3:2", "tri:zmod3:2"):
+                assert (rows[source].lhs, rows[source].rhs) == (False, False), (tid, source)
+        order = {e.provenance: e.ring.order for e in catalog}
+        for v in out:
+            for provenance, why in v.skipped:
+                if order[provenance] > 16:
+                    assert why == str(LatticeCapExceeded(order[provenance], 16)), (v.theorem, why)
+                else:
+                    assert why.startswith("hypothesis unmet"), (v.theorem, provenance, why)
+
+    def test_suites_that_read_no_lattice_build_none(self, monkeypatch):
+        calls = []
+        build = subsets._block_product
+        monkeypatch.setattr(subsets, "_block_product", lambda r: calls.append(r) or build(r))
+        # a fresh catalog, so no ring holds a lattice from an earlier test
+        run_verify(RunConfig(theorems=("collapse", "L4.6"), jobs=1))
+        assert calls == []
 
     def test_t33_carries_caveat(self, verdicts):
         by_id = {v.theorem: v for v in verdicts}
