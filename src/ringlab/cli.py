@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"comma-separated suite ids; known: {', '.join(ALL_SUITE_IDS)}")
     pv.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP,
                     help="skip suites that need the ideal lattice of a ring above this order")
-    pv.add_argument("--jobs", type=int, default=0, help="worker processes (0 = cores)")
+    pv.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (1 = this process, the default; 0 = one per core)")
     pv.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)

@@ -343,12 +343,20 @@ def equal_diagonal_subring(base: FiniteRing, k: int, *, order_cap: int = DEFAULT
 
 
 def corner(r: FiniteRing, e: int, label: str | None = None) -> FiniteRing:
-    """The corner ring eRe with identity e."""
+    """The corner ring eRe with identity e, memoised per idempotent and label.
+
+    Without a ``label``, the first corner built at e is reused, whatever it is
+    called (``FiniteRing.derived``); if there is none, one is built as
+    ``"e<e>(<label>)e<e>"``.  A non-idempotent e raises ``NotIdempotent`` and
+    stores nothing.
+    """
     e = r.elem(e).index
     if r.mul(e, e) != e:
         raise NotIdempotent(f"{r.label}: element {e} is not idempotent")
-    exe = np.unique(r.mul_table[r.mul_table[e, :], e])
-    return r.subring(exe, e, label if label is not None else f"e{e}({r.label})e{e}")
+    def build(name: str) -> FiniteRing:
+        return r.subring(np.unique(r.mul_table[r.mul_table[e, :], e]), e, name)
+
+    return r.derived(("corner", e), label, f"e{e}({r.label})e{e}", build)
 
 
 def quotient(r: FiniteRing, ideal: Ideal | tuple[int, ...], label: str | None = None) -> FiniteRing:

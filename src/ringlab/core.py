@@ -344,7 +344,7 @@ class FiniteRing:
         """The value stored under ``key``, else ``build()``, stored and returned.
 
         A key names one computation, such as ``"units_mask"`` or
-        ``("quotient", members, label)``; callers check caps on every call,
+        ``(("quotient", members), label)``; callers check caps on every call,
         outside the key.  A ``build`` that raises stores nothing.
         """
         if key in self._memo:
@@ -354,6 +354,19 @@ class FiniteRing:
             value.setflags(write=False)
         self._memo[key] = value
         return value
+
+    def derived(self, key: Hashable, label: str | None, default: str,
+                build: Callable[[str], "FiniteRing"]) -> "FiniteRing":
+        """The derived ring ``build(label)``, memoised per ``key`` and label.
+
+        Without a ``label``, the first ring built under ``key`` is reused,
+        whatever it is called; if there is none, one is built as ``default``.
+        """
+        if label is None:
+            label = self.memo(("label", key), lambda: default)
+        else:
+            self.memo(("label", key), lambda: label)
+        return self.memo((key, label), lambda: build(label))
 
     # -- element arithmetic (index level) ------------------------------------
 

@@ -143,8 +143,16 @@ def idempotents(r: FiniteRing) -> ElemClass:
 
 
 def _central_mask(r: FiniteRing) -> np.ndarray:
-    """Whether each element commutes with every element."""
-    return r.memo("central_mask", lambda: (r.mul_table == r.mul_table.T).all(axis=1))
+    """Whether each element commutes with every element.
+
+    By distributivity, x is central exactly when it commutes with every
+    additive generator, so the scan reads |G| <= log2(n) columns and rows.
+    """
+    def build() -> np.ndarray:
+        g = r.additive_generators()
+        return (r.mul_table[:, g] == r.mul_table[g, :].T).all(axis=1)
+
+    return r.memo("central_mask", build)
 
 
 def central_idempotents(r: FiniteRing) -> ElemClass:
@@ -468,11 +476,8 @@ def quotient_ring(r: FiniteRing, ideal: Ideal, label: str | None = None) -> Fini
     ``"<label>/(<size>)"``.
     """
     members = ideal.members
-    if label is None:
-        label = r.memo(("quotient label", members), lambda: f"{r.label}/({len(members)})")
-    else:
-        r.memo(("quotient label", members), lambda: label)
-    return r.memo(("quotient", members, label), lambda: r.quotient_by(members, label))
+    return r.derived(("quotient", members), label, f"{r.label}/({len(members)})",
+                     lambda name: r.quotient_by(members, name))
 
 
 def radical_quotient(r: FiniteRing) -> FiniteRing:

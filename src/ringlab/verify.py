@@ -120,7 +120,9 @@ class RunConfig:
 
     lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP
     theorems: tuple[str, ...] | None = None
-    jobs: int = 0  # 0 -> one worker per core
+    # 1: this process, on the catalog's own rings and their memo;
+    # 0: one worker per core; N > 1: a pool of N workers
+    jobs: int = 1
 
     def __post_init__(self):
         if self.lattice_order_cap < 1:
@@ -295,6 +297,8 @@ def run_verify(config: RunConfig | None = None,
                catalog: list[construct.RingCatalogEntry] | None = None) -> list[TheoremVerdict]:
     """Run the selected suites over the catalog and return one verdict each.
 
+    By default the suites run in this process, on the catalog's own rings, so
+    they reuse what building the catalog memoised (idempotents, corners, R/J).
     Results are deterministic: rows follow catalog order regardless of the
     parallelism degree.
     """

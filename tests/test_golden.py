@@ -142,7 +142,7 @@ BIMODULE_DIGESTS = {
         "dd2693a7f6636dc87d02b71af5e648e1dbe1e3c9a538d2290551675030a4dc04",
 }
 
-# sha256 of `ringlab verify --format json --jobs 1` stdout
+# sha256 of `ringlab verify --format json` stdout, with or without `--jobs 1`
 VERIFY_JSON_DIGEST = "567e42a2671ad862ace0eb87fccc3282c744c6d8022679f18bdf7d4abbd37c7f"
 
 # sha256 of json.dumps(ring_report(entry.ring), sort_keys=True) by catalog provenance
@@ -352,6 +352,11 @@ def test_catalog_digest(catalog):
 
 def test_verify_json_digest(capsys):
     assert cli.main(["verify", "--format", "json", "--jobs", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_JSON_DIGEST
+
+
+def test_verify_json_digest_default_jobs(capsys):
+    assert cli.main(["verify", "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_JSON_DIGEST
 
 

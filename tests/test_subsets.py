@@ -11,8 +11,11 @@ from ringlab import (
     Ideal,
     LatticeCapExceeded,
     NotAnIdeal,
+    NotIdempotent,
     NotProperIdeal,
+    central_elements,
     central_idempotents,
+    corner,
     gf,
     idempotents,
     ideal_generated_by,
@@ -368,6 +371,60 @@ class TestQuotientTorsion:
         assert radical_quotient(z12) is q
         # an unlabelled quotient by J reuses it, as T3.3 and T3.7 do
         assert quotient_ring(z12, jacobson_radical(z12)) is q
+
+
+class TestCornerMemo:
+    def test_corner_is_built_once_per_label(self):
+        z6 = zmod(6)
+        for e in idempotents(z6).members:
+            assert corner(z6, e) is corner(z6, e)
+        assert corner(z6, 3).label == "e3(Z/6)e3"
+        assert corner(z6, 3, "C3").label == "C3"
+        assert corner(z6, 3) is corner(z6, 3, "e3(Z/6)e3")
+
+    def test_unlabelled_corner_reuses_the_catalog_corner(self, catalog):
+        primary = {e.provenance: e.ring for e in catalog}
+        for entry in catalog:
+            if not entry.provenance.startswith("corner:"):
+                continue
+            source, _, e = entry.provenance[len("corner:"):].rpartition(":")
+            parent = primary[source]
+            assert corner(parent, int(e)) is entry.ring, entry.provenance
+            assert entry.ring.label == f"corner {e} of {parent.label}"
+
+    def test_non_idempotent_raises_on_every_call(self):
+        z6 = zmod(6)
+        for _ in range(3):
+            with pytest.raises(NotIdempotent):
+                corner(z6, 2)
+        assert not [k for k in z6._memo if "corner" in repr(k)]
+
+
+def reference_central_mask(ring):
+    """Independent oracle: x is central when its row of the mul table equals its column."""
+    mul = np.asarray(ring.mul_table)
+    return (mul == mul.T).all(axis=1)
+
+
+def check_central_classes(ring):
+    mask = reference_central_mask(ring)
+    idem = np.diagonal(ring.mul_table) == np.arange(ring.order)
+    assert central_elements(ring).members == tuple(np.flatnonzero(mask).tolist()), ring.label
+    assert central_idempotents(ring).members == \
+        tuple(np.flatnonzero(mask & idem).tolist()), ring.label
+
+
+class TestCentralMask:
+    def test_catalog_matches_full_compare(self, catalog_rings):
+        for ring in catalog_rings:
+            # reversed labels move zero and one off indices 0 and 1
+            for r in (ring, ring.relabeled(range(ring.order - 1, -1, -1))):
+                check_central_classes(r)
+
+    @pytest.mark.large
+    @pytest.mark.parametrize("source", ["tri:gf4:3", "matrix:gf4:2"])
+    def test_large_rings_match_full_compare(self, source):
+        check_central_classes(parse_ring_source(source))
 
 
 def _is_two_sided(ring, members):

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from ringlab import (LatticeCapExceeded, RunConfig, matrix_ring, ring_report, run_verify,
-                     subsets, verify, zmod)
+from ringlab import (LatticeCapExceeded, RunConfig, cli, matrix_ring, ring_report,
+                     run_verify, subsets, verify, zmod)
 from ringlab.construct import RingCatalogEntry, build_from_provenance
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
@@ -150,6 +150,21 @@ class TestRunVerify:
         custom = [RingCatalogEntry(zmod(2), "a"), RingCatalogEntry(zmod(3), "b")]
         run_verify(RunConfig(theorems=("collapse",), jobs=64), custom)
         assert sizes == [2]
+
+    def test_default_runs_in_process(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default run started a process pool")
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "ProcessPoolExecutor", no_pool)
+            assert RunConfig().jobs == 1
+            verdicts = run_verify()
+            assert cli.main(["verify", "--format", "json"]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default) == [v.to_json_dict() for v in verdicts]
+        # the pool path still runs when asked for, and prints the same bytes
+        assert cli.main(["verify", "--format", "json", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_json_stable_across_runs(self, catalog):
         a = run_verify(RunConfig(theorems=("T2.4", "radical-set"), jobs=1), catalog)
