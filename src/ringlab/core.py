@@ -15,8 +15,12 @@ elements, where each step is a theorem:
    (x+g)+y = x+(g+y) for all x, y form a sub-magma, so when the test holds on
    G it holds on every sum of generators, which is every element.
 2. Distributivity: once + is associative, the elements c with
-   a*(b+c) = a*b + a*c (and (b+c)*a = b*a + c*a) for all a, b are closed
-   under +, so checking c in G suffices.
+   (b+c)*a = b*a + c*a for all a, b are closed under +, so checking c in G
+   decides right distributivity.  Every right multiplication x -> x*a is
+   then additive, so for each b, c the map a -> a*(b+c) - a*b - a*c is
+   additive in a and vanishes everywhere once it vanishes on G.  For a
+   fixed a the elements c with a*(b+c) = a*b + a*c for all b are again
+   closed under +, so left distributivity needs only a and c in G.
 3. Associativity of *: the associator is additive in each argument, so it
    vanishes everywhere once it vanishes on G^3.
 
@@ -76,8 +80,8 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
-# cells per row block of ``FiniteRing.relabeled``
-_RELABEL_BLOCK_CELLS = 1 << 16
+# cells per row block of ``FiniteRing.relabeled`` and ``_holds_on_generators``
+_ROW_BLOCK_CELLS = 1 << 16
 
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
@@ -201,28 +205,35 @@ def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     Decided exactly on a greedy additive generating set G (see the module
     docstring) for tables that passed the O(n^2) checks.  False also when G
     would need more than ``n.bit_length()`` elements, which a group never does.
-    Each generator is checked as soon as it is chosen, so a broken table
-    usually fails on the first one.
+    Each generator is checked as soon as it is chosen, a block of rows at a
+    time, so a broken table usually fails on the first block of the first one.
     """
     n = add.shape[0]
-    # add_cell[a, b] + c is the flat index of the cell add[mul[a, b], c]
-    sums, add_cell = add.ravel(), mul.astype(np.intp) * n
+    rows = max(1, _ROW_BLOCK_CELLS // n)
+    sums = add.ravel()
     gens: list[int] = []
     for g in _additive_generators(add, zero):
         if len(gens) == n.bit_length():
             return False
         gens.append(g)
-        # a*(b+g) == a*b + a*g and (b+g)*a == b*a + g*a; + is commutative,
-        # so row g of add also lists x+g
-        if not np.array_equal(mul.take(add[g], axis=1), sums.take(add_cell + mul[:, g, None])):
-            return False
-        if not np.array_equal(mul[add[g]], sums.take(add_cell + mul[g])):
-            return False
-        # (x+g)+y == x+(g+y)
-        if not np.array_equal(add[add[g]], add.take(add[g], axis=1)):
-            return False
+        # + is commutative, so row g of add lists x+g, and the flat index
+        # n*(g*a) + x*a names the cell add[g*a, x*a] = x*a + g*a
+        ga_cell = mul[g].astype(np.intp) * n
+        for start in range(0, n, rows):
+            x_plus_g = add[g, start:start + rows]
+            # (x+g)*a == x*a + g*a
+            if not np.array_equal(mul.take(x_plus_g, axis=0),
+                                  sums.take(ga_cell + mul[start:start + rows])):
+                return False
+            # (x+g)+y == x+(g+y)
+            if not np.array_equal(add.take(x_plus_g, axis=0),
+                                  add[start:start + rows].take(add[g], axis=1)):
+                return False
     gens = np.array(gens, dtype=np.intp)
-    gg = mul[np.ix_(gens, gens)]
+    ab, gg = mul[gens], mul[np.ix_(gens, gens)]
+    # a*(b+c) == a*b + a*c for a, c in G and every b
+    if not np.array_equal(ab[:, add[gens]], add[ab[:, None, :], gg[:, :, None]]):
+        return False
     return np.array_equal(mul[gg[:, :, None], gens], mul[gens[:, None, None], gg])
 
 
@@ -492,7 +503,7 @@ class FiniteRing:
         old_order = np.asarray(old_order, dtype=np.intp)
         new_of_old = np.empty(self.order, dtype=np.int32)
         new_of_old[old_order] = np.arange(self.order, dtype=np.int32)
-        rows = max(1, _RELABEL_BLOCK_CELLS // self.order)
+        rows = max(1, _ROW_BLOCK_CELLS // self.order)
 
         def relabel(table: np.ndarray) -> np.ndarray:
             out = np.empty((self.order, self.order), dtype=np.int32)
@@ -540,30 +551,42 @@ class FiniteRing:
         return FiniteRing._canonical(label, add, mul, int(pos[self.zero]), int(pos[one]), names)
 
     def ideal_witness(self, members: Sequence[int]) -> tuple[int, ...] | None:
-        """Why ``members`` is not a two-sided ideal of this ring, by scan.
+        """Why ``members`` is not a two-sided ideal of this ring.
 
         Returns None for a two-sided ideal; () for an empty set or one with a
         member outside [0, order); otherwise the first pair whose result
         leaves the set: two members (m1, m2) with m1 + m2 outside, else
         (r, m) with r*m outside, else (m, r) with m*r outside, each scanned
         row-major in the given member order.  Zero and negation need no
-        check: a nonempty finite subset of a group that is closed under + is
-        a subgroup.
+        check: a nonempty finite subset S of a group that is closed under +
+        is a subgroup.  Then, as every r is a sum of additive generators and
+        * distributes over +, S is an ideal once g*s and s*g lie in S for
+        every generator g and every s in S; only a set that fails that check
+        is scanned for its first escaping pair.
         """
         mem = np.asarray(members, dtype=np.int64).ravel()
         if mem.size == 0 or mem.min() < 0 or mem.max() >= self.order:
             return ()
         mask = np.zeros(self.order, dtype=bool)
         mask[mem] = True
-        everything = np.arange(self.order)
-        for rows, cols, block in ((mem, mem, self.add_table[np.ix_(mem, mem)]),
-                                  (everything, mem, self.mul_table[:, mem]),
-                                  (mem, everything, self.mul_table[mem])):
+
+        def first_escape(rows, cols, block) -> tuple[int, int] | None:
             inside = mask[block]
-            if not inside.all():
-                i, j = np.argwhere(~inside)[0]
-                return int(rows[i]), int(cols[j])
-        return None
+            if inside.all():
+                return None
+            i, j = np.argwhere(~inside)[0]
+            return int(rows[i]), int(cols[j])
+
+        witness = first_escape(mem, mem, self.add_table[np.ix_(mem, mem)])
+        if witness is not None:
+            return witness
+        gens = self.additive_generators()
+        if (mask[self.mul_table[np.ix_(gens, mem)]].all()
+                and mask[self.mul_table[np.ix_(mem, gens)]].all()):
+            return None
+        everything = np.arange(self.order)
+        return (first_escape(everything, mem, self.mul_table[:, mem])
+                or first_escape(mem, everything, self.mul_table[mem]))
 
     def quotient_by(self, members: Sequence[int], label: str) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.

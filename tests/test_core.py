@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ringlab.core import (
     _holds_on_generators,
     validate_tables,
 )
+from ringlab.sources import parse_ring_source
 
 
 def modular_tables(n):
@@ -274,6 +276,59 @@ class TestGeneratorCheck:
             assert 2 ** len(gens) <= ring.order
             assert len(_additive_span(ring, gens)) == ring.order
             assert ring.additive_generators() is gens
+
+    def test_validation_allocates_no_table_sized_temporary(self):
+        ring = parse_ring_source("tri:zmod2:4")
+        relabeled = ring.relabeled(np.random.default_rng(21).permutation(ring.order))
+        tracemalloc.start()
+        try:
+            validate_tables(relabeled.add_table, relabeled.mul_table,
+                            relabeled.zero, relabeled.one, ring.order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < relabeled.add_table.nbytes
+
+
+def _reference_ideal_witness(ring, members):
+    """The first pair that leaves ``members``: a row-major scan of the
+    member sums, then the products (r, m), then the products (m, r)."""
+    mem = np.asarray(members, dtype=np.intp)
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[mem] = True
+    everything = np.arange(ring.order)
+    for rows, cols, table in ((mem, mem, ring.add_table), (everything, mem, ring.mul_table),
+                              (mem, everything, ring.mul_table)):
+        escapes = np.argwhere(~mask[table[np.ix_(rows, cols)]])
+        if len(escapes):
+            i, j = escapes[0]
+            return int(rows[i]), int(cols[j])
+    return None
+
+
+class TestIdealWitness:
+    """``ideal_witness`` decides on the additive generators, and a set that
+    fails gets the first escaping pair of a full scan."""
+
+    def test_matches_full_scan_on_catalog_subsets(self, catalog_rings):
+        rng = np.random.default_rng(20261019)
+        scanned = 0
+        for ring in catalog_rings:
+            unit = np.zeros(ring.order, dtype=bool)
+            unit[list(subsets.units(ring).members)] = True
+            candidates = [ideal.members for ideal in subsets.ideal_lattice(ring)]
+            candidates += [np.flatnonzero(unit), np.flatnonzero(~unit)]
+            # additive subgroups, given in a shuffled order; those that are
+            # not ideals pass the generator check's premise and reach the scan
+            spans = [rng.permutation(sorted(_additive_span(ring, rng.integers(0, ring.order, k))))
+                     for k in (1, 1, 2)]
+            for members in candidates + spans:
+                if len(members) == 0:
+                    continue
+                expected = _reference_ideal_witness(ring, members)
+                assert ring.ideal_witness(members) == expected, (ring.label, members)
+            scanned += sum(_reference_ideal_witness(ring, span) is not None for span in spans)
+        assert scanned > 50
 
 
 class TestArithmetic:

@@ -12,12 +12,14 @@ from math import prod
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
 import pytest
 from sympy import catalan, divisor_count
 
 from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, spectrum,
                      units)
 from ringlab.cli import main
+from ringlab.core import validate_tables
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
@@ -113,6 +115,16 @@ def test_ladder_n_like_witnesses(source):
 def test_json_round_trip(source):
     ring = parse_ring_source(source)
     assert load_ring_json(ring.to_json()).table_bytes() == ring.table_bytes()
+
+
+@pytest.mark.parametrize("source", ["tri:gf4:3", "product:zmod64,zmod64"])
+def test_relabeled_order_4096_tables_validate(source):
+    # a relabelling puts the generators and the identity off their canonical
+    # indices, as in a ring file written by another program
+    ring = parse_ring_source(source)
+    relabeled = ring.relabeled(np.random.default_rng(4096).permutation(ring.order))
+    validate_tables(relabeled.add_table, relabeled.mul_table, relabeled.zero, relabeled.one,
+                    ring.order)
 
 
 def test_raised_env_cap_admits_an_order_above_the_default(capsys, monkeypatch):
