@@ -80,8 +80,27 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
-# cells per row block of ``FiniteRing.relabeled`` and ``_holds_on_generators``
+# cells per row block of ``FiniteRing.relabeled``, ``_holds_on_generators``
+# and, as the largest of its growing blocks, ``FiniteRing.ideal_witness``
 _ROW_BLOCK_CELLS = 1 << 16
+
+
+def _growing_blocks(rows: int, width: int, cells: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``(start, stop)`` covering ``range(rows)``.
+
+    The first holds a sixteenth of ``cells`` cells of ``width`` each, at
+    least one row, and each next one twice as many rows, up to ``cells``
+    cells (again at least one row).  A scan that stops at its first failing
+    block then pays little for an early failure and, on a whole scan, only a
+    few more block steps than with fixed blocks of ``cells``.
+    """
+    most = max(1, cells // width)
+    size = max(1, cells // 16 // width)
+    start = 0
+    while start < rows:
+        yield start, min(start + size, rows)
+        start += size
+        size = min(2 * size, most)
 
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
@@ -563,21 +582,36 @@ class FiniteRing:
         * distributes over +, S is an ideal once g*s and s*g lie in S for
         every generator g and every s in S; only a set that fails that check
         is scanned for its first escaping pair.
+
+        Each scan gathers growing blocks of rows (``_growing_blocks``) and
+        returns at the first block holding an escape.  The blocks cover the
+        rows in order and each is searched row-major, so the first escape of
+        the first such block is the first escape of the whole scan: the
+        witness is the one a single full gather would give.  The result
+        depends only on the member array in its given order, so it is
+        memoised under that array: re-checking an ideal already checked on
+        this ring (``quotient_by`` after ``jacobson_radical``, the
+        intersections of ``subsets.spectrum``) is a lookup.
         """
         mem = np.asarray(members, dtype=np.int64).ravel()
+        return self.memo(("ideal_witness", mem.tobytes()), lambda: self._ideal_witness(mem))
+
+    def _ideal_witness(self, mem: np.ndarray) -> tuple[int, ...] | None:
         if mem.size == 0 or mem.min() < 0 or mem.max() >= self.order:
             return ()
         mask = np.zeros(self.order, dtype=bool)
         mask[mem] = True
 
-        def first_escape(rows, cols, block) -> tuple[int, int] | None:
-            inside = mask[block]
-            if inside.all():
-                return None
-            i, j = np.argwhere(~inside)[0]
-            return int(rows[i]), int(cols[j])
+        def first_escape(rows, cols, gather) -> tuple[int, int] | None:
+            for start, stop in _growing_blocks(len(rows), len(cols), _ROW_BLOCK_CELLS):
+                inside = mask.take(gather(start, stop))
+                if not inside.all():
+                    i, j = divmod(int(inside.argmin()), len(cols))
+                    return int(rows[start + i]), int(cols[j])
+            return None
 
-        witness = first_escape(mem, mem, self.add_table[np.ix_(mem, mem)])
+        add, mul = self.add_table, self.mul_table
+        witness = first_escape(mem, mem, lambda a, b: add.take(mem[a:b], axis=0).take(mem, axis=1))
         if witness is not None:
             return witness
         gens = self.additive_generators()
@@ -585,8 +619,8 @@ class FiniteRing:
                 and mask[self.mul_table[np.ix_(mem, gens)]].all()):
             return None
         everything = np.arange(self.order)
-        return (first_escape(everything, mem, self.mul_table[:, mem])
-                or first_escape(mem, everything, self.mul_table[mem]))
+        return (first_escape(everything, mem, lambda a, b: mul[a:b].take(mem, axis=1))
+                or first_escape(mem, everything, lambda a, b: mul.take(mem[a:b], axis=0)))
 
     def quotient_by(self, members: Sequence[int], label: str) -> "FiniteRing":
         """Quotient by a two-sided ideal given as a member list.

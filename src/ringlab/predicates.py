@@ -34,7 +34,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import FiniteRing
+from .core import FiniteRing, _growing_blocks
 from .subsets import (
     DEFAULT_LATTICE_ORDER_CAP,
     Ideal,
@@ -88,8 +88,18 @@ class CleanWitness:
 
 
 def _split_counts(r: FiniteRing, complement: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """Per element a, how many p in ``parts`` have a - p in the complement mask."""
-    return complement[r.sub_table[:, parts]].sum(axis=1)
+    """Per element a, how many p in ``parts`` have a - p in the complement mask.
+
+    ``parts`` holds distinct elements, and a - p = c exactly when a - c = p,
+    so the count is also #{c in the complement : a - c in parts}; the n-column
+    gather runs over the smaller of the two sets.
+    """
+    others = np.flatnonzero(complement)
+    if len(others) < len(parts):
+        in_parts = np.zeros(r.order, dtype=bool)
+        in_parts[parts] = True
+        complement, parts = in_parts, others
+    return complement.take(r.sub_table.take(parts, axis=1)).sum(axis=1)
 
 
 def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
@@ -98,11 +108,14 @@ def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
 
 
 def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
-    """``m[x, z]``: whether z lies in xR (in Rx when ``left``)."""
-    m = np.zeros((r.order, r.order), dtype=bool)
-    products = r.mul_table.T if left else r.mul_table
-    m.reshape(-1)[products + (np.arange(r.order) * r.order)[:, None]] = True
-    return m
+    """``m[x, z]``: whether z lies in xR (in Rx when ``left``), memoised per side."""
+    def build() -> np.ndarray:
+        m = np.zeros((r.order, r.order), dtype=bool)
+        products = r.mul_table.T if left else r.mul_table
+        m.reshape(-1)[products + (np.arange(r.order) * r.order)[:, None]] = True
+        return m
+
+    return r.memo(("multiples", left), build)
 
 
 def _corner_counts(r: FiniteRing, left: bool) -> np.ndarray:
@@ -322,8 +335,9 @@ def is_generalized_n_like(r: FiniteRing, n: int) -> bool:
     return generalized_n_like_witness(r, n) is None
 
 
-# cells of the n-like scan per row block; the scan stops at the first block
-# holding a failure, so a ring that fails early costs one block
+# cells of the n-like scan's largest row block; the blocks start at a
+# sixteenth of it and double, and the scan stops at the first block holding a
+# failure, so a ring that fails early costs one small block
 _N_LIKE_BLOCK_CELLS = 1 << 16
 
 
@@ -336,25 +350,36 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
         (ab)^n - a b^n - a^n b + ab = d(ab) - a d(b) - d(a) b,
 
     and the identity holds at (a, b) exactly when d(ab) = a d(b) + d(a) b.
-    That is four gathers per cell, through the length-n vector d, scanned a
-    block of rows at a time; the sum is read from the flat add table, so
-    every gather has one index array.
+    The scan (``_n_like_scan``) therefore reads n only through the vector d,
+    and two exponents with the same d have the same witness: the scan is
+    memoised on the ring per d.
     """
     if n < 2:
         raise ValueError(f"generalized n-like needs n >= 2, got {n}")
-    mul, order = r.mul_table, r.order
-    idx = np.arange(order)
+    mul = r.mul_table
+    idx = np.arange(r.order)
     pow_n = idx
     for _ in range(n - 1):
         pow_n = mul[pow_n, idx]
     d = r.sub_table[pow_n, idx]
+    return r.memo(("n_like", d.tobytes()), lambda: _n_like_scan(r, d))
+
+
+def _n_like_scan(r: FiniteRing, d: np.ndarray) -> Witness:
+    """The first pair (a, b), row-major, with d(ab) != a d(b) + d(a) b.
+
+    Four gathers per cell, through the length-n vector d, over growing blocks
+    of rows (``core._growing_blocks``); the sum is read from the flat add
+    table, so every gather has one index array.  The blocks cover the rows in
+    order and each is searched row-major, so the first failure of the first
+    failing block is the first failure of the whole grid.
+    """
+    mul, order = r.mul_table, r.order
     add_flat = r.add_table.ravel()
-    rows = max(1, _N_LIKE_BLOCK_CELLS // order)
-    for start in range(0, order, rows):
-        block = slice(start, start + rows)
-        ab = mul[block]
+    for start, stop in _growing_blocks(order, order, _N_LIKE_BLOCK_CELLS):
+        ab = mul[start:stop]
         sums = np.multiply(ab.take(d, axis=1), order, dtype=np.intp)  # a d(b), as a row offset
-        sums += mul.take(d[block], axis=0)                             # d(a) b
+        sums += mul.take(d[start:stop], axis=0)                        # d(a) b
         bad = np.flatnonzero(d.take(ab) != add_flat.take(sums))
         if len(bad):
             a, b = divmod(int(bad[0]), order)
@@ -421,9 +446,6 @@ def characterization(r: FiniteRing, thm_id: str, *,
     ``order_cap`` is the lattice order cap of ``spectrum``, for the
     characterizations that read the lattice.
     """
-    idem = _idempotent_array(r)
-    cidem = np.array(central_idempotents(r).members, dtype=np.int32)
-
     if thm_id == "T2.2":
         if not is_abelian(r):
             return False
@@ -437,6 +459,7 @@ def characterization(r: FiniteRing, thm_id: str, *,
             return False
         return bool(_some_power(r, _corner_counts(r, left=thm_id == "C2.5") == 1).all())
     if thm_id == "T2.8":
+        cidem = np.array(central_idempotents(r).members, dtype=np.int32)
         return _pi_shift_into(r, jacobson_radical(r).mask(), cidem, unique=False)
     if thm_id == "C2.9":
         umask = _units_mask(r)
@@ -444,12 +467,12 @@ def characterization(r: FiniteRing, thm_id: str, *,
         return is_uniquely_pi_clean(r) and shifted == jacobson_radical(r).members
     if thm_id == "T2.10":
         j = jacobson_radical(r)
-        return (_pi_shift_into(r, j.mask(), idem, unique=True)
+        return (_pi_shift_into(r, j.mask(), _idempotent_array(r), unique=True)
                 and radical_unit_set(r) == j.members)
     if thm_id == "C2.11":
         j = jacobson_radical(r)
         nilp = np.flatnonzero(_nilpotent_mask(r))
-        return (_pi_shift_into(r, j.mask(), idem, unique=True)
+        return (_pi_shift_into(r, j.mask(), _idempotent_array(r), unique=True)
                 and bool(j.mask()[nilp].all()))
     if thm_id == "C2.12":
         # units = {x : some x^m - 1 lies in J}
@@ -473,7 +496,7 @@ def characterization(r: FiniteRing, thm_id: str, *,
                 and idempotents_lift_uniquely_mod(r, js))
     if thm_id == "T3.9":
         js = spectrum(r, order_cap=order_cap).j_star
-        return (_pi_shift_into(r, js.mask(), idem, unique=True)
+        return (_pi_shift_into(r, js.mask(), _idempotent_array(r), unique=True)
                 and radical_unit_set(r) == js.members)
     if thm_id == "C3.10-set":
         return radical_unit_set(r) == spectrum(r, order_cap=order_cap).prime_radical.members
@@ -486,11 +509,13 @@ def characterization(r: FiniteRing, thm_id: str, *,
         # idempotent power would do), which would not characterize anything.
         pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
         nmask = _nilpotent_mask(r)
+        idem = _idempotent_array(r)
         ok = ((_split_counts(r, nmask, idem) == 1)
               & (_split_counts(r, nmask & ~pmask, idem) == 0))
         return bool(_some_power(r, ok).all())
     if thm_id == "C4.8":
         pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
+        cidem = np.array(central_idempotents(r).members, dtype=np.int32)
         return _pi_shift_into(r, pmask, cidem, unique=False)
     raise ValueError(f"unknown characterization id {thm_id!r}")
 

@@ -330,6 +330,21 @@ class TestIdealWitness:
             scanned += sum(_reference_ideal_witness(ring, span) is not None for span in spans)
         assert scanned > 50
 
+    def test_first_escaping_sum_past_the_first_block(self):
+        # in Z/256, S = 2Z/256 together with 1 + 8Z/256: the rows of 8Z/256
+        # keep every sum in S, and 2 + 1 = 3 is the first sum that leaves it
+        ring = zmod(256)
+        eights = list(range(0, 256, 8))
+        members = eights + [x for x in range(0, 256, 2) if x % 8] + [1 + x for x in eights]
+        first_rows = core._ROW_BLOCK_CELLS // 16 // len(members)
+        witness = ring.ideal_witness(members)
+        assert witness == _reference_ideal_witness(ring, members) == (2, 1)
+        assert members.index(2) >= first_rows > 0
+        # the witness depends on the member order, and so does its memo entry
+        assert ring.ideal_witness(sorted(members)) == \
+            _reference_ideal_witness(ring, sorted(members)) == (1, 2)
+        assert ring.ideal_witness(members) == (2, 1)
+
 
 class TestArithmetic:
     def test_mul_examples(self):
@@ -468,8 +483,9 @@ class TestNormalizationAndJson:
         lambda r: r.additive_generators(),
         lambda r: subsets._units_mask(r),
         lambda r: predicates._clean_counts(r),
+        lambda r: predicates._multiples(r),
     ], ids=["neg_table", "sub_table", "power_matrix", "additive_generators",
-            "units_mask", "clean_counts"])
+            "units_mask", "clean_counts", "multiples"])
     def test_derived_arrays_immutable(self, derived):
         arr = derived(zmod(6))
         with pytest.raises(ValueError):

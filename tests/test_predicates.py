@@ -43,9 +43,10 @@ from ringlab import (
     upper_triangular,
     zmod,
 )
-from ringlab import predicates
+from ringlab import predicates, subsets
 from ringlab.construct import SUPPORTED_FIELD_ORDERS
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
+from ringlab.sources import parse_ring_source
 from ringlab.subsets import spectrum
 
 
@@ -246,6 +247,33 @@ class TestGeneralizedNLike:
                 assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), \
                     (ring.label, n)
 
+    def test_witness_past_the_first_block(self):
+        # GF(8) x GF(8) is 8-like and Z/3 is not, so at n = 8 every row whose
+        # Z/3 coordinate is 0 or 1 holds, and the first failing row is 2 * 64
+        ring = parse_ring_source("product:zmod3,product:gf8,gf8")
+        first_rows = predicates._N_LIKE_BLOCK_CELLS // 16 // ring.order
+        witness = generalized_n_like_witness(ring, 8)
+        assert witness == reference_n_like_witness(ring, 8)
+        assert witness[0] >= first_rows > 0
+
+    def test_one_scan_per_difference_vector(self, monkeypatch):
+        scans = []
+
+        def counted(ring, d):
+            scans.append(ring.label)
+            return scan(ring, d)
+
+        scan = predicates._n_like_scan
+        monkeypatch.setattr(predicates, "_n_like_scan", counted)
+        # x^n = x in a Boolean ring, so d = 0 for every n; in Z/3, x^n - x
+        # is x^3 - x = 0 for odd n and x^2 - x for even n
+        for ring, distinct in ((parse_ring_source("product:" * 6 + "gf2" + ",gf2" * 6), 1),
+                               (zmod(3), 2)):
+            scans.clear()
+            witnesses = [generalized_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
+            assert len(scans) == distinct, ring.label
+            assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
+
     @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
     def test_field_closed_form(self, q):
         # in a field the identity is (a^n - a)(b^n - b) = 0, i.e. x^n = x for all x
@@ -256,6 +284,26 @@ class TestGeneralizedNLike:
         for m in range(1, 41):
             for n in GENERALIZED_RANGE:
                 assert generalized_n_like_witness(zmod(m), n) == zmod_n_like_witness(m, n), (m, n)
+
+
+class TestSplitCounts:
+    def test_matches_one_gather_over_parts(self, catalog_rings):
+        # the old formula: per a, gather a - p for every p in parts; the
+        # scan gathers over the complement instead when it is the smaller set
+        sides = set()
+        rings = catalog_rings + [r.relabeled(range(r.order - 1, -1, -1)) for r in catalog_rings]
+        for ring in rings:
+            complements = (subsets._units_mask(ring), subsets._nilpotent_mask(ring),
+                           jacobson_radical(ring).mask())
+            parts_list = (subsets._idempotent_array(ring),
+                          np.flatnonzero(subsets._potent_mask(ring)), np.arange(ring.order))
+            for complement in complements:
+                for parts in parts_list:
+                    expected = complement[ring.sub_table[:, parts]].sum(axis=1)
+                    np.testing.assert_array_equal(
+                        predicates._split_counts(ring, complement, parts), expected)
+                    sides.add(int(complement.sum()) < len(parts))
+        assert sides == {False, True}
 
 
 class TestIdempotentLifting:
