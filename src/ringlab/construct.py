@@ -10,7 +10,8 @@ re-executes a provenance id.
 Rings on R x S share one table builder, ``_pair_table``, which puts element
 (r, s) at index r*|S| + s: ``product``, ``ideal_extension``, and the additive
 group of every structured ring below, the m-fold product of its coordinate
-group.
+group (``_power_table``, folded from the right: the coordinate table is
+paired with the running table, never the other way round).
 
 The structured constructors build rings by theorem, without
 ``validate_tables``: each runs only the checks its theorem needs, and its
@@ -20,26 +21,29 @@ because that validation decides the bimodule laws of its spec.
 Structured rings share one digit encoding (``_digits`` / ``_encode``): an
 element is a tuple of m coordinates in 0..q-1 and its index is the base-q
 number they spell, most significant first, which is the index that m - 1
-folds of ``_pair_table`` give.  Multiplication tables are computed a whole
-coordinate at a time with numpy and folded Horner style into one running index
-table, in place, so besides it one n-by-n coordinate table is live per step.
-Two builders use it:
+folds of ``_pair_table`` give, from either side.  Two builders use it:
 
 - ``_quotient_poly_ring`` builds Z/p[x] modulo a monic polynomial (``gf``,
   ``zn_alpha``).  The coordinates are the coefficients, highest degree first,
   so index = sum a_i p^i is little-endian in the degree and puts 0 and 1 at
-  indices 0 and 1 directly.
+  indices 0 and 1 directly.  Its multiplication table is computed a whole
+  coordinate at a time and folded Horner style into one running index
+  table, in place, so besides it one n-by-n coordinate table is live per
+  step.
 - ``_matrix_tables`` builds a family of k-by-k matrices over a table ring
   (``matrix_ring``, ``upper_triangular``, ``equal_diagonal_subring``,
   ``gf4_triangular_example``, ``strict_upper_bimodule``).  Coordinate t is
   read from its *home* cell; homes are listed row-major.  A *tied* cell holds
   a fixed image of one coordinate (the shared diagonal of the equal-diagonal
   ring, the Frobenius-twisted middle entry of the GF(4) showcase), and every
-  other cell is zero.  Closure is verified, not assumed: under + by checking
-  that each tie image is additive, under * cell by cell (each product cell
-  that is not a home must equal zero or its tie image).  ``_matrix_ring`` then
-  checks that its identity fixes every element; the normalization pass moves
-  it to index 1.
+  other cell is zero.  Row r of a product depends only on row r of the left
+  factor, so each product row is tabulated on the encodings of that row's
+  entries and the multiplication table is a sum of one row take per matrix
+  row.  Closure is verified, not assumed: under + by checking that each tie
+  image is additive, under * cell by cell (each product cell that is not a
+  home must equal zero or its tie image).  ``_matrix_ring`` then checks that
+  its identity fixes every element; the normalization pass moves it to
+  index 1.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ORDER_CAP, FiniteRing, _unfixed_by
+from .core import DEFAULT_ORDER_CAP, FiniteRing, _row_blocks, _unfixed_by
 from .errors import (
     BimoduleLawViolation,
     ClosureViolation,
@@ -112,23 +116,43 @@ def _pair_table(rt: np.ndarray, st: np.ndarray) -> np.ndarray:
     return (rt[:, None, :, None] * ns + st).reshape(len(rt) * ns, -1)
 
 
+def _power_table(coord: np.ndarray, m: int) -> np.ndarray:
+    """The table of the m-fold product of ``coord``'s structure with itself.
+
+    Folded from the right, ``_pair_table(coord, acc)``: the index
+    r*q^k + s of a leading coordinate r before k more is the one the left
+    fold gives, so the table is the same, and the broadcast's inner loop
+    runs over the large running table instead of a q-wide one.
+    """
+    table = coord
+    for _ in range(m - 1):
+        table = _pair_table(coord, table)
+    return table
+
+
 def zmod(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Integers mod n; zmod(1) is the zero ring.
 
     Z/n is the quotient of the ring Z by the ideal nZ, so its tables, taken
     mod n, are a ring's and are not validated.  Products are formed in int64,
-    where (n-1)^2 cannot overflow, and stored as int32.
+    where (n-1)^2 cannot overflow, and stored as int32, one row block at a
+    time (``core._row_blocks``), so no int64 n-by-n table is live.
     """
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n}")
     if n > order_cap:
         raise OrderCapExceeded(n, order_cap)
     idx = np.arange(n, dtype=np.int64)
-    add = ((idx[:, None] + idx[None, :]) % n).astype(np.int32)
-    mul = np.multiply.outer(idx, idx)
-    mul %= n  # in place: one int64 n-by-n table live, not two
+    add = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    for start, stop in _row_blocks(n, n):
+        rows = idx[start:stop, None]
+        sums = rows + idx
+        sums[sums >= n] -= n  # (a + b) mod n, as a + b < 2n
+        add[start:stop] = sums
+        mul[start:stop] = rows * idx % n
     names = tuple(idx.astype(str).tolist())
-    return FiniteRing._canonical(f"Z/{n}", add, mul.astype(np.int32), 0, 1 % n, names)
+    return FiniteRing._canonical(f"Z/{n}", add, mul, 0, 1 % n, names)
 
 
 def _poly_names(coeffs: list[np.ndarray], var: str) -> tuple[str, ...]:
@@ -161,7 +185,7 @@ def _quotient_poly_ring(label: str, p: int, modulus: tuple[int, ...], var: str) 
         prev = shifted[-1]
         shifted.append([(low - prev[-1] * c) % p for low, c in zip([0] + prev[:-1], modulus)])
     digit = np.arange(p, dtype=np.int32)
-    add = functools.reduce(_pair_table, [(digit[:, None] + digit[None, :]) % p] * d)
+    add = _power_table((digit[:, None] + digit[None, :]) % p, d)
     mul = _encode((sum(shifted[j][i][:, None] * coeffs[j][None, :] for j in range(d)) % p
                    for i in reversed(range(d))), p)
     return FiniteRing._canonical(label, add, mul, 0, 1, _poly_names(coeffs, var))
@@ -228,49 +252,58 @@ def _matrix_tables(
     cells = dict(zip(homes, digits))
     cells.update({cell: image[digits[t]] for cell, t, image in ties})
 
-    def product_cell(r: int, c: int) -> np.ndarray | None:
-        """Cell (r, c) of every product, or None where it is zero by support.
+    base_add, base_mul = base.add_table.ravel(), base.mul_table.ravel()
 
-        The cell is sum over mids of left[r, mid] * right[mid, c], a function
-        of the |mids| left and |mids| right entries only: it is tabulated on
-        the q^|mids| x q^|mids| digit grid, then gathered once by each
-        element's encoded entries.
+    def row_of_products(r: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Row r of every product, tabulated on row r of the left factor.
+
+        Cell (r, c) of x*y is the sum over mids of x[r, mid] * y[mid, c], a
+        function of row r of x and of y only.  It is tabulated as [l, y], l
+        running over the q^|row| encodings of the entries present in row r,
+        with ``left`` giving each element's l, so cell (r, c) of every
+        product is ``cols[c].take(left, axis=0)``: one row take.  A column
+        that is zero by support has no table.
         """
-        mids = [mid for mid in range(k) if (r, mid) in cells and (mid, c) in cells]
-        if not mids:
-            return None
-        grid = _digits(np.arange(q ** len(mids), dtype=np.int32), q, len(mids))
-        small = None
-        for g in grid:
-            term = base.mul_table[g[:, None], g[None, :]]
-            small = term if small is None else base.add_table[small, term]
-        left = _encode((cells[r, mid] for mid in mids), q)
-        right = _encode((cells[mid, c] for mid in mids), q)
-        return small.take(right, axis=1).take(left, axis=0)
+        row = [mid for mid in range(k) if (r, mid) in cells]
+        # q * (entry at mid) on the grid: the row offset of a flat base-table read
+        entries = _digits(np.arange(q ** len(row)), q, len(row))
+        grid = {mid: q * entry[:, None] for mid, entry in zip(row, entries)}
+        cols: dict[int, np.ndarray] = {}
+        for c in range(k):
+            for mid in row:
+                if (mid, c) in cells:
+                    term = base_mul.take(grid[mid] + cells[mid, c])
+                    cols[c] = base_add.take(q * cols[c] + term) if c in cols else term
+        return _encode((cells[r, mid] for mid in row), q), cols
 
+    rows = [row_of_products(r) for r in range(k)]
+
+    def product_cell(r: int, c: int) -> np.ndarray | int:
+        """Cell (r, c) of every product; ``base.zero`` where it is zero by support."""
+        left, cols = rows[r]
+        return cols[c].take(left, axis=0) if c in cols else base.zero
+
+    add = _power_table(base.add_table, m)
+    # the index is the sum over t of q^(m-1-t) * coordinate t, added one
+    # matrix row at a time; base.zero is index 0, so a coordinate that is zero
+    # by support adds nothing
+    mul = np.zeros((q ** m, q ** m), dtype=np.int32)
+    for r, (left, cols) in enumerate(rows):
+        weighted = [cols[c] * q ** (m - 1 - t) for t, (hr, c) in enumerate(homes)
+                    if hr == r and c in cols]
+        if weighted:
+            mul += sum(weighted).take(left, axis=0)
     tie_of = {cell: (t, image) for cell, t, image in ties}
-    held = dict.fromkeys(t for t, _ in tie_of.values())  # what tied cells must match
-
-    def coordinate(t: int) -> np.ndarray:
-        tab = product_cell(*homes[t])
-        if tab is None:
-            tab = np.full((q ** m, q ** m), base.zero, dtype=np.int32)
-        if t in held:
-            held[t] = tab
-        return tab
-
-    add = functools.reduce(_pair_table, [base.add_table] * m)
-    mul = _encode(map(coordinate, range(m)), q)
-    for cell in itertools.product(range(k), repeat=2):
-        tab = None if cell in homes else product_cell(*cell)
-        if tab is None:
+    held = {t: product_cell(*homes[t]) for t, _ in tie_of.values()}  # what tied cells must match
+    for r, c in itertools.product(range(k), repeat=2):
+        if (r, c) in homes or c not in rows[r][1]:
             continue
         want = base.zero
-        if cell in tie_of:
-            t, image = tie_of[cell]
+        if (r, c) in tie_of:
+            t, image = tie_of[r, c]
             want = image[held[t]]
-        if (tab != want).any():
-            raise ClosureViolation(f"{label}: products leave the family at cell {cell}")
+        if (product_cell(r, c) != want).any():
+            raise ClosureViolation(f"{label}: products leave the family at cell {(r, c)}")
     return add, mul, cells
 
 

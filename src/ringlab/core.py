@@ -80,9 +80,28 @@ from .errors import (
 
 DEFAULT_ORDER_CAP = 4096
 
-# cells per row block of ``FiniteRing.relabeled``, ``_holds_on_generators``
-# and, as the largest of its growing blocks, ``FiniteRing.ideal_witness``
+# cells per row block of every whole-ring kernel (``_row_blocks``) and, as the
+# largest of its growing blocks, of ``FiniteRing.ideal_witness``
 _ROW_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``(start, stop)`` covering ``range(rows)``, each
+    of ``_ROW_BLOCK_CELLS`` cells of ``width`` each (at least one row).
+
+    The constant is read on every call, so a kernel that walks its rows
+    through here keeps its temporaries to one block of cells.
+    """
+    step = max(1, _ROW_BLOCK_CELLS // max(width, 1))
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def _next_powers(mul: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """x^(k+1) = x^k * x for every x, from the vector of x^k: one ``take`` of
+    the flat table at n*x^k + x."""
+    n = len(mul)
+    return mul.ravel().take(np.multiply(powers, n, dtype=np.intp) + np.arange(n))
 
 
 def _growing_blocks(rows: int, width: int, cells: int) -> Iterator[tuple[int, int]]:
@@ -228,7 +247,6 @@ def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
     time, so a broken table usually fails on the first block of the first one.
     """
     n = add.shape[0]
-    rows = max(1, _ROW_BLOCK_CELLS // n)
     sums = add.ravel()
     gens: list[int] = []
     for g in _additive_generators(add, zero):
@@ -238,15 +256,15 @@ def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
         # + is commutative, so row g of add lists x+g, and the flat index
         # n*(g*a) + x*a names the cell add[g*a, x*a] = x*a + g*a
         ga_cell = mul[g].astype(np.intp) * n
-        for start in range(0, n, rows):
-            x_plus_g = add[g, start:start + rows]
+        for start, stop in _row_blocks(n, n):
+            x_plus_g = add[g, start:stop]
             # (x+g)*a == x*a + g*a
             if not np.array_equal(mul.take(x_plus_g, axis=0),
-                                  sums.take(ga_cell + mul[start:start + rows])):
+                                  sums.take(ga_cell + mul[start:stop])):
                 return False
             # (x+g)+y == x+(g+y)
             if not np.array_equal(add.take(x_plus_g, axis=0),
-                                  add[start:start + rows].take(add[g], axis=1)):
+                                  add[start:stop].take(add[g], axis=1)):
                 return False
     gens = np.array(gens, dtype=np.intp)
     ab, gg = mul[gens], mul[np.ix_(gens, gens)]
@@ -464,19 +482,25 @@ class FiniteRing:
 
         Row x starts with the distinct-power trail of x, and the last column,
         x^(L+1), repeats an earlier column of every row, so any power of x
-        equals some entry of its row.  Built one column at a time by a gather
-        of ``mul_table``, stopping once every row has repeated a value.
+        equals some entry of its row.  Built one column at a time, stopping
+        once every row has repeated a value: x^(k+1) = x^k * x is read from
+        the flat ``mul_table`` (``_next_powers``), and whether row x has met
+        a power before from a flat n*n mask at n*x + x^(k+1), one ``take``
+        each.
         """
         def build() -> np.ndarray:
-            idx = np.arange(self.order)
-            seen = np.zeros((self.order, self.order), dtype=bool)
-            seen[idx, idx] = True
+            n = self.order
+            idx = np.arange(n, dtype=np.intp)
+            row = idx * n
+            seen = np.zeros(n * n, dtype=bool)
+            seen[row + idx] = True
             cols = [idx.astype(np.int32)]
-            trail_open = np.ones(self.order, dtype=bool)
+            trail_open = np.ones(n, dtype=bool)
             while trail_open.any():
-                nxt = self.mul_table[cols[-1], idx]
-                trail_open &= ~seen[idx, nxt]
-                seen[idx, nxt] = True
+                nxt = _next_powers(self.mul_table, cols[-1])
+                cell = row + nxt
+                trail_open &= ~seen.take(cell)
+                seen[cell] = True
                 cols.append(nxt)
             return np.stack(cols, axis=1)
 
@@ -522,13 +546,12 @@ class FiniteRing:
         old_order = np.asarray(old_order, dtype=np.intp)
         new_of_old = np.empty(self.order, dtype=np.int32)
         new_of_old[old_order] = np.arange(self.order, dtype=np.int32)
-        rows = max(1, _ROW_BLOCK_CELLS // self.order)
 
         def relabel(table: np.ndarray) -> np.ndarray:
             out = np.empty((self.order, self.order), dtype=np.int32)
-            for start in range(0, self.order, rows):
-                block = table.take(old_order[start:start + rows], axis=0).take(old_order, axis=1)
-                out[start:start + rows] = new_of_old.take(block)
+            for start, stop in _row_blocks(self.order, self.order):
+                block = table.take(old_order[start:stop], axis=0).take(old_order, axis=1)
+                out[start:stop] = new_of_old.take(block)
             return out
 
         add, mul = relabel(self.add_table), relabel(self.mul_table)

@@ -34,7 +34,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import FiniteRing, _growing_blocks
+from .core import FiniteRing, _growing_blocks, _next_powers, _row_blocks
 from .subsets import (
     DEFAULT_LATTICE_ORDER_CAP,
     Ideal,
@@ -91,28 +91,46 @@ def _split_counts(r: FiniteRing, complement: np.ndarray, parts: np.ndarray) -> n
     """Per element a, how many p in ``parts`` have a - p in the complement mask.
 
     ``parts`` holds distinct elements, and a - p = c exactly when a - c = p,
-    so the count is also #{c in the complement : a - c in parts}; the n-column
-    gather runs over the smaller of the two sets.
+    so the count is also #{c in the complement : a - c in parts}; the gather
+    runs over the smaller of the two sets, a block of rows a at a time.
     """
     others = np.flatnonzero(complement)
     if len(others) < len(parts):
         in_parts = np.zeros(r.order, dtype=bool)
         in_parts[parts] = True
         complement, parts = in_parts, others
-    return complement.take(r.sub_table.take(parts, axis=1)).sum(axis=1)
+    counts = np.empty(r.order, dtype=np.intp)
+    for start, stop in _row_blocks(r.order, len(parts)):
+        differences = r.sub_table[start:stop].take(parts, axis=1)
+        counts[start:stop] = complement.take(differences).sum(axis=1)
+    return counts
 
 
 def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
-    """Per element a, whether the per-element vector ok holds at some a^m."""
-    return ok[r.power_matrix()].any(axis=1)
+    """Per element a, whether the per-element vector ok holds at some a^m.
+
+    Each block of power-matrix rows reads ``ok`` with one ``take``.
+    """
+    powers = r.power_matrix()
+    hit = np.empty(r.order, dtype=bool)
+    for start, stop in _row_blocks(r.order, powers.shape[1]):
+        hit[start:stop] = ok.take(powers[start:stop]).any(axis=1)
+    return hit
 
 
 def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
-    """``m[x, z]``: whether z lies in xR (in Rx when ``left``), memoised per side."""
+    """``m[x, z]``: whether z lies in xR (in Rx when ``left``), memoised per side.
+
+    Scattered into the flat mask a block of rows x at a time, so the flat
+    index n*x + x*r (or n*x + r*x) is never built for the whole table.
+    """
     def build() -> np.ndarray:
-        m = np.zeros((r.order, r.order), dtype=bool)
+        n = r.order
+        m = np.zeros((n, n), dtype=bool)
+        flat = m.reshape(-1)
         products = r.mul_table.T if left else r.mul_table
-        m.reshape(-1)[products + (np.arange(r.order) * r.order)[:, None]] = True
+        for start, stop in _row_blocks(n, n):
+            flat[np.arange(start * n, stop * n, n)[:, None] + products[start:stop]] = True
         return m
 
     return r.memo(("multiples", left), build)
@@ -120,11 +138,22 @@ def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
 
 def _corner_counts(r: FiniteRing, left: bool) -> np.ndarray:
     """Per element x, the idempotents e in xR with 1 - e in (1 - x)R
-    (in Rx and R(1 - x) when ``left``)."""
-    multiples = _multiples(r, left)
+    (in Rx and R(1 - x) when ``left``).
+
+    Both memberships are read from the flat multiples mask, at n*x + e and
+    n*(1 - x) + (1 - e), a block of rows x at a time.
+    """
+    n = r.order
+    flat = _multiples(r, left).ravel()
     idem = _idempotent_array(r)
     one_minus = r.sub_table[r.one]
-    return (multiples[:, idem] & multiples[one_minus[:, None], one_minus[idem]]).sum(axis=1)
+    co_idem = one_minus.take(idem)
+    counts = np.empty(n, dtype=np.intp)
+    for start, stop in _row_blocks(n, len(idem)):
+        in_x = flat.take(np.arange(start * n, stop * n, n)[:, None] + idem)
+        co_x = np.multiply(one_minus[start:stop], n, dtype=np.intp)
+        counts[start:stop] = (in_x & flat.take(co_x[:, None] + co_idem)).sum(axis=1)
+    return counts
 
 
 def _clean_counts(r: FiniteRing) -> np.ndarray:
@@ -311,9 +340,19 @@ def is_periodic(r: FiniteRing) -> bool:
 
 
 def strongly_pi_regular_witness(r: FiniteRing) -> Witness:
-    """For every a some n has a^n inside a^(n+1) R."""
+    """For every a some n has a^n inside a^(n+1) R.
+
+    Read from the flat multiples mask at n*a^(n+1) + a^n, a block of
+    power-matrix rows at a time.
+    """
     powers = r.power_matrix()
-    return _first_false(_multiples(r)[powers[:, 1:], powers[:, :-1]].any(axis=1))
+    flat = _multiples(r).ravel()
+    ok = np.empty(r.order, dtype=bool)
+    for start, stop in _row_blocks(r.order, powers.shape[1]):
+        block = powers[start:stop]
+        cells = np.multiply(block[:, 1:], r.order, dtype=np.intp) + block[:, :-1]
+        ok[start:stop] = flat.take(cells).any(axis=1)
+    return _first_false(ok)
 
 
 def is_strongly_pi_regular(r: FiniteRing) -> bool:
@@ -352,17 +391,30 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
     and the identity holds at (a, b) exactly when d(ab) = a d(b) + d(a) b.
     The scan (``_n_like_scan``) therefore reads n only through the vector d,
     and two exponents with the same d have the same witness: the scan is
-    memoised on the ring per d.
+    memoised on the ring per d.  x^n is read from the ring's memoised chain
+    of powers (``_low_powers``), continued past its end for a larger n.
     """
     if n < 2:
         raise ValueError(f"generalized n-like needs n >= 2, got {n}")
-    mul = r.mul_table
-    idx = np.arange(r.order)
-    pow_n = idx
-    for _ in range(n - 1):
-        pow_n = mul[pow_n, idx]
-    d = r.sub_table[pow_n, idx]
+    chain = _low_powers(r)
+    pow_n = chain[min(n, len(chain)) - 1]
+    for _ in range(n - len(chain)):
+        pow_n = _next_powers(r.mul_table, pow_n)
+    d = r.sub_table.ravel().take(np.multiply(pow_n, r.order, dtype=np.intp) + np.arange(r.order))
     return r.memo(("n_like", d.tobytes()), lambda: _n_like_scan(r, d))
+
+
+def _low_powers(r: FiniteRing) -> np.ndarray:
+    """x^1, ..., x^9 for every x (row k - 1 holds x^k), the powers that
+    ``GENERALIZED_RANGE`` reads: one chain of 8 flat gathers
+    (``core._next_powers``), memoised."""
+    def build() -> np.ndarray:
+        chain = [np.arange(r.order, dtype=np.int32)]
+        for _ in GENERALIZED_RANGE:
+            chain.append(_next_powers(r.mul_table, chain[-1]))
+        return np.stack(chain)
+
+    return r.memo("low_powers", build)
 
 
 def _n_like_scan(r: FiniteRing, d: np.ndarray) -> Witness:
@@ -409,10 +461,10 @@ def _lifting_scan(r: FiniteRing, ideal: Ideal, unique: bool) -> bool:
 
 
 def radical_unit_set(r: FiniteRing) -> tuple[int, ...]:
-    """{x : x^m - 1 is a unit for every m >= 1}."""
-    minus_one = r.sub_table[:, r.one]
-    every = _units_mask(r)[minus_one[r.power_matrix()]].all(axis=1)
-    return tuple(int(x) for x in np.flatnonzero(every))
+    """{x : x^m - 1 is a unit for every m >= 1}: no power of x lands where
+    "y - 1 is not a unit", a mask precomposed once."""
+    not_shifted_unit = ~_units_mask(r).take(r.sub_table[:, r.one])
+    return tuple(np.flatnonzero(~_some_power(r, not_shifted_unit)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .core import FiniteRing, _join_cyclic
+from .core import FiniteRing, _join_cyclic, _row_blocks
 from .errors import InternalInvariantViolation, LatticeCapExceeded, NotProperIdeal
 
 DEFAULT_LATTICE_ORDER_CAP = 256
@@ -195,11 +195,19 @@ def _potent_mask(r: FiniteRing) -> np.ndarray:
 
 
 def jacobson_radical(r: FiniteRing) -> Ideal:
-    """J(R) = {x : 1 - r*x is a unit for every r}, re-verified as an ideal."""
+    """J(R) = {x : 1 - r*x is a unit for every r}, re-verified as an ideal.
+
+    "1 - y is a unit" is precomposed into one length-n mask, which a block
+    of rows of ``mul_table`` (the products r*x for a block of r) reads with
+    one ``take``; the blocks' verdicts are ANDed per column x.
+    """
     def build() -> Ideal:
-        one_minus = r.sub_table[r.one]  # one_minus[y] = 1 - y
-        members = np.flatnonzero(_units_mask(r)[one_minus[r.mul_table]].all(axis=0))
-        ideal = Ideal(r, tuple(int(x) for x in members))
+        one_minus = r.add_table[r.one].take(r.neg_table)  # one_minus[y] = 1 - y
+        quasi = _units_mask(r).take(one_minus)
+        in_j = np.ones(r.order, dtype=bool)
+        for start, stop in _row_blocks(r.order, r.order):
+            in_j &= quasi.take(r.mul_table[start:stop]).all(axis=0)
+        ideal = Ideal(r, tuple(np.flatnonzero(in_j).tolist()))
         if not ideal.verify():
             raise InternalInvariantViolation(
                 f"{r.label}: quasi-regularity set is not a two-sided ideal")
@@ -347,7 +355,8 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
     Every ideal is a sum of principal ideals, so joining each newly found
     ideal with every principal ideal reaches them all.  A + B is the subgroup
     join of A with the additive generators of B, done for the whole frontier
-    at once: S + y is the mask shift ``S[sub_table[:, y]]``.  The count is
+    at once: S + y is the mask shift ``S[x - y]``, read with one ``take`` of
+    the contiguous row -y of ``add_table`` (x - y = -y + x).  The count is
     checked as each ideal is found, so the lattice is refused exactly when
     it has more ideals than the guard, and as soon as one more is found.
     """
@@ -356,7 +365,7 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
     if len(found) > DEFAULT_LATTICE_COUNT_CAP:
         return None
     frontier = list(found.values())
-    sub, add = r.sub_table, r.add_table
+    add, neg = r.add_table, r.neg_table
     while frontier:
         masks = np.array(frontier)
         frontier = []
@@ -365,7 +374,7 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
             for y in joined:
                 step = y
                 while True:
-                    shifted = sums[:, sub[:, step]]
+                    shifted = sums.take(add[neg[step]], axis=1)
                     if not (shifted & ~sums).any():
                         break
                     sums |= shifted
@@ -385,23 +394,34 @@ def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
 
     Whether aRb lies in P depends only on the cosets a+P and b+P, so one
     representative per nonzero coset is scanned: its least element, as in
-    ``FiniteRing.quotient_by``.  Every r is a sum of additive generators g
-    and P is closed under +, so aRb lies in P exactly when every a*g*b does.
-    Each generator is tried only on the pairs that no earlier one took out
-    of P, and the test stops once every pair has escaped.
+    ``FiniteRing.quotient_by``.  r = 1 is tried first, since 1 lies in R:
+    a*b outside P settles the pair.  Every r is a sum of additive generators
+    g and P is closed under +, so aRb lies in P exactly when every a*g*b
+    does; each generator is tried only on the pairs that stayed in P so far.
+    The pairs are taken a block of rows a at a time (``core._row_blocks``),
+    every cell read by one ``take`` of the flat ``mul_table``, and the test
+    returns False at the first block where a pair survives every generator.
     """
     if not ideal.is_proper():
         return False
     mask = ideal.mask()
     rep = r.add_table[:, list(ideal.members)].min(axis=1)
     outside = np.flatnonzero((rep == np.arange(r.order)) & ~mask)
-    a, b = outside[:, None], outside[None, :]  # the pairs with a*g*b in P so far
-    for g in r.additive_generators():
-        stay = mask[r.mul_table[r.mul_table[a, g], b]]
-        if not stay.any():
-            return True
-        a, b = np.broadcast_to(a, stay.shape)[stay], np.broadcast_to(b, stay.shape)[stay]
-    return False
+    n, flat = r.order, r.mul_table.ravel()
+    gens = r.additive_generators()
+    for start, stop in _row_blocks(len(outside), len(outside)):
+        ab = flat.take(outside[start:stop, None] * n + outside)
+        i, j = np.divmod(np.flatnonzero(mask.take(ab)), len(outside))  # a*1*b in P
+        a, b = outside[start + i], outside[j]
+        for g in gens:
+            if not len(a):
+                break
+            ag = flat.take(a * n + g)
+            stay = mask.take(flat.take(np.multiply(ag, n, dtype=np.intp) + b))
+            a, b = a[stay], b[stay]
+        if len(a):
+            return False
+    return True
 
 
 def _intersection(r: FiniteRing, ideals: tuple[Ideal, ...]) -> Ideal:

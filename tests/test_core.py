@@ -438,6 +438,78 @@ class TestPowerTrail:
                     assert powers[x, j] == trail.distinct_powers[back]
 
 
+def _fresh(ring):
+    """The same tables on a new ring object, with nothing memoised."""
+    return FiniteRing(ring.label, ring.order, ring.add_table, ring.mul_table,
+                      ring.zero, ring.one, ring.elem_names)
+
+
+# the whole-ring kernels, each as a comparable value of one ring; all but
+# ``power_matrix`` walk their rows through ``core._row_blocks``
+_BLOCKED_KERNELS = {
+    "power_matrix": lambda r: r.power_matrix().tobytes(),
+    "jacobson_radical": lambda r: subsets.jacobson_radical(r).members,
+    "right_multiples": lambda r: predicates._multiples(r).tobytes(),
+    "left_multiples": lambda r: predicates._multiples(r, left=True).tobytes(),
+    "split_counts": lambda r: predicates._split_counts(
+        r, subsets._units_mask(r), subsets._idempotent_array(r)).tobytes(),
+    "corner_counts": lambda r: (predicates._corner_counts(r, left=False).tobytes(),
+                                predicates._corner_counts(r, left=True).tobytes()),
+    "some_power": lambda r: predicates._some_power(r, subsets._units_mask(r)).tobytes(),
+    "strongly_pi_regular": predicates.strongly_pi_regular_witness,
+    "radical_unit_set": predicates.radical_unit_set,
+}
+
+
+class TestRowBlocks:
+    """Catalog rings fit in one row block at the default constant, so each
+    kernel is also run with blocks of a few rows, which puts block
+    boundaries inside every ring."""
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    @pytest.mark.parametrize("kernel", list(_BLOCKED_KERNELS))
+    def test_kernel_matches_one_block(self, catalog_rings, monkeypatch, kernel, cells):
+        compute = _BLOCKED_KERNELS[kernel]
+        expected = [compute(ring) for ring in catalog_rings]
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", cells)
+        for ring, want in zip(catalog_rings, expected):
+            assert compute(_fresh(ring)) == want, ring.label
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_prime_test_matches_definition(self, catalog_rings, monkeypatch, cells):
+        from test_subsets import reference_is_prime
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", cells)
+        for ring in catalog_rings:
+            fresh = _fresh(ring)
+            for ideal in subsets.ideal_lattice(ring):
+                assert subsets._is_prime_ideal(fresh, ideal) == \
+                    reference_is_prime(ring, ideal.members), (ring.label, ideal.members)
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_zmod_matches_one_block(self, catalog, monkeypatch, cells):
+        rings = {e.provenance: e.ring for e in catalog if e.provenance.startswith("zmod:")}
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", cells)
+        for source, ring in rings.items():
+            built = zmod(int(source.split(":")[1]))
+            assert (built.table_bytes(), built.elem_names) == \
+                (ring.table_bytes(), ring.elem_names), source
+
+    @pytest.mark.parametrize("kernel", [
+        subsets.jacobson_radical,
+        predicates._multiples,
+        lambda r: predicates._multiples(r, left=True),
+    ], ids=["jacobson_radical", "right_multiples", "left_multiples"])
+    def test_kernel_allocates_no_table_sized_temporary(self, kernel):
+        ring = parse_ring_source("tri:zmod2:4")
+        tracemalloc.start()
+        try:
+            kernel(ring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ring.add_table.nbytes
+
+
 class TestNormalizationAndJson:
     def test_loader_normalizes_zero_and_one(self):
         doc = _rotated_z3_doc("rot")

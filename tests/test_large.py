@@ -8,6 +8,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import prod
 from pathlib import Path
 from time import perf_counter
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 from sympy import catalan, divisor_count
 
-from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, spectrum,
-                     units)
+from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, ring_report,
+                     spectrum, units)
 from ringlab.cli import main
 from ringlab.core import validate_tables
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
@@ -125,6 +126,19 @@ def test_relabeled_order_4096_tables_validate(source):
     relabeled = ring.relabeled(np.random.default_rng(4096).permutation(ring.order))
     validate_tables(relabeled.add_table, relabeled.mul_table, relabeled.zero, relabeled.one,
                     ring.order)
+
+
+@pytest.mark.parametrize("source", ["tri:gf4:3", "product:zmod64,zmod64"])
+def test_order_4096_report_memory_budget(source):
+    # the budget for analysing a ring of order 4096 is 300 MB (10^6 bytes);
+    # the build is traced with the report, so the tables count against it
+    tracemalloc.start()
+    try:
+        ring_report(parse_ring_source(source))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300e6, f"{source}: peak {peak / 1e6:.0f} MB"
 
 
 def test_raised_env_cap_admits_an_order_above_the_default(capsys, monkeypatch):

@@ -274,6 +274,27 @@ class TestGeneralizedNLike:
             assert len(scans) == distinct, ring.label
             assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
 
+    def test_one_power_chain_per_ring(self, monkeypatch):
+        # x^2 ... x^9 are one chain of 8 gathers, shared by every n; an n
+        # past the chain continues it without storing more
+        gathers = []
+
+        def counted(mul, powers):
+            gathers.append(len(mul))
+            return step(mul, powers)
+
+        step = predicates._next_powers
+        monkeypatch.setattr(predicates, "_next_powers", counted)
+        ring = parse_ring_source("matrix:zmod2:2")
+        witnesses = [generalized_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
+        assert len(gathers) == len(GENERALIZED_RANGE) == 8
+        assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
+        for n in (10, 13):
+            assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
+        assert len(gathers) == 8 + 1 + 4
+        for m in (6, 12):
+            assert generalized_n_like_witness(zmod(m), 11) == zmod_n_like_witness(m, 11), m
+
     @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
     def test_field_closed_form(self, q):
         # in a field the identity is (a^n - a)(b^n - b) = 0, i.e. x^n = x for all x
