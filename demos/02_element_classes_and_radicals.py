@@ -10,6 +10,8 @@ scans.  On top of them sit three radicals computed by unrelated routes:
 * the prime radical, the intersection of all prime ideals.
 
 For finite rings the three coincide, and the library checks that they do.
+J is nilpotent, so every prime ideal contains it: the spectrum reads only
+the ideals above J, while ``ideal_lattice`` enumerates them all.
 """
 
 from ringlab import (
@@ -23,6 +25,7 @@ from ringlab import (
     units,
     zmod,
 )
+from ringlab.subsets import ideal_lattice
 
 for ring in (zmod(12), zmod(8), matrix_ring(zmod(2), 2)):
     print(f"--- {ring.label} (order {ring.order})")
@@ -32,7 +35,7 @@ for ring in (zmod(12), zmod(8), matrix_ring(zmod(2), 2)):
     print(f"potents:     {list(potents(ring).members)}")
 
     sp = spectrum(ring)
-    print(f"ideals: {len(sp.all_ideals)}, prime: {len(sp.prime)}, "
+    print(f"ideals: {len(ideal_lattice(ring))}, prime: {len(sp.prime)}, "
           f"maximal: {len(sp.maximal)}")
     j = jacobson_radical(ring)
     print(f"J  = {list(j.members)}")
@@ -48,5 +51,5 @@ for ring in (zmod(12), zmod(8), matrix_ring(zmod(2), 2)):
 # Z/12 has a composite-order quotient that is not torsion: mod (0,4,8) the
 # class of 2 squares to zero and never reaches 1.
 z12 = zmod(12)
-four = next(i for i in spectrum(z12).all_ideals if i.members == (0, 4, 8))
+four = next(i for i in ideal_lattice(z12) if i.members == (0, 4, 8))
 print(f"Z/12 mod {list(four.members)} torsion: {quotient_is_torsion(z12, four)}")

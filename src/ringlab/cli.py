@@ -10,8 +10,8 @@ Exit codes: 0 success / all suites agree; 2 ring validation failure;
 directory.
 analyze builds its ring under an order cap, --order-cap, which the
 RINGLAB_CAP environment variable overrides.  verify checks every catalog
-ring: it skips a ring only for a suite that needs the ideal lattice of a ring
-over --lattice-cap, or whose hypothesis the ring does not meet.
+ring: it skips a ring only for a suite whose hypothesis the ring does not
+meet.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .core import DEFAULT_ORDER_CAP
 from .errors import OrderCapExceeded, RinglabError, RingValidationError
 from .predicates import PREDICATE_NAMES, PredicateVector, predicate_vector
 from .sources import parse_ring_source
-from .subsets import DEFAULT_LATTICE_ORDER_CAP
 from .verify import ALL_SUITE_IDS, RunConfig, ring_report, run_verify
 from . import construct
 
@@ -120,8 +119,7 @@ def cmd_verify(args) -> int:
     if args.theorems is not None:
         theorems = tuple(t.strip() for t in args.theorems.split(",") if t.strip())
     try:
-        config = RunConfig(lattice_order_cap=args.lattice_cap, theorems=theorems,
-                           jobs=args.jobs)
+        config = RunConfig(theorems=theorems, jobs=args.jobs)
     except ValueError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -221,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run theorem suites over the catalog")
     pv.add_argument("--theorems", default=None,
                     help=f"comma-separated suite ids; known: {', '.join(ALL_SUITE_IDS)}")
-    pv.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_ORDER_CAP,
-                    help="skip suites that need the ideal lattice of a ring above this order")
     pv.add_argument("--jobs", type=int, default=1,
                     help="worker processes (1 = this process, the default; 0 = one per core)")
     pv.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import FiniteRing, _growing_blocks, _next_powers, _row_blocks
 from .subsets import (
-    DEFAULT_LATTICE_ORDER_CAP,
     Ideal,
     _central_mask,
     _idempotent_array,
@@ -489,14 +488,11 @@ CHARACTERIZATION_IDS = (
 )
 
 
-def characterization(r: FiniteRing, thm_id: str, *,
-                     order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> bool:
+def characterization(r: FiniteRing, thm_id: str) -> bool:
     """Evaluate the right-hand side of one characterization, independently.
 
     The "unique e" clauses of T2.10(1) and T3.9(1) are read as "unique
     idempotent e"; the torsion condition of T3.3 is the multiplicative one.
-    ``order_cap`` is the lattice order cap of ``spectrum``, for the
-    characterizations that read the lattice.
     """
     if thm_id == "T2.2":
         if not is_abelian(r):
@@ -535,23 +531,23 @@ def characterization(r: FiniteRing, thm_id: str, *,
             return False
         if not idempotents_lift_mod(r, jacobson_radical(r)):
             return False
-        return all(quotient_is_torsion(r, p) for p in spectrum(r, order_cap=order_cap).j_spec)
+        return all(quotient_is_torsion(r, p) for p in spectrum(r).j_spec)
     if thm_id == "C3.4":
         if not is_uniquely_pi_clean(r):
             return False
-        return all(r.order == 2 * len(m.members) for m in spectrum(r, order_cap=order_cap).maximal)
+        return all(r.order == 2 * len(m.members) for m in spectrum(r).maximal)
     if thm_id == "T3.7":
         if not is_exchange(r):
             return False
-        js = spectrum(r, order_cap=order_cap).j_star
+        js = spectrum(r).j_star
         return (is_potent_ring(quotient_ring(r, js))
                 and idempotents_lift_uniquely_mod(r, js))
     if thm_id == "T3.9":
-        js = spectrum(r, order_cap=order_cap).j_star
+        js = spectrum(r).j_star
         return (_pi_shift_into(r, js.mask(), _idempotent_array(r), unique=True)
                 and radical_unit_set(r) == js.members)
     if thm_id == "C3.10-set":
-        return radical_unit_set(r) == spectrum(r, order_cap=order_cap).prime_radical.members
+        return radical_unit_set(r) == spectrum(r).prime_radical.members
     if thm_id == "T4.7-2":
         return is_abelian(r) and is_periodic(r)
     if thm_id == "T4.7-3":
@@ -559,14 +555,14 @@ def characterization(r: FiniteRing, thm_id: str, *,
         # complement landing in the prime radical.  Counting uniqueness over
         # prime-radical complements alone degenerates when P(R) = 0 (any
         # idempotent power would do), which would not characterize anything.
-        pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
+        pmask = spectrum(r).prime_radical.mask()
         nmask = _nilpotent_mask(r)
         idem = _idempotent_array(r)
         ok = ((_split_counts(r, nmask, idem) == 1)
               & (_split_counts(r, nmask & ~pmask, idem) == 0))
         return bool(_some_power(r, ok).all())
     if thm_id == "C4.8":
-        pmask = spectrum(r, order_cap=order_cap).prime_radical.mask()
+        pmask = spectrum(r).prime_radical.mask()
         cidem = np.array(central_idempotents(r).members, dtype=np.int32)
         return _pi_shift_into(r, pmask, cidem, unique=False)
     raise ValueError(f"unknown characterization id {thm_id!r}")

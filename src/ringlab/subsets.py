@@ -11,10 +11,10 @@ and the three radicals the library cross-checks against each other:
 * J*, the intersection of all maximal two-sided ideals;
 * the prime radical P, the intersection of all prime ideals.
 
-Everything read off the lattice (the ideals, the prime, maximal and J-spec
-sublists, J* and P) comes from one memoised call, ``spectrum``, which is
-where the lattice order cap is checked.  A refusal by the ideal-count guard
-is memoised with the lattice, so each ring is enumerated at most once.
+The spectrum (the prime, maximal and J-spec ideals, J* and P) comes from one
+memoised call, ``spectrum``, which reads only the ideals above J.  Only
+``ideal_lattice``, the ideals above 0, takes the lattice order cap and the
+ideal-count guard.
 
 Everything is a pure function of an immutable ring; results are memoised on
 the ring and safe for concurrent readers.
@@ -100,12 +100,10 @@ class Ideal:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """The ideal lattice of a ring with its prime/maximal/J-spec sublists,
-    and the intersections of the maximal ideals (J*) and of the prime ideals
-    (the prime radical P)."""
+    """The prime, maximal and J-spec ideals of a ring, and the intersections
+    of the maximal ideals (J*) and of the prime ideals (the prime radical P)."""
 
     ring: FiniteRing
-    all_ideals: tuple[Ideal, ...]
     maximal: tuple[Ideal, ...]
     prime: tuple[Ideal, ...]
     j_spec: tuple[Ideal, ...]
@@ -216,23 +214,23 @@ def jacobson_radical(r: FiniteRing) -> Ideal:
     return r.memo("jacobson", build)
 
 
-def _ideal_closure(r: FiniteRing, seeds: Iterable[int]) -> tuple[np.ndarray, list[int]]:
-    """Mask of the smallest two-sided ideal containing the seeds.
+def _ideal_closure(r: FiniteRing, seeds: Iterable[int],
+                   floor: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """Mask of the smallest two-sided ideal containing the seeds and the
+    ideal F of mask ``floor`` (0 by default), and the elements Y whose
+    subgroup joins built it from F.
 
-    Also returns the elements Y whose subgroup joins built it, an additive
-    generating set of the ideal.  Each y taken into Y is joined in by the
-    doubling step of the additive generators (``core._join_cyclic``), and
-    g*y and y*g are queued for every g in the additive generating set G of R.
-    When the queue is empty the mask is the subgroup S generated by Y, with
-    g*y and y*g in S for every y in Y and g in G.  Then g*S lies in S, since
-    left multiplication by g is additive; every r is a sum of members of G
-    and * distributes over +, so r*S lies in S, and S*r likewise (the
-    argument of ``core._holds_on_generators``).  So S is an ideal, and each
-    element joined is forced into any ideal containing the seeds, so S is
-    the smallest one.
+    Each y taken into Y is joined in by the doubling step of the additive
+    generators (``core._join_cyclic``), and g*y and y*g are queued for every
+    g in the additive generating set G of R.  At the end the mask is the
+    subgroup S = F + <Y>, with g*y and y*g in S for y in Y, g in G, and g*F
+    in F; so g*S lies in S, as left multiplication by g is additive, and by
+    distributivity r*S and S*r lie in S for every r, a sum of members of G
+    (the argument of ``core._holds_on_generators``).  So S is an ideal, and
+    each element joined is forced into any ideal containing F and the seeds.
     """
     gens = r.additive_generators()
-    mask = np.zeros(r.order, dtype=bool)
+    mask = np.zeros(r.order, dtype=bool) if floor is None else floor.copy()
     mask[r.zero] = True
     joined: list[int] = []
     pending = [int(x) for x in seeds]
@@ -256,28 +254,29 @@ def ideal_generated_by(r: FiniteRing, xs: Iterable[int]) -> Ideal:
     return _ideal(r, _ideal_closure(r, [r.elem(x).index for x in xs])[0])
 
 
-def _principal_ideals(r: FiniteRing, inside: np.ndarray,
+def _principal_ideals(r: FiniteRing, inside: np.ndarray, floor: np.ndarray,
                       ) -> dict[bytes, tuple[np.ndarray, list[int]]]:
-    """Every principal ideal (x) with x in ``inside``, keyed by its mask
-    bytes, with its joined set.
+    """Every ideal (x) + F with x in ``inside`` and outside the ideal F of
+    mask ``floor``, keyed by its mask bytes, with its joined set.
 
-    ``inside`` is the mask of eR for a central idempotent e.  (x) = R(uxv)R
-    for units u and v, so (x) is computed once per orbit of x under
-    (u, v) -> u*x*v, and the orbit of x = ex stays in eR.  The units are read
-    off ``mul_table`` here, so the lattice shares no code with the unit mask
-    that the Jacobson radical uses.
+    ``inside`` is the mask of eR for a central idempotent e, and F lies in
+    eR.  (x) + F = (u*x*v + f) + F for units u, v and f in F, a class that
+    stays in eR, so each class is closed once.  The units are read off
+    ``mul_table``, so the lattice shares no code with the Jacobson radical.
     """
     mul = r.mul_table
     units = np.flatnonzero((mul == r.one).any(axis=1))  # one-sided inverse: a unit in a finite ring
-    covered = ~inside
+    below = np.flatnonzero(floor)
+    covered = ~inside | floor
     principal: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for x in np.flatnonzero(inside).tolist():
+    for x in np.flatnonzero(~covered).tolist():
         if covered[x]:
             continue
-        ux = np.zeros(r.order, dtype=bool)
-        ux[mul[units, x]] = True
-        covered[mul[np.ix_(np.flatnonzero(ux), units)]] = True
-        mask, joined = _ideal_closure(r, [x])
+        orbit = np.zeros(r.order, dtype=bool)
+        orbit[mul[units, x]] = True
+        orbit[mul[np.ix_(np.flatnonzero(orbit), units)]] = True  # u*x*v
+        covered[r.add_table[np.ix_(np.flatnonzero(orbit), below)]] = True  # u*x*v + f
+        mask, joined = _ideal_closure(r, [x], floor)
         principal.setdefault(mask.tobytes(), (mask, joined))
     return principal
 
@@ -303,37 +302,42 @@ def _blocks(r: FiniteRing) -> np.ndarray:
 
 def ideal_lattice(r: FiniteRing, *,
                   order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> tuple[Ideal, ...]:
-    """Every two-sided ideal, sorted by size, then members.
-
-    With blocks e_1, ..., e_t (see ``_blocks``), R = e_1R x ... x e_tR and
-    every ideal I is the sum of the e_i I, each an ideal of R inside e_iR;
-    conversely every such choice sums to an ideal.  As e_i is central, the
-    ideals of R inside e_iR are exactly the ideals of the ring e_iR, so each
-    block's lattice is the join-closure seeded from e_iR alone
-    (``_join_closure``).  x lies in I exactly when e_i*x lies in e_i I for
-    every i, so each ideal's mask is an AND over the blocks.  A ring of order
-    over ``order_cap``, or with more than ``DEFAULT_LATTICE_COUNT_CAP``
-    ideals, is refused; the product of the block counts is checked before
-    any product is formed.  A count refusal is stored like a lattice, so a
-    refused ring is enumerated once however often it is asked for.
-    """
+    """Every two-sided ideal, sorted by size, then members: the ideals above
+    0.  A ring of order over ``order_cap``, or with more than
+    ``DEFAULT_LATTICE_COUNT_CAP`` ideals, is refused; a count refusal is
+    stored like a lattice, so a refused ring is enumerated once."""
     if r.order > order_cap:
         raise LatticeCapExceeded(r.order, order_cap)
-    lattice = r.memo("lattice", lambda: _block_product(r))
+    lattice = _ideals_above(r, Ideal(r, (r.zero,)))
     if lattice is None:
         raise LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
                                  f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
     return lattice
 
 
-def _block_product(r: FiniteRing) -> tuple[Ideal, ...] | None:
-    """The lattice of ``ideal_lattice``, as the product of the block lattices,
-    or None when the count guard refuses it."""
+def _ideals_above(r: FiniteRing, floor: Ideal) -> tuple[Ideal, ...] | None:
+    """The ideals above ``floor``, sorted, or None past the count guard; stored per floor."""
+    return r.memo(("lattice", floor.members), lambda: _block_product(r, floor.mask()))
+
+
+def _block_product(r: FiniteRing, floor: np.ndarray) -> tuple[Ideal, ...] | None:
+    """The ideals above the ideal F of mask ``floor``, as the product of the
+    block intervals, or None when the count guard refuses them.
+
+    With blocks e_1, ..., e_t (see ``_blocks``), R = e_1R x ... x e_tR and
+    every ideal I is the sum of the e_i I, each an ideal of R inside e_iR;
+    conversely every such choice sums to an ideal, and I contains F exactly
+    when each e_i I contains F ∩ e_iR.  As e_i is central, the ideals of R
+    inside e_iR are the ideals of the ring e_iR, so each block's part is a
+    join-closure of its own (``_join_closure``).  x lies in I exactly when
+    e_i*x lies in e_i I for every i, so each ideal's mask is an AND over the
+    blocks.  The product of the block counts is checked before it is formed.
+    """
     parts = []
     for e in _blocks(r).tolist():
         inside = np.zeros(r.order, dtype=bool)
         inside[r.mul_table[e]] = True
-        masks = _join_closure(r, inside)
+        masks = _join_closure(r, inside, floor & inside)
         if masks is None:
             return None
         parts.append((e, masks))
@@ -347,21 +351,21 @@ def _block_product(r: FiniteRing) -> tuple[Ideal, ...] | None:
                         key=lambda i: (len(i.members), i.members)))
 
 
-def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
+def _join_closure(r: FiniteRing, inside: np.ndarray, floor: np.ndarray) -> np.ndarray | None:
     """The masks of every ideal within ``inside``, the mask of eR for a
-    central idempotent e, or None once more than ``DEFAULT_LATTICE_COUNT_CAP``
-    ideals are found.
+    central idempotent e, above the ideal F of mask ``floor``, or None once
+    more than ``DEFAULT_LATTICE_COUNT_CAP`` ideals are found.
 
-    Every ideal is a sum of principal ideals, so joining each newly found
-    ideal with every principal ideal reaches them all.  A + B is the subgroup
-    join of A with the additive generators of B, done for the whole frontier
-    at once: S + y is the mask shift ``S[x - y]``, read with one ``take`` of
-    the contiguous row -y of ``add_table`` (x - y = -y + x).  The count is
-    checked as each ideal is found, so the lattice is refused exactly when
+    Each is F or a sum of ideals (x) + F, so joining each newly found ideal
+    with every (x) + F reaches them all.  A + B is the subgroup
+    join of A with the joined set of B, done for the whole frontier at once:
+    S + y is the mask shift ``S[x - y]``, read with one ``take`` of the
+    contiguous row -y of ``add_table`` (x - y = -y + x).  The count is
+    checked as each ideal is found, so the interval is refused exactly when
     it has more ideals than the guard, and as soon as one more is found.
     """
-    principal = _principal_ideals(r, inside)
-    found = {k: mask for k, (mask, _) in principal.items()}
+    principal = _principal_ideals(r, inside, floor)
+    found = {floor.tobytes(): floor} | {k: mask for k, (mask, _) in principal.items()}
     if len(found) > DEFAULT_LATTICE_COUNT_CAP:
         return None
     frontier = list(found.values())
@@ -387,6 +391,22 @@ def _join_closure(r: FiniteRing, inside: np.ndarray) -> np.ndarray | None:
                     if len(found) > DEFAULT_LATTICE_COUNT_CAP:
                         return None
     return np.array(list(found.values()))
+
+
+def _nilpotency_index(r: FiniteRing, ideal: Ideal) -> int:
+    """The least k with I^k = 0, raising once 2^k would pass the order: each
+    of I > I^2 > ... > I^k = 0 has index >= 2 in the one before.  I^(k+1) is
+    the ideal closure of the products y*z of the joined sets of I^k and of I,
+    since by distributivity they span I^k * I, which is an ideal."""
+    mask, gens = _ideal_closure(r, ideal.members)
+    joined, k = gens, 1
+    while mask.sum() > 1:
+        if 2 ** (k + 1) > r.order:
+            raise InternalInvariantViolation(
+                f"{r.label}: J^{k + 1} is not 0 but 2^{k + 1} > {r.order}: J is not nilpotent")
+        mask, joined = _ideal_closure(r, r.mul_table[np.ix_(joined, gens)].ravel().tolist())
+        k += 1
+    return k
 
 
 def _is_prime_ideal(r: FiniteRing, ideal: Ideal) -> bool:
@@ -436,13 +456,15 @@ def _intersection(r: FiniteRing, ideals: tuple[Ideal, ...]) -> Ideal:
     return ideal
 
 
-def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> SpectrumReport:
-    """Full lattice, its prime, maximal and J-spec sublists, J* and P.
+def spectrum(r: FiniteRing) -> SpectrumReport:
+    """The prime, maximal and J-spec ideals, J* and P, read above J.
 
-    J-spec is the set of prime ideals containing the Jacobson radical.  Only
-    the candidates are read: with blocks e_1, ..., e_t (see ``_blocks``), the
-    ideals that contain every e_j but one.  With one block they are the
-    proper ideals.
+    J is nilpotent (``_nilpotency_index`` checks it), so J^k = 0 puts J in
+    every prime; every maximal ideal is prime (Lam, *A First Course in
+    Noncommutative Rings*, chapters 1 and 4).  So J-spec is every prime, and
+    J lies in J* and P by construction.  Of the ideals above J only the
+    candidates are read: with blocks e_1, ..., e_t (see ``_blocks``), the
+    ideals that contain every e_j but one (with one block, the proper ones).
 
     * Every prime P is a candidate: e_i R e_j = 0 lies in P for i != j, so
       e_i or e_j lies in P, and a proper P misses some e_i as they sum to 1.
@@ -451,14 +473,16 @@ def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Sp
       proper ideal strictly above M.  A proper ideal above a candidate is a
       candidate, so the maximal ideals are the maximal candidates.
 
-    Each candidate still runs the full prime test.  Maximality is read off
-    the lattice; the report verifies (rather than assumes) that every
-    maximal ideal passes the prime test.  J* and P are the intersections of
-    the maximal and of the prime ideals, built with the rest, once per ring.
-    """
-    ideals = ideal_lattice(r, order_cap=order_cap)
-
+    Each candidate runs the full prime test, which every maximal ideal is
+    verified to pass.  R/J has 2^t ideals for t simple factors, so a count
+    refusal is an ``InternalInvariantViolation``.  J* and P are the meets of
+    the maximal and of the prime ideals."""
     def build() -> SpectrumReport:
+        j = jacobson_radical(r)
+        _nilpotency_index(r, j)
+        ideals = _ideals_above(r, j)
+        if ideals is None:
+            raise InternalInvariantViolation(f"{r.label}: too many ideals above J")
         blocks = _blocks(r)
         candidates = [i for i in ideals if (~i.mask()[blocks]).sum() == 1]
         bits = [(i, i.bitmask()) for i in candidates]
@@ -472,9 +496,7 @@ def spectrum(r: FiniteRing, *, order_cap: int = DEFAULT_LATTICE_ORDER_CAP) -> Sp
             if m.members not in prime_set:
                 raise InternalInvariantViolation(
                     f"{r.label}: maximal ideal {m.members} fails the prime test")
-        jset = set(jacobson_radical(r).members)
-        j_spec = tuple(p for p in prime if jset <= set(p.members))
-        return SpectrumReport(r, ideals, maximal, prime, j_spec,
+        return SpectrumReport(r, maximal, prime, prime,
                               _intersection(r, maximal), _intersection(r, prime))
 
     return r.memo("spectrum", build)

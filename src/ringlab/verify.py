@@ -4,9 +4,8 @@ Each suite checks one biconditional (or implication battery) by computing its
 two sides independently on every catalog ring and recording per-ring
 agreement.  A suite's overall flag is the conjunction of the row agreements
 over the rings that were not skipped.  Every ring of the catalog is checked;
-a ring is skipped by a suite only when deciding the suite on it reads an
-ideal lattice that the caps refuse, or when the suite's hypothesis (local,
-...) does not apply.
+a ring is skipped by a suite only when the suite's hypothesis (local, ...)
+does not apply.
 
 Suite identifiers
 -----------------
@@ -32,7 +31,8 @@ L4.6   some power uniquely nil clean  <->  abelian periodic
 T4.1   ideal-extension biconditional with single-condition mutations
 implications     one-way implication battery (zero counterexamples expected)
 collapse         uniquely pi-clean coincides with abelian on finite rings
-radical-triple   Jacobson = maximal-intersection = prime radical
+radical-triple   Jacobson = maximal-intersection = prime radical; J lies in
+                 J* and P by construction, so it checks J* and P inside J
 radical-set      {x : all x^m - 1 units} equals J on uniquely pi-clean rings
 corner-quotient  corners and the radical quotient inherit uniquely pi-clean
 obs-2powers      informational: which powers of 2 are uniquely clean in Z/(p+1)
@@ -118,15 +118,12 @@ class TheoremVerdict:
 class RunConfig:
     """Knobs for a verification run; defaults match the acceptance setup."""
 
-    lattice_order_cap: int = subsets.DEFAULT_LATTICE_ORDER_CAP
     theorems: tuple[str, ...] | None = None
     # 1: this process, on the catalog's own rings and their memo;
     # 0: one worker per core; N > 1: a pool of N workers
     jobs: int = 1
 
     def __post_init__(self):
-        if self.lattice_order_cap < 1:
-            raise ValueError("the lattice order cap must be positive")
         if self.jobs < 0:
             raise ValueError(f"jobs must be 0 (one per core) or positive, got {self.jobs}")
         if self.theorems is not None:
@@ -150,25 +147,13 @@ class RunConfig:
 # per-ring suite evaluation
 
 
-def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...],
-               lattice_cap: int) -> dict[str, tuple | str]:
-    """Evaluate every requested per-ring suite on one ring.
-
-    ``lattice_cap`` is the lattice order cap.  Returns suite id ->
-    (lhs, rhs, witness) or a skip-reason string.  A suite whose evaluation
-    reads an ideal lattice that the caps refuse is skipped with the refusal's
-    message; a suite that decides the ring without the lattice keeps its row.
-    """
-    out: dict[str, tuple | str] = {}
-    for tid in suite_ids:
-        try:
-            out[tid] = _cell(ring, tid, lattice_cap)
-        except LatticeCapExceeded as exc:
-            out[tid] = str(exc)
-    return out
+def _ring_rows(ring: FiniteRing, suite_ids: tuple[str, ...]) -> dict[str, tuple | str]:
+    """Evaluate every requested per-ring suite on one ring: suite id ->
+    (lhs, rhs, witness) or a skip-reason string."""
+    return {tid: _cell(ring, tid) for tid in suite_ids}
 
 
-def _cell(ring: FiniteRing, tid: str, lattice_cap: int) -> tuple | str:
+def _cell(ring: FiniteRing, tid: str) -> tuple | str:
     """One per-ring suite on one ring: (lhs, rhs, witness) or a skip reason."""
     vec = predicates.predicate_vector(ring).values
     upc = vec["uniquely_pi_clean"]
@@ -181,9 +166,7 @@ def _cell(ring: FiniteRing, tid: str, lattice_cap: int) -> tuple | str:
                 return "not a local ring"
             lhs = upc
         elif tid == "C3.10-set":
-            # read before upc: the hypothesis needs the lattice, so a ring it
-            # cannot read is skipped for the cap, not for the hypothesis
-            sp = subsets.spectrum(ring, order_cap=lattice_cap)
+            sp = subsets.spectrum(ring)
             if not (upc and {p.members for p in sp.prime} == {m.members for m in sp.maximal}):
                 return "hypothesis unmet (uniquely pi-clean with all primes maximal)"
             lhs = True
@@ -191,13 +174,13 @@ def _cell(ring: FiniteRing, tid: str, lattice_cap: int) -> tuple | str:
             lhs = upc and bool(subsets._nilpotent_mask(ring)[list(j.members)].all())
         else:
             lhs = upc
-        return lhs, predicates.characterization(ring, tid, order_cap=lattice_cap), None
+        return lhs, predicates.characterization(ring, tid), None
     if tid == "L4.6":
         return vec["uniquely_pi_nil_clean"], vec["abelian"] and vec["periodic"], None
     if tid == "collapse":
         return upc, vec["abelian"], None
     if tid == "radical-triple":
-        sp = subsets.spectrum(ring, order_cap=lattice_cap)
+        sp = subsets.spectrum(ring)
         js, pr = sp.j_star.members, sp.prime_radical.members
         ok = j.members == js == pr
         return True, ok, None if ok else f"J={j.members} J*={js} P={pr}"
@@ -231,8 +214,8 @@ def _cell(ring: FiniteRing, tid: str, lattice_cap: int) -> tuple | str:
 
 
 def _worker(args: tuple) -> tuple[int, dict]:
-    position, ring, suite_ids, lattice_cap = args
-    return position, _ring_rows(ring, suite_ids, lattice_cap)
+    position, ring, suite_ids = args
+    return position, _ring_rows(ring, suite_ids)
 
 
 def _t41_verdict() -> TheoremVerdict:
@@ -316,12 +299,11 @@ def run_verify(config: RunConfig | None = None,
         if jobs > 1 and len(catalog) > 1:
             # workers get the catalog's own rings, without the parent's memo;
             # map keeps catalog order
-            work = [(i, replace(e.ring, _memo={}), per_ring, config.lattice_order_cap)
-                    for i, e in enumerate(catalog)]
+            work = [(i, replace(e.ring, _memo={}), per_ring) for i, e in enumerate(catalog)]
             with ProcessPoolExecutor(max_workers=min(jobs, len(catalog))) as pool:
                 results = [rows for _, rows in pool.map(_worker, work)]
         else:
-            results = [_ring_rows(e.ring, per_ring, config.lattice_order_cap) for e in catalog]
+            results = [_ring_rows(e.ring, per_ring) for e in catalog]
         for e, rows in zip(catalog, results):
             for tid, cell in rows.items():
                 if isinstance(cell, str):
@@ -357,15 +339,17 @@ def ring_report(ring: FiniteRing, *,
         "radical_unit_set": [int(x) for x in predicates.radical_unit_set(ring)],
     }
     try:
-        sp = subsets.spectrum(ring, order_cap=lattice_order_cap)
-        report["spectrum"] = {
-            "ideal_count": len(sp.all_ideals),
-            "prime": [list(map(int, p.members)) for p in sp.prime],
-            "maximal": [list(map(int, m.members)) for m in sp.maximal],
-            "j_spec_count": len(sp.j_spec),
-        }
-        report["j_star"] = [int(x) for x in sp.j_star.members]
-        report["prime_radical"] = [int(x) for x in sp.prime_radical.members]
+        ideal_count = len(subsets.ideal_lattice(ring, order_cap=lattice_order_cap))
     except LatticeCapExceeded as exc:
         report["spectrum"] = {"skipped": str(exc)}
+        return report
+    sp = subsets.spectrum(ring)
+    report["spectrum"] = {
+        "ideal_count": ideal_count,
+        "prime": [list(map(int, p.members)) for p in sp.prime],
+        "maximal": [list(map(int, m.members)) for m in sp.maximal],
+        "j_spec_count": len(sp.j_spec),
+    }
+    report["j_star"] = [int(x) for x in sp.j_star.members]
+    report["prime_radical"] = [int(x) for x in sp.prime_radical.members]
     return report

@@ -250,6 +250,12 @@ class TestVerify:
             main(["verify", "--order-cap", "16"])
         assert exc.value.code == 2
 
+    def test_lattice_cap_is_not_a_verify_option(self, capsys):
+        # no suite reads the full ideal lattice, so verify has no lattice cap
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--lattice-cap", "16"])
+        assert exc.value.code == 2
+
     def test_verify_ignores_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RINGLAB_CAP", "abc")
         code, out, _ = run_cli(capsys, "verify", "--theorems", "T2.8", "--jobs", "1")

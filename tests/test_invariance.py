@@ -46,6 +46,7 @@ from ringlab import (
     zmod,
 )
 from ringlab.sources import parse_ring_source
+from ringlab.subsets import ideal_lattice
 
 CLASSES = (units, idempotents, central_idempotents, nilpotents, potents, central_elements)
 
@@ -63,8 +64,9 @@ def invariants(r) -> dict:
 def ideal_sets(r, old_of) -> dict:
     """The ideal, prime and maximal sets, each member k read as old_of[k]."""
     sp = spectrum(r)
-    return {part: {frozenset(old_of[k] for k in i.members) for i in getattr(sp, part)}
-            for part in ("all_ideals", "prime", "maximal")}
+    parts = {"all_ideals": ideal_lattice(r), "prime": sp.prime, "maximal": sp.maximal}
+    return {part: {frozenset(old_of[k] for k in i.members) for i in ideals}
+            for part, ideals in parts.items()}
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
@@ -108,16 +110,14 @@ def test_zmod_closed_forms(n):
     radical_order = n // prod(primefactors(n))
     assert len(nilpotents(r).members) == radical_order
     assert len(jacobson_radical(r).members) == radical_order
-    sp = spectrum(r)
-    assert len(sp.all_ideals) == divisor_count(n)
-    assert len(sp.prime) == len(primefactors(n))
+    assert len(ideal_lattice(r)) == divisor_count(n)
+    assert len(spectrum(r).prime) == len(primefactors(n))
 
 
 def test_zmod_2310_closed_forms():
     r = zmod(2 * 3 * 5 * 7 * 11)
-    sp = spectrum(r, order_cap=4096)
-    assert len(sp.all_ideals) == divisor_count(2310)
-    assert len(sp.prime) == len(primefactors(2310))
+    assert len(ideal_lattice(r, order_cap=4096)) == divisor_count(2310)
+    assert len(spectrum(r).prime) == len(primefactors(2310))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -125,12 +125,12 @@ def test_boolean_ring_ideal_count(k):
     r = gf(2)
     for _ in range(k - 1):
         r = product(r, gf(2))
-    assert len(spectrum(r).all_ideals) == 2 ** k
+    assert len(ideal_lattice(r)) == 2 ** k
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_triangular_ideal_count(q):
-    assert len(spectrum(upper_triangular(gf(q), 2)).all_ideals) == catalan(3)
+    assert len(ideal_lattice(upper_triangular(gf(q), 2))) == catalan(3)
 
 
 def test_product_ideal_count(catalog):
@@ -139,9 +139,10 @@ def test_product_ideal_count(catalog):
     assert pairs
     for left, right in pairs + [["zmod:4", "gf:4"]]:
         r, s = parse_ring_source(left), parse_ring_source(right)
-        rs = spectrum(product(r, s))
-        assert len(rs.all_ideals) == \
-            len(spectrum(r).all_ideals) * len(spectrum(s).all_ideals), (left, right)
+        r_s = product(r, s)
+        rs = spectrum(r_s)
+        assert len(ideal_lattice(r_s)) == \
+            len(ideal_lattice(r)) * len(ideal_lattice(s)), (left, right)
         for part in ("prime", "maximal"):
             assert len(getattr(rs, part)) == \
                 len(getattr(spectrum(r), part)) + len(getattr(spectrum(s), part)), \

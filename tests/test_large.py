@@ -23,7 +23,9 @@ from ringlab.cli import main
 from ringlab.core import validate_tables
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
+from ringlab.subsets import ideal_lattice
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
+from test_subsets import reference_spectrum, spectrum_parts
 
 pytestmark = pytest.mark.large
 
@@ -68,7 +70,14 @@ def test_zmod_1024_units():
     ("zmod:1024", int(divisor_count(1024))),
 ])
 def test_ideal_counts(source, count):
-    assert len(spectrum(parse_ring_source(source), order_cap=1024).all_ideals) == count
+    assert len(ideal_lattice(parse_ring_source(source), order_cap=1024)) == count
+
+
+@pytest.mark.parametrize("source", ["matrix:gf4:2", "matrix:zmod2:3", "tri:zmod3:3",
+                                    "tri:zmod2:4", "zmod:1024", "eqdiag:gf4:3", "zn-alpha:16"])
+def test_spectrum_matches_full_lattice_oracle(source):
+    ring = parse_ring_source(source)
+    assert spectrum_parts(ring) == reference_spectrum(ring)
 
 
 def test_boolean_ring_of_order_256_ideal_count():
@@ -76,7 +85,7 @@ def test_boolean_ring_of_order_256_ideal_count():
     for _ in range(7):
         r = product(r, gf(2))
     # every subset of the 8 coordinates spans one ideal
-    assert len(spectrum(r, order_cap=1024).all_ideals) == 2 ** 8
+    assert len(ideal_lattice(r, order_cap=1024)) == 2 ** 8
 
 
 def test_boolean_ring_of_order_1024_spectrum():
@@ -84,11 +93,12 @@ def test_boolean_ring_of_order_1024_spectrum():
     for _ in range(9):
         r = product(r, gf(2))
     start = perf_counter()
-    sp = spectrum(r, order_cap=1024)
+    ideals = ideal_lattice(r, order_cap=1024)
+    sp = spectrum(r)
     seconds = perf_counter() - start
     # one ideal per subset of the 10 coordinates; the primes, all maximal,
     # are the 10 ideals that drop one coordinate
-    assert (len(sp.all_ideals), len(sp.prime), len(sp.maximal)) == (2 ** 10, 10, 10)
+    assert (len(ideals), len(sp.prime), len(sp.maximal)) == (2 ** 10, 10, 10)
     assert seconds < 1.0, f"lattice and spectrum of GF(2)^10 took {seconds:.2f} s"
 
 
@@ -151,24 +161,36 @@ def test_raised_env_cap_admits_an_order_above_the_default(capsys, monkeypatch):
 # F_2 + V with V = F_2^9 and V*V = 0, element (a, v) at index a*2^9 + v.  Its
 # ideals are R and the subspaces of V, millions of them, so the lattice must
 # be refused by the count guard; under a 2 GB address-space limit it must be
-# refused before the search runs out of memory.
+# refused before the search runs out of memory.  J = V, so the spectrum reads
+# only V and R: the one maximal ideal V, which is the one prime.
 COUNT_GUARD = """
 import resource, sys
+from time import perf_counter
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from ringlab import FiniteRing, LatticeCapExceeded
+from ringlab import FiniteRing, LatticeCapExceeded, jacobson_radical, spectrum
 from ringlab.subsets import ideal_lattice
 
 dim = 9
 idx = np.arange(2 << dim)
 a, v = idx >> dim, idx & ((1 << dim) - 1)
 mul = ((a[:, None] & a[None, :]) << dim) | ((a[:, None] * v[None, :]) ^ (v[:, None] * a[None, :]))
-ring = FiniteRing.from_tables("F2+V9", idx[:, None] ^ idx[None, :], mul, 0, 1 << dim)
+ring = FiniteRing.from_tables("F2+V9", idx[:, None] ^ idx[None, :], mul, 0, 1 << dim,
+                              [str(i) for i in idx])
 try:
     ideal_lattice(ring, order_cap=1024)
 except LatticeCapExceeded as exc:
     print(exc)
+start = perf_counter()
+sp = spectrum(ring)
+seconds = perf_counter() - start
+# the ring is relabelled to put its identity at index 1; V is a = 0 by name
+v = tuple(i for i, name in enumerate(ring.elem_names) if int(name) < 1 << dim)
+print("maximal", [m.members for m in sp.maximal] == [v])
+print("prime", [p.members for p in sp.prime] == [v])
+print("radicals", jacobson_radical(ring).members == sp.j_star.members == sp.prime_radical.members == v)
+print("seconds", seconds)
 """
 
 
@@ -178,3 +200,7 @@ def test_count_guard_refuses_within_bounded_memory():
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "more than 100000 ideals" in proc.stdout
+    # the spectrum of the same ring is not refused: it reads the ideals above J = V
+    lines = dict(line.split(" ", 1) for line in proc.stdout.splitlines()[1:])
+    assert (lines["maximal"], lines["prime"], lines["radicals"]) == ("True",) * 3, proc.stdout
+    assert float(lines["seconds"]) < 1.0, f"spectrum of F_2 + V took {lines['seconds']} s"

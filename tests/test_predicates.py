@@ -110,6 +110,14 @@ class TestCleanDecompositions:
         assert w.verify()
         assert not CleanWitness(z3, 2, 1, 0, 1, "nil-clean").verify()
 
+    def test_p_clean_witness_above_the_old_lattice_cap(self):
+        # the prime radical is read off the ideals above J, so a P-clean
+        # witness verifies on a ring of order 512, over the lattice cap of 256
+        m3 = parse_ring_source("matrix:zmod2:3")
+        w = CleanWitness(m3, target=m3.one, exponent=1, idempotent=m3.one, complement=m3.zero,
+                         kind="P-clean")
+        assert w.verify()
+
     def test_pi_clean_witness(self):
         w = pi_clean_witness(zmod(3), 2)
         assert (w.exponent, w.idempotent, w.complement) == (2, 0, 1) and w.verify()

@@ -9,6 +9,7 @@ import pytest
 
 from ringlab import (
     Ideal,
+    InternalInvariantViolation,
     LatticeCapExceeded,
     NotAnIdeal,
     NotIdempotent,
@@ -24,6 +25,7 @@ from ringlab import (
     matrix_ring,
     nilpotents,
     potents,
+    product,
     quotient,
     quotient_is_torsion,
     quotient_ring,
@@ -71,13 +73,55 @@ def reference_lattice(ring):
 
 
 def reference_is_prime(ring, members):
-    """Independent oracle: proper, and some a*r*b escapes for every a, b outside."""
+    """Independent oracle: proper, and some a*r*b escapes for every a, b outside.
+
+    Whether aRb lies in P depends only on the cosets a + P and b + P, so a
+    and b run over the least element of each coset outside P.  A pair whose
+    a*b (r = 1) escapes is settled; every r is tried on the other pairs, a
+    block of pairs at a time.
+    """
     mask = np.zeros(ring.order, dtype=bool)
     mask[list(members)] = True
-    outside = np.flatnonzero(~mask)
+    if mask.all():
+        return False
+    least = ring.add_table[:, list(members)].min(axis=1)
+    outside = np.flatnonzero((least == np.arange(ring.order)) & ~mask)
     mul = ring.mul_table
-    arb = mul[mul[np.ix_(outside, np.arange(ring.order))]][:, :, outside]
-    return len(outside) > 0 and bool((~mask[arb]).any(axis=1).all())
+    a, b = np.nonzero(mask[mul[np.ix_(outside, outside)]])
+    a, b = outside[a], outside[b]
+    step = max(1, (1 << 20) // ring.order)
+    for i in range(0, len(a), step):
+        arb = mul[mul[a[i:i + step]], b[i:i + step, None]]  # [pair, r]: a*r*b
+        if not (~mask[arb]).any(axis=1).all():
+            return False
+    return True
+
+
+def reference_spectrum(ring):
+    """Oracle: the spectrum as read off the full lattice, before it was read
+    off the ideals above J.  The candidates are the ideals that contain every
+    block idempotent but one; the primes are the candidates that pass
+    ``reference_is_prime``, the maximal ideals the maximal candidates."""
+    blocks = subsets._blocks(ring)
+    candidates = [i.members for i in ideal_lattice(ring, order_cap=ring.order)
+                  if (~i.mask()[blocks]).sum() == 1]
+    maximal = [c for c in candidates if not any(set(c) < set(d) for d in candidates)]
+    prime = [c for c in candidates if reference_is_prime(ring, c)]
+    jset = set(jacobson_radical(ring).members)
+
+    def meet(ideals):
+        return tuple(sorted(set(range(ring.order)).intersection(*map(set, ideals))))
+
+    return {"maximal": maximal, "prime": prime,
+            "j_spec": [p for p in prime if jset <= set(p)],
+            "j_star": meet(maximal), "prime_radical": meet(prime)}
+
+
+def spectrum_parts(ring):
+    sp = spectrum(ring)
+    return {"maximal": [m.members for m in sp.maximal], "prime": [p.members for p in sp.prime],
+            "j_spec": [p.members for p in sp.j_spec], "j_star": sp.j_star.members,
+            "prime_radical": sp.prime_radical.members}
 
 
 def brute_force_local_witness(ring):
@@ -190,8 +234,13 @@ class TestLatticeReference:
 
     def test_lattice_matches_reference(self, rings):
         for ring in rings:
-            ideals = spectrum(ring).all_ideals
+            ideals = ideal_lattice(ring)
             assert [i.members for i in ideals] == reference_lattice(ring), ring.label
+
+    def test_spectrum_matches_full_lattice_oracle(self, rings):
+        # the spectrum reads only the ideals above J; the oracle reads them all
+        for ring in rings:
+            assert spectrum_parts(ring) == reference_spectrum(ring), ring.label
 
     @pytest.mark.parametrize("source, blocks", [
         ("product:product:product:gf2,gf2,gf2,gf2", 4),
@@ -206,7 +255,7 @@ class TestLatticeReference:
         for r in (ring, ring.relabeled(range(ring.order - 1, -1, -1))):
             sp = spectrum(r)
             ideals = reference_lattice(r)
-            assert [i.members for i in sp.all_ideals] == ideals, r.label
+            assert [i.members for i in ideal_lattice(r)] == ideals, r.label
             assert {p.members for p in sp.prime} == {
                 i for i in ideals if reference_is_prime(r, i)}, r.label
             assert {m.members for m in sp.maximal} == {
@@ -225,16 +274,16 @@ class TestLatticeReference:
 
 class TestLatticeAndSpectrum:
     def test_zmod12_lattice(self):
-        ideals = spectrum(zmod(12)).all_ideals
+        ideals = ideal_lattice(zmod(12))
         assert len(ideals) == 6
         members = {i.members for i in ideals}
         assert (0, 6) in members and (0, 4, 8) in members
 
     def test_zmod4_lattice(self):
-        assert len(spectrum(zmod(4)).all_ideals) == 3
+        assert len(ideal_lattice(zmod(4))) == 3
 
     def test_matrix_ring_is_simple(self):
-        assert len(spectrum(matrix_ring(zmod(2), 2)).all_ideals) == 2
+        assert len(ideal_lattice(matrix_ring(zmod(2), 2))) == 2
 
     def test_primes_and_maximals(self):
         z6 = zmod(6)
@@ -255,7 +304,7 @@ class TestLatticeAndSpectrum:
     def test_prime_test_matches_definition(self, catalog_rings):
         for ring in catalog_rings:
             primes = {p.members for p in spectrum(ring).prime}
-            for ideal in spectrum(ring).all_ideals:
+            for ideal in ideal_lattice(ring):
                 prime = reference_is_prime(ring, ideal.members)
                 assert prime == (ideal.members in primes), (ring.label, ideal.members)
                 # the test itself, on the ideals that are not candidates too
@@ -290,7 +339,7 @@ class TestLatticeAndSpectrum:
 
     def test_lattice_cap(self):
         with pytest.raises(LatticeCapExceeded):
-            spectrum(zmod(12), order_cap=4)
+            ideal_lattice(zmod(12), order_cap=4)
 
     @pytest.mark.parametrize("source, count", [
         ("zmod:12", 6),
@@ -302,14 +351,14 @@ class TestLatticeAndSpectrum:
         # the count guard is a fixed constant; each side of it gets a fresh ring
         monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count - 1)
         with pytest.raises(LatticeCapExceeded, match=f"more than {count - 1} ideals"):
-            spectrum(parse_ring_source(source))
+            ideal_lattice(parse_ring_source(source))
         monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", count)
         ring = parse_ring_source(source)
-        assert len(spectrum(ring).all_ideals) == count
+        assert len(ideal_lattice(ring)) == count
         # The lattice is stored once, free of the order cap, and held to every caller's.
-        spectrum(ring)
+        ideal_lattice(ring)
         with pytest.raises(LatticeCapExceeded):
-            spectrum(ring, order_cap=ring.order - 1)
+            ideal_lattice(ring, order_cap=ring.order - 1)
         assert ideal_lattice(ring, order_cap=64) is ideal_lattice(ring, order_cap=128)
 
     def test_count_refusal_is_stored(self, monkeypatch):
@@ -318,18 +367,56 @@ class TestLatticeAndSpectrum:
         monkeypatch.setattr(subsets, "DEFAULT_LATTICE_COUNT_CAP", 5)
         calls = []
         build = subsets._block_product
-        monkeypatch.setattr(subsets, "_block_product", lambda r: calls.append(r) or build(r))
+        monkeypatch.setattr(subsets, "_block_product",
+                            lambda r, floor: calls.append(r) or build(r, floor))
         ring = zmod(12)
         messages = []
         for _ in range(2):
             with pytest.raises(LatticeCapExceeded) as exc:
-                spectrum(ring)
+                ideal_lattice(ring)
             messages.append(str(exc.value))
         assert len(calls) == 1
         assert messages == [str(LatticeCapExceeded(12, 5, "more than 5 ideals"))] * 2
         # the order cap is still checked before the memo is read
         with pytest.raises(LatticeCapExceeded, match=r"cap 4\)$"):
-            spectrum(ring, order_cap=4)
+            ideal_lattice(ring, order_cap=4)
+
+    def test_zero_radical_shares_the_lattice(self, monkeypatch):
+        # with J = 0 the ideals above J are the lattice: one enumeration
+        calls = []
+        build = subsets._block_product
+        monkeypatch.setattr(subsets, "_block_product",
+                            lambda r, floor: calls.append(r) or build(r, floor))
+        ring = zmod(6)
+        spectrum(ring)
+        assert ideal_lattice(ring) and len(calls) == 1
+
+    @pytest.mark.parametrize("fake", ["whole ring", "central idempotent"])
+    def test_non_nilpotent_radical_is_refused(self, fake, monkeypatch):
+        # the spectrum reads only the ideals above J, which is sound only
+        # because J is nilpotent; a J that is not must raise
+        ring = product(zmod(2), gf(4))
+        if fake == "whole ring":
+            ideal = Ideal(ring, tuple(range(ring.order)))
+        else:
+            e = next(e for e in central_idempotents(ring).members if e not in (ring.zero, ring.one))
+            ideal = ideal_generated_by(ring, [e])
+            assert 1 < len(ideal.members) < ring.order
+        monkeypatch.setattr(subsets, "jacobson_radical", lambda r: ideal)
+        with pytest.raises(InternalInvariantViolation, match="not nilpotent"):
+            spectrum(ring)
+
+    def test_nilpotency_index_within_log2_order(self, catalog_rings):
+        for ring in catalog_rings:
+            j = jacobson_radical(ring)
+            k = subsets._nilpotency_index(ring, j)
+            assert 2 ** k <= ring.order or ring.order == 1, ring.label  # Z/1: J = 0 = J^1
+            # the least k: J^(k-1) is not zero, J^k is, by plain products
+            power, least = j.members, 1
+            while power != (ring.zero,):
+                products = np.unique(ring.mul_table[np.ix_(power, j.members)])
+                power, least = reference_ideal(ring, products.tolist()), least + 1
+            assert k == least, ring.label
 
     def test_spectrum_json_shape(self):
         # ring_report is the one rendering of the spectrum
@@ -346,10 +433,10 @@ class TestQuotientTorsion:
         p = [i for i in spectrum(z6).prime if i.members == (0, 2, 4)][0]
         assert quotient_is_torsion(z6, p)
         z12 = zmod(12)
-        four = [i for i in spectrum(z12).all_ideals if i.members == (0, 4, 8)][0]
+        four = [i for i in ideal_lattice(z12) if i.members == (0, 4, 8)][0]
         assert not quotient_is_torsion(z12, four)
         z3 = zmod(3)
-        zero_ideal = [i for i in spectrum(z3).all_ideals if i.members == (0,)][0]
+        zero_ideal = [i for i in ideal_lattice(z3) if i.members == (0,)][0]
         assert quotient_is_torsion(z3, zero_ideal)
 
     def test_whole_ring_rejected(self):

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from ringlab import (LatticeCapExceeded, RunConfig, cli, matrix_ring, ring_report,
-                     run_verify, subsets, verify, zmod)
+from ringlab import (RunConfig, cli, matrix_ring, ring_report, run_verify, subsets, verify,
+                     zmod)
 from ringlab.construct import RingCatalogEntry, build_from_provenance
 from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 
@@ -15,6 +15,12 @@ from ringlab.verify import ALL_SUITE_IDS, _t41_verdict
 @pytest.fixture(scope="module")
 def verdicts(catalog):
     return run_verify(RunConfig(jobs=1), catalog)
+
+
+def capped_lattice(cap):
+    """``subsets.ideal_lattice`` with its order cap pinned to ``cap``."""
+    lattice = subsets.ideal_lattice
+    return lambda r, order_cap=cap: lattice(r, order_cap=min(order_cap, cap))
 
 
 class TestRunVerify:
@@ -38,45 +44,56 @@ class TestRunVerify:
         assert by_id["radical-set"].skipped
         assert all("uniquely pi-clean" in reason for _, reason in by_id["radical-set"].skipped)
 
-    def test_radical_set_ignores_the_lattice_cap(self, verdicts, catalog):
+    def test_no_suite_reads_the_full_lattice(self, verdicts, monkeypatch):
+        # the spectrum suites read only the ideals above J, so no suite needs
+        # ideal_lattice, and no lattice cap could skip a ring
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite read the full ideal lattice")
+
+        monkeypatch.setattr(subsets, "ideal_lattice", refuse)
+        # a fresh catalog, so no ring holds a spectrum from an earlier test
+        patched = run_verify()
+        assert [v.to_json_dict() for v in patched] == [v.to_json_dict() for v in verdicts]
+
+    def test_radical_set_ignores_the_lattice_cap(self, verdicts, monkeypatch):
         # radical-set compares the unit-shift set with J, neither of which
         # reads the ideal lattice, so a lattice cap skips none of its rings
-        (capped,) = run_verify(
-            RunConfig(theorems=("radical-set",), lattice_order_cap=4, jobs=1), catalog)
+        monkeypatch.setattr(subsets, "ideal_lattice", capped_lattice(4))
+        (capped,) = run_verify(RunConfig(theorems=("radical-set",), jobs=1))
         assert capped.skipped
         assert all(reason == "not uniquely pi-clean" for _, reason in capped.skipped)
         by_id = {v.theorem: v for v in verdicts}
         assert capped.to_json_dict() == by_id["radical-set"].to_json_dict()
 
-    def test_lattice_cap_skips_only_suites_that_read_the_lattice(self, catalog):
-        # at cap 16 the 11 catalog rings of larger order lose exactly the
-        # suites whose evaluation on them reads the lattice; T3.3 and C3.4
-        # decide M2(Z/3) and T2(Z/3) before they would read it
+    def test_lattice_cap_skips_only_suites_that_read_the_lattice(self, verdicts, monkeypatch):
+        # the spectrum suites read only the ideals above J, so at cap 16 the
+        # 11 catalog rings of larger order lose no rows: each suite skips
+        # only the rings whose hypothesis is unmet
         lattice_suites = ("T3.3", "C3.4", "T3.7", "T3.9", "C3.10-set", "T4.7-3", "C4.8",
                           "radical-triple")
-        out = run_verify(RunConfig(lattice_order_cap=16, theorems=lattice_suites, jobs=1),
-                         catalog)
+        monkeypatch.setattr(subsets, "ideal_lattice", capped_lattice(16))
+        out = run_verify(RunConfig(theorems=lattice_suites, jobs=1))
         by_id = {v.theorem: v for v in out}
         counts = {tid: (len(v.rows), len(v.skipped)) for tid, v in by_id.items()}
-        assert counts == {"T3.3": (61, 9), "C3.4": (61, 9), "T3.7": (59, 11),
-                          "T3.9": (59, 11), "C3.10-set": (55, 15), "T4.7-3": (59, 11),
-                          "C4.8": (59, 11), "radical-triple": (59, 11)}
+        assert counts == {"T3.3": (70, 0), "C3.4": (70, 0), "T3.7": (70, 0),
+                          "T3.9": (70, 0), "C3.10-set": (64, 6), "T4.7-3": (70, 0),
+                          "C4.8": (70, 0), "radical-triple": (70, 0)}
         for tid in ("T3.3", "C3.4"):
             rows = {r.provenance: r for r in by_id[tid].rows}
             for source in ("matrix:zmod3:2", "tri:zmod3:2"):
                 assert (rows[source].lhs, rows[source].rhs) == (False, False), (tid, source)
-        order = {e.provenance: e.ring.order for e in catalog}
         for v in out:
             for provenance, why in v.skipped:
-                if order[provenance] > 16:
-                    assert why == str(LatticeCapExceeded(order[provenance], 16)), (v.theorem, why)
-                else:
-                    assert why.startswith("hypothesis unmet"), (v.theorem, provenance, why)
+                assert why.startswith("hypothesis unmet"), (v.theorem, provenance, why)
+        full = {v.theorem: v.to_json_dict() for v in verdicts}
+        assert {tid: v.to_json_dict() for tid, v in by_id.items()} == {
+            tid: full[tid] for tid in lattice_suites}
 
     def test_suites_that_read_no_lattice_build_none(self, monkeypatch):
         calls = []
         build = subsets._block_product
-        monkeypatch.setattr(subsets, "_block_product", lambda r: calls.append(r) or build(r))
+        monkeypatch.setattr(subsets, "_block_product",
+                            lambda r, floor: calls.append(r) or build(r, floor))
         # a fresh catalog, so no ring holds a lattice from an earlier test
         run_verify(RunConfig(theorems=("collapse", "L4.6"), jobs=1))
         assert calls == []
@@ -220,10 +237,6 @@ class TestRingReport:
 
 
 class TestConfig:
-    def test_bad_caps_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(lattice_order_cap=0)
-
     def test_effective_jobs(self):
         assert RunConfig(jobs=3).effective_jobs() == 3
         assert RunConfig(jobs=0).effective_jobs() >= 1
