@@ -20,7 +20,8 @@ z6 = FiniteRing.from_tables("Z/6 by hand", add, mul, zero=0, one=1)
 print(f"validated: {z6.label}, order {z6.order}")
 
 # Corrupt a single multiplication cell.  The validator names the first
-# violated axiom and hands back a witness triple of element indices.
+# axiom its checks find violated and hands back a witness triple of
+# element indices that breaks it.
 bad = mul.copy()
 bad[2][3] = 1  # 2*3 should be 0
 try:

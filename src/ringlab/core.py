@@ -12,8 +12,8 @@ are then checked on a greedy additive generating set G of at most log2(n)
 elements, where each step is a theorem:
 
 1. Associativity of +, by Light's test: the elements g with
-   (x+g)+y = x+(g+y) for all x, y form a sub-magma, so when the test holds on
-   G it holds on every sum of generators, which is every element.
+   (x+g)+y = x+(g+y) for all x, y contain 0 and are closed under +, so when
+   the test holds on G it holds on every sum of generators, every element.
 2. Distributivity: once + is associative, the elements c with
    (b+c)*a = b*a + c*a for all a, b are closed under +, so checking c in G
    decides right distributivity.  Every right multiplication x -> x*a is
@@ -24,11 +24,9 @@ elements, where each step is a theorem:
 3. Associativity of *: the associator is additive in each argument, so it
    vanishes everywhere once it vanishes on G^3.
 
-A table that fails the generator check is rescanned on every triple, one law
-after another (right then left distributivity, associativity of + then of *),
-so a rejection names the first failing law and its least witness at every
-order.  Rings are immutable after validation (the tables are frozen), so every
-operation in the package is a pure read and safe to share across threads.
+A table is rejected at the first check that fails, with a witness that
+breaks the law the error names.  Rings are immutable after validation (the
+tables are frozen), so every operation is a pure read, safe across threads.
 
 Rings derived from a ring R, and the structured rings of ``construct``, are
 not validated again: each is a ring by theorem, behind the exact check that
@@ -81,7 +79,7 @@ from .errors import (
 DEFAULT_ORDER_CAP = 4096
 
 # cells per row block of every whole-ring kernel (``_row_blocks``) and, as the
-# largest of its growing blocks, of ``FiniteRing.ideal_witness``
+# largest of their growing blocks, of the witness scans (``_growing_blocks``)
 _ROW_BLOCK_CELLS = 1 << 16
 
 
@@ -104,17 +102,17 @@ def _next_powers(mul: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return mul.ravel().take(np.multiply(powers, n, dtype=np.intp) + np.arange(n))
 
 
-def _growing_blocks(rows: int, width: int, cells: int) -> Iterator[tuple[int, int]]:
+def _growing_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
     """Consecutive row ranges ``(start, stop)`` covering ``range(rows)``.
 
-    The first holds a sixteenth of ``cells`` cells of ``width`` each, at
-    least one row, and each next one twice as many rows, up to ``cells``
-    cells (again at least one row).  A scan that stops at its first failing
-    block then pays little for an early failure and, on a whole scan, only a
-    few more block steps than with fixed blocks of ``cells``.
+    The first holds a sixteenth of ``_ROW_BLOCK_CELLS`` (read on every
+    call) cells of ``width`` each, at least one row, and each next one twice
+    as many rows, up to ``_ROW_BLOCK_CELLS`` cells.  A scan that stops at
+    its first failing block then pays little for an early failure and, on a
+    whole scan, only a few more block steps than with fixed blocks.
     """
-    most = max(1, cells // width)
-    size = max(1, cells // 16 // width)
+    most = max(1, _ROW_BLOCK_CELLS // width)
+    size = max(1, _ROW_BLOCK_CELLS // 16 // width)
     start = 0
     while start < rows:
         yield start, min(start + size, rows)
@@ -176,31 +174,6 @@ def _unfixed_by(mul: np.ndarray, one: int) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _full_scan(add: np.ndarray, mul: np.ndarray) -> None:
-    """Check distributivity and both associativities on every triple.
-
-    The laws are checked in a fixed order, each over every first index a
-    before the next law starts, so a rejection names the first failing law
-    and its lexicographically least witness (a, b, c).
-    """
-    laws = (
-        (lambda a: mul[add[a], :], lambda a: add[mul[a, None, :], mul], NotDistributive,
-         "right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}"),
-        (lambda a: mul[a, add], lambda a: add[mul[a, :, None], mul[a, None, :]], NotDistributive,
-         "left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}"),
-        (lambda a: add[add[a], :], lambda a: add[a, add], NotAbelianGroupUnderAdd,
-         "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})"),
-        (lambda a: mul[mul[a], :], lambda a: mul[a, mul], NonAssociativeMul,
-         "(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})"),
-    )
-    for lhs, rhs, error, message in laws:
-        for a in range(add.shape[0]):
-            left, right = lhs(a), rhs(a)
-            if not np.array_equal(left, right):
-                witness = (a, *_first_mismatch(left, right))
-                raise error(message.format(*witness), witness)
-
-
 def _additive_generators(add: np.ndarray, zero: int) -> Iterator[int]:
     """Greedy generators of the additive magma, yielded as they are chosen.
 
@@ -237,41 +210,59 @@ def _join_cyclic(add: np.ndarray, reached: np.ndarray, y: int) -> None:
         step = add[step, step]
 
 
-def _holds_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> bool:
-    """Whether + is associative and * is distributive and associative.
+def _require(lhs: np.ndarray, rhs: np.ndarray, error: type, message: str,
+             witness: Callable[..., tuple[int, ...]]) -> None:
+    """Raise ``error`` at the first cell where the two sides of a law differ,
+    with the triple ``witness`` makes of that cell's index."""
+    if not np.array_equal(lhs, rhs):
+        triple = witness(*_first_mismatch(lhs, rhs))
+        raise error(message.format(*triple), triple)
 
-    Decided exactly on a greedy additive generating set G (see the module
-    docstring) for tables that passed the O(n^2) checks.  False also when G
-    would need more than ``n.bit_length()`` elements, which a group never does.
-    Each generator is checked as soon as it is chosen, a block of rows at a
-    time, so a broken table usually fails on the first block of the first one.
+
+def _check_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
+    """Raise the first failure of + associative, * distributive and *
+    associative, decided on a greedy additive generating set G (see the
+    module docstring) for tables that passed the O(n^2) checks.
+
+    Each generator g is checked as soon as it is chosen, a block of rows x
+    at a time: right distributivity (x+g)*a, then Light's test (x+g)+y.
+    Then left distributivity for a, c in G, then associativity of * on G^3.
+    The witness, (x, g, a), (x, g, y), (a, b, c) or (g_i, g_j, g_k), is the
+    first mismatch of the failing block or gather: it breaks its named law,
+    though it need not be the least triple that breaks some law.
+
+    No bound on |G| is needed.  The elements that pass Light's test contain
+    0 and are closed under +: for g, h among them, (x+(g+h))+y =
+    ((x+g)+h)+y = (x+g)+(h+y) = x+(g+(h+y)) = x+((g+h)+y).  The reached set
+    only ever holds sums of generators that passed, so if the loop reaches
+    every element (at most n rounds), + is associative; otherwise Light's
+    test fails at some generator, with a witness.
     """
     n = add.shape[0]
     sums = add.ravel()
     gens: list[int] = []
     for g in _additive_generators(add, zero):
-        if len(gens) == n.bit_length():
-            return False
         gens.append(g)
         # + is commutative, so row g of add lists x+g, and the flat index
         # n*(g*a) + x*a names the cell add[g*a, x*a] = x*a + g*a
         ga_cell = mul[g].astype(np.intp) * n
         for start, stop in _row_blocks(n, n):
             x_plus_g = add[g, start:stop]
-            # (x+g)*a == x*a + g*a
-            if not np.array_equal(mul.take(x_plus_g, axis=0),
-                                  sums.take(ga_cell + mul[start:stop])):
-                return False
-            # (x+g)+y == x+(g+y)
-            if not np.array_equal(add.take(x_plus_g, axis=0),
-                                  add[start:stop].take(add[g], axis=1)):
-                return False
-    gens = np.array(gens, dtype=np.intp)
-    ab, gg = mul[gens], mul[np.ix_(gens, gens)]
-    # a*(b+c) == a*b + a*c for a, c in G and every b
-    if not np.array_equal(ab[:, add[gens]], add[ab[:, None, :], gg[:, :, None]]):
-        return False
-    return np.array_equal(mul[gg[:, :, None], gens], mul[gens[:, None, None], gg])
+            _require(mul.take(x_plus_g, axis=0), sums.take(ga_cell + mul[start:stop]),
+                     NotDistributive, "right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}",
+                     lambda i, a: (start + i, g, a))
+            _require(add.take(x_plus_g, axis=0), add[start:stop].take(add[g], axis=1),
+                     NotAbelianGroupUnderAdd, "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})",
+                     lambda i, y: (start + i, g, y))
+    at = np.array(gens, dtype=np.intp)
+    ab, gg = mul[at], mul[np.ix_(at, at)]
+    # a*(b+c) == a*b + a*c for a, c in G and every b, gathered as [a, c, b]
+    _require(ab[:, add[at]], add[ab[:, None, :], gg[:, :, None]],
+             NotDistributive, "left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}",
+             lambda i, j, b: (gens[i], b, gens[j]))
+    _require(mul[gg[:, :, None], at], mul[at[:, None, None], gg],
+             NonAssociativeMul, "(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})",
+             lambda i, j, k: (gens[i], gens[j], gens[k]))
 
 
 def validate_tables(
@@ -286,13 +277,12 @@ def validate_tables(
     The O(n^2) axioms are scanned in full.  Associativity of + (Light's
     test), distributivity and associativity of * are then checked on a greedy
     additive generating set G of at most log2(n) elements, which decides them
-    for the whole ring (see the module docstring); only a table that fails
-    that check gets the full cubic scan, which finds the first failing law and
-    its least witness.
+    for the whole ring (see the module docstring and
+    ``_check_on_generators``).
 
-    Returns the tables as int32 arrays on success; raises a
-    ``RingValidationError`` subclass naming the first violated axiom, with a
-    witness triple of element indices, otherwise.
+    Returns the tables as int32 arrays; otherwise raises a
+    ``RingValidationError`` subclass for the first check that fails, with a
+    witness tuple of element indices that breaks the named law.
     """
     if order < 1:
         raise RingValidationError(f"order must be positive, got {order}")
@@ -306,8 +296,7 @@ def validate_tables(
         raise RingValidationError("zero and one coincide in a ring of order > 1")
 
     _check_quadratic_axioms(add, mul, zero, one)
-    if not _holds_on_generators(add, mul, zero):
-        _full_scan(add, mul)
+    _check_on_generators(add, mul, zero)
     return add, mul
 
 
@@ -366,8 +355,8 @@ class FiniteRing:
     ) -> "FiniteRing":
         """Validate candidate tables and return the canonical ring.
 
-        The error raised on failure names the first violated axiom and
-        carries a witness index tuple (see ``errors``).  No order cap is
+        The error raised on failure names the first failing check, with a
+        witness index tuple that breaks the named law (see ``errors``).  No order cap is
         applied here: the constructors and the loader check theirs before
         they allocate tables.
         """
@@ -626,7 +615,7 @@ class FiniteRing:
         mask[mem] = True
 
         def first_escape(rows, cols, gather) -> tuple[int, int] | None:
-            for start, stop in _growing_blocks(len(rows), len(cols), _ROW_BLOCK_CELLS):
+            for start, stop in _growing_blocks(len(rows), len(cols)):
                 inside = mask.take(gather(start, stop))
                 if not inside.all():
                     i, j = divmod(int(inside.argmin()), len(cols))

@@ -373,12 +373,6 @@ def is_generalized_n_like(r: FiniteRing, n: int) -> bool:
     return generalized_n_like_witness(r, n) is None
 
 
-# cells of the n-like scan's largest row block; the blocks start at a
-# sixteenth of it and double, and the scan stops at the first block holding a
-# failure, so a ring that fails early costs one small block
-_N_LIKE_BLOCK_CELLS = 1 << 16
-
-
 def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
     """The first pair (a, b), row-major, with (ab)^n - a b^n - a^n b + ab != 0.
 
@@ -391,14 +385,13 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
     The scan (``_n_like_scan``) therefore reads n only through the vector d,
     and two exponents with the same d have the same witness: the scan is
     memoised on the ring per d.  x^n is read from the ring's memoised chain
-    of powers (``_low_powers``), continued past its end for a larger n.
+    of powers (``_low_powers``) for n <= 9, else from its power matrix
+    (``_nth_powers``).
     """
     if n < 2:
         raise ValueError(f"generalized n-like needs n >= 2, got {n}")
     chain = _low_powers(r)
-    pow_n = chain[min(n, len(chain)) - 1]
-    for _ in range(n - len(chain)):
-        pow_n = _next_powers(r.mul_table, pow_n)
+    pow_n = chain[n - 1] if n <= len(chain) else _nth_powers(r, n)
     d = r.sub_table.ravel().take(np.multiply(pow_n, r.order, dtype=np.intp) + np.arange(r.order))
     return r.memo(("n_like", d.tobytes()), lambda: _n_like_scan(r, d))
 
@@ -416,6 +409,22 @@ def _low_powers(r: FiniteRing) -> np.ndarray:
     return r.memo("low_powers", build)
 
 
+def _nth_powers(r: FiniteRing, n: int) -> np.ndarray:
+    """x^n for every x, read from the power matrix (column k holds x^(k+1),
+    k = 0..L).  Row x repeats from its first column j equal to the last,
+    with a period dividing L - j, so past the end x^n sits in column
+    j + (n-1-j) mod (L-j); n - 1 is reduced in Python integers, so any n
+    is exact."""
+    powers = r.power_matrix()
+    last = powers.shape[1] - 1
+    if n - 1 <= last:
+        return powers[:, n - 1]
+    j = np.argmax(powers == powers[:, -1:], axis=1)
+    period = last - j
+    residue = np.array([(n - 1) % p for p in range(1, last + 1)])  # (n-1) mod p, p = 1..L
+    return powers[np.arange(r.order), j + (residue[period - 1] - j) % period]
+
+
 def _n_like_scan(r: FiniteRing, d: np.ndarray) -> Witness:
     """The first pair (a, b), row-major, with d(ab) != a d(b) + d(a) b.
 
@@ -427,7 +436,7 @@ def _n_like_scan(r: FiniteRing, d: np.ndarray) -> Witness:
     """
     mul, order = r.mul_table, r.order
     add_flat = r.add_table.ravel()
-    for start, stop in _growing_blocks(order, order, _N_LIKE_BLOCK_CELLS):
+    for start, stop in _growing_blocks(order, order):
         ab = mul[start:stop]
         sums = np.multiply(ab.take(d, axis=1), order, dtype=np.intp)  # a d(b), as a row offset
         sums += mul.take(d[start:stop], axis=0)                        # d(a) b

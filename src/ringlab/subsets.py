@@ -226,7 +226,7 @@ def _ideal_closure(r: FiniteRing, seeds: Iterable[int],
     subgroup S = F + <Y>, with g*y and y*g in S for y in Y, g in G, and g*F
     in F; so g*S lies in S, as left multiplication by g is additive, and by
     distributivity r*S and S*r lie in S for every r, a sum of members of G
-    (the argument of ``core._holds_on_generators``).  So S is an ideal, and
+    (the argument of ``core._check_on_generators``).  So S is an ideal, and
     each element joined is forced into any ideal containing F and the seeds.
     """
     gens = r.additive_generators()

@@ -25,12 +25,7 @@ from ringlab import (
     zmod,
 )
 from ringlab import core, predicates, subsets
-from ringlab.core import (
-    _check_quadratic_axioms,
-    _full_scan,
-    _holds_on_generators,
-    validate_tables,
-)
+from ringlab.core import _check_quadratic_axioms, _first_mismatch, validate_tables
 from ringlab.sources import parse_ring_source
 
 
@@ -95,7 +90,7 @@ class TestValidation:
 class TestCorruptionSweep:
     """Any single-entry corruption of a catalog table is rejected, or the
     mutated tables happen to form a valid ring again (decided by the same
-    full axiom scan)."""
+    exact validation)."""
 
     N_CORRUPT = 1000
 
@@ -136,14 +131,100 @@ def _outcome(check, *args):
     return None
 
 
+def _full_scan(add: np.ndarray, mul: np.ndarray) -> None:
+    """Check distributivity and both associativities on every triple.
+
+    The laws are checked in a fixed order, each over every first index a
+    before the next law starts, so a rejection names the first failing law
+    and its lexicographically least witness (a, b, c).
+    """
+    laws = (
+        (lambda a: mul[add[a], :], lambda a: add[mul[a, None, :], mul], NotDistributive,
+         "right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}"),
+        (lambda a: mul[a, add], lambda a: add[mul[a, :, None], mul[a, None, :]], NotDistributive,
+         "left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}"),
+        (lambda a: add[add[a], :], lambda a: add[a, add], NotAbelianGroupUnderAdd,
+         "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})"),
+        (lambda a: mul[mul[a], :], lambda a: mul[a, mul], NonAssociativeMul,
+         "(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})"),
+    )
+    for lhs, rhs, error, message in laws:
+        for a in range(add.shape[0]):
+            left, right = lhs(a), rhs(a)
+            if not np.array_equal(left, right):
+                witness = (a, *_first_mismatch(left, right))
+                raise error(message.format(*witness), witness)
+
+
+# each cubic law: its message, its error class, and whether it holds at one
+# triple (a, b, c), read from the tables
+_LAWS = (
+    ("right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}", NotDistributive,
+     lambda add, mul, a, b, c: mul[add[a, b], c] == add[mul[a, c], mul[b, c]]),
+    ("left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}", NotDistributive,
+     lambda add, mul, a, b, c: mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]),
+    ("(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})", NotAbelianGroupUnderAdd,
+     lambda add, mul, a, b, c: add[add[a, b], c] == add[a, add[b, c]]),
+    ("(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})", NonAssociativeMul,
+     lambda add, mul, a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
+)
+
+
 def _assert_matches_full_scan(add, mul, zero, one):
-    """The generator check and validation agree with the full cubic scan."""
+    """Validation gives the verdict of the full cubic scan, and a rejection
+    names one cubic law, with that law's error class and a witness that
+    breaks it."""
     add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
     _check_quadratic_axioms(add, mul, zero, one)
     reference = _outcome(_full_scan, add, mul)
-    assert _holds_on_generators(add, mul, zero) == (reference is None)
-    assert _outcome(validate_tables, add, mul, zero, one, add.shape[0]) == reference
-    return reference
+    outcome = _outcome(validate_tables, add, mul, zero, one, add.shape[0])
+    assert (outcome is None) == (reference is None), (outcome, reference)
+    if outcome is not None:
+        error, message, witness = outcome
+        named = [(cls, holds) for text, cls, holds in _LAWS if message == text.format(*witness)]
+        assert len(named) == 1, message
+        (cls, holds), = named
+        assert error is cls and not holds(add, mul, *witness), message
+    return outcome
+
+
+def _sweep_corruptions(base, rng, count):
+    """Validate ``count`` one-cell corruptions of a ring's tables (of + alone,
+    of + at a cell and its mirror, of *) against the full scan; returns how
+    many passed the O(n^2) checks and how many of those were rejected."""
+    n = base.order
+    checked = rejected = 0
+    kinds = ("add", "symmetric add", "mul")
+    for kind in (kinds * count)[:count]:
+        add, mul = base.add_table.copy(), base.mul_table.copy()
+        table = mul if kind == "mul" else add
+        i, j = rng.integers(0, n, size=2)
+        table[i, j] = (table[i, j] + rng.integers(1, n)) % n
+        if kind == "symmetric add":
+            table[j, i] = table[i, j]
+        try:
+            _check_quadratic_axioms(add, mul, base.zero, base.one)
+        except RingValidationError:
+            continue
+        checked += 1
+        rejected += _assert_matches_full_scan(add, mul, base.zero, base.one) is not None
+    return checked, rejected
+
+
+def bilinear_algebra(k, seed):
+    """GF(2)^k under xor, with a product bilinear in random structure
+    constants and the first basis vector (index 1) as identity: distributive,
+    and for most seeds not associative."""
+    n = 1 << k
+    consts = np.random.default_rng(seed).integers(0, n, size=(k, k))
+    consts[0, :] = consts[:, 0] = 1 << np.arange(k)
+    idx = np.arange(n)
+    bits = (idx[:, None] >> np.arange(k)) & 1
+    mul = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            mul ^= np.outer(bits[:, i], bits[:, j]) * consts[i, j]
+    return idx[:, None] ^ idx[None, :], mul
 
 
 def _additive_span(ring, gens):
@@ -157,8 +238,8 @@ def _additive_span(ring, gens):
 
 
 class TestGeneratorCheck:
-    """The check on an additive generating set decides the cubic axioms
-    exactly as the full scan does."""
+    """The check on an additive generating set gives the verdict of the full
+    scan, and a rejection's witness breaks the law its message names."""
 
     N_CORRUPT = 4
 
@@ -173,20 +254,26 @@ class TestGeneratorCheck:
                                                  base.zero, base.one) is None
                 if n == 1:
                     continue
-                for kind in ("add", "symmetric add", "mul") * self.N_CORRUPT:
-                    add, mul = base.add_table.copy(), base.mul_table.copy()
-                    table = mul if kind == "mul" else add
-                    i, j = rng.integers(0, n, size=2)
-                    table[i, j] = (table[i, j] + rng.integers(1, n)) % n
-                    if kind == "symmetric add":
-                        table[j, i] = table[i, j]
-                    try:
-                        _check_quadratic_axioms(add, mul, base.zero, base.one)
-                    except RingValidationError:
-                        continue
-                    checked += 1
-                    rejected += _assert_matches_full_scan(add, mul, base.zero, base.one) is not None
+                swept = _sweep_corruptions(base, rng, 3 * self.N_CORRUPT)
+                checked, rejected = checked + swept[0], rejected + swept[1]
         assert checked > 500 and rejected > 0.9 * checked
+
+    def test_agrees_with_full_scan_past_the_first_block(self, catalog_rings, monkeypatch):
+        # blocks of a few rows put most failures past the first block
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", 50)
+        rng = np.random.default_rng(20261020)
+        swept = [_sweep_corruptions(ring.relabeled(rng.permutation(ring.order)), rng, 12)
+                 for ring in catalog_rings if ring.order > 1]
+        assert sum(rejected for _, rejected in swept) > 300
+
+    @pytest.mark.large
+    @pytest.mark.parametrize("source", ["eqdiag:gf4:3", "matrix:zmod2:3"])
+    def test_agrees_with_full_scan_on_large_corruptions(self, source):
+        ring = parse_ring_source(source)
+        rng = np.random.default_rng(ring.order)
+        relabeled = ring.relabeled(rng.permutation(ring.order))
+        checked, rejected = _sweep_corruptions(relabeled, rng, 20)
+        assert checked > 10 and rejected == checked
 
     @staticmethod
     def _switched_latin_squares():
@@ -229,39 +316,41 @@ class TestGeneratorCheck:
             assert message.startswith("left" if mul is compose else "right")
 
     def test_rejects_non_associative_bilinear_product(self):
-        # GF(2)^6 under xor, with a product bilinear in random structure
-        # constants and the first basis vector (index 1) as identity.
-        k, n = 6, 64
-        rng = np.random.default_rng(6)
-        consts = rng.integers(0, n, size=(k, k))
-        consts[0, :] = consts[:, 0] = 1 << np.arange(k)
-        idx = np.arange(n)
-        bits = (idx[:, None] >> np.arange(k)) & 1
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                mul ^= np.outer(bits[:, i], bits[:, j]) * consts[i, j]
-        add = idx[:, None] ^ idx[None, :]
+        add, mul = bilinear_algebra(6, seed=6)
         error, _, (a, b, c) = _assert_matches_full_scan(add, mul, 0, 1)
         assert error is NonAssociativeMul
         assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+
+    def test_rejects_order_512_bilinear_product_quickly(self):
+        # distributive but not associative, so a scan of every triple would
+        # meet no failure before associativity of *
+        add, mul = bilinear_algebra(9, seed=9)
+        started = time.perf_counter()
+        with pytest.raises(NonAssociativeMul) as exc:
+            validate_tables(add, mul, 0, 1, 512)
+        elapsed = time.perf_counter() - started
+        a, b, c = exc.value.witness
+        assert mul[mul[a, b], c] != mul[a, mul[b, c]]
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("ring, cell", [
         (zmod(12), (3, 4)),
         (product(zmod(4), zmod(9)), (10, 19)),
     ], ids=["order-12", "order-36"])
-    def test_both_distributive_laws_fail_reports_right(self, ring, cell):
+    def test_both_distributive_laws_fail_report_breaks_its_law(self, ring, cell):
         # A symmetric corruption of + that breaks left distributivity at a
-        # smaller first index than right distributivity: the report still
-        # names the right law, with its lexicographically least witness.
+        # smaller first index than right distributivity, and associativity
+        # of + too.  The full scan names the right law; validation reports
+        # the first failure in its own order, Light's test at the generator
+        # 1, and its witness breaks the law it names.
         add, mul = ring.add_table.copy(), ring.mul_table
         add[cell] = add[cell[::-1]] = ring.zero
         right = mul[add, :] != add[mul[:, None, :], mul[None, :, :]]  # (a+b)*c
         left = mul[:, add] != add[mul[:, :, None], mul[:, None, :]]   # a*(b+c)
         assert np.argwhere(left)[0][0] < np.argwhere(right)[0][0]
-        error, message, witness = _assert_matches_full_scan(add, mul, ring.zero, ring.one)
-        assert error is NotDistributive and message.startswith("right: ")
-        assert witness == tuple(np.argwhere(right)[0])
+        assert _outcome(_full_scan, add, mul)[1].startswith("right: ")
+        error, _, witness = _assert_matches_full_scan(add, mul, ring.zero, ring.one)
+        assert error is NotAbelianGroupUnderAdd and witness[1] == 1
 
     def test_generator_counts(self, catalog_rings):
         for n in (2, 12, 64, 81, 128):

@@ -21,7 +21,7 @@ from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, 
                      spectrum, units)
 from ringlab.cli import main
 from ringlab.core import validate_tables
-from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
+from ringlab.predicates import GENERALIZED_RANGE, _nth_powers, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from ringlab.subsets import ideal_lattice
 from test_predicates import reference_n_like_witness, zmod_n_like_witness
@@ -120,6 +120,13 @@ def test_ladder_n_like_witnesses(source):
     ring = parse_ring_source(source)
     for n in GENERALIZED_RANGE:
         assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
+
+
+@pytest.mark.parametrize("source", ["zmod:1024", "matrix:zmod2:3", "tri:zmod3:3"])
+def test_powers_past_the_chain_match_repeated_squaring(source):
+    ring = parse_ring_source(source)
+    for n in (10, 11, 25, 44, 10 ** 12 + 7):
+        assert _nth_powers(ring, n).tolist() == [ring.pow(x, n) for x in range(ring.order)], n
 
 
 @pytest.mark.parametrize("source", ["zmod:1024", "tri:zmod2:4"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ from ringlab import (
     upper_triangular,
     zmod,
 )
-from ringlab import predicates, subsets
+from ringlab import core, predicates, subsets
 from ringlab.construct import SUPPORTED_FIELD_ORDERS
 from ringlab.predicates import GENERALIZED_RANGE, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
@@ -54,9 +56,12 @@ def reference_n_like_witness(ring, n):
     """Oracle: the first row-major (a, b) with (ab)^n - a b^n - a^n b + ab != 0,
     each of the four terms gathered over the whole n x n grid."""
     idx = np.arange(ring.order)
-    pow_n = idx
-    for _ in range(n - 1):
-        pow_n = ring.mul_table[pow_n, idx]
+    if n > 64:  # x^n by repeated squaring
+        pow_n = np.array([ring.pow(int(x), n) for x in idx])
+    else:
+        pow_n = idx
+        for _ in range(n - 1):
+            pow_n = ring.mul_table[pow_n, idx]
     ab = ring.mul_table
     t1 = pow_n[ab]                      # (ab)^n
     t2 = ring.mul_table[:, pow_n]       # a * b^n
@@ -247,7 +252,7 @@ class TestGeneralizedNLike:
         # small blocks put block boundaries, and witnesses past the first
         # block, inside the catalog's orders
         if block_cells is not None:
-            monkeypatch.setattr(predicates, "_N_LIKE_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", block_cells)
         # reversed labels move zero and one off indices 0 and 1
         rings = catalog_rings + [r.relabeled(range(r.order - 1, -1, -1)) for r in catalog_rings]
         for ring in rings:
@@ -259,7 +264,7 @@ class TestGeneralizedNLike:
         # GF(8) x GF(8) is 8-like and Z/3 is not, so at n = 8 every row whose
         # Z/3 coordinate is 0 or 1 holds, and the first failing row is 2 * 64
         ring = parse_ring_source("product:zmod3,product:gf8,gf8")
-        first_rows = predicates._N_LIKE_BLOCK_CELLS // 16 // ring.order
+        first_rows = core._ROW_BLOCK_CELLS // 16 // ring.order
         witness = generalized_n_like_witness(ring, 8)
         assert witness == reference_n_like_witness(ring, 8)
         assert witness[0] >= first_rows > 0
@@ -284,7 +289,7 @@ class TestGeneralizedNLike:
 
     def test_one_power_chain_per_ring(self, monkeypatch):
         # x^2 ... x^9 are one chain of 8 gathers, shared by every n; an n
-        # past the chain continues it without storing more
+        # past the chain reads the power matrix, with no gather of its own
         gathers = []
 
         def counted(mul, powers):
@@ -297,11 +302,27 @@ class TestGeneralizedNLike:
         witnesses = [generalized_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
         assert len(gathers) == len(GENERALIZED_RANGE) == 8
         assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
-        for n in (10, 13):
+        for n in (10, 13, 10 ** 12 + 7):
             assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
-        assert len(gathers) == 8 + 1 + 4
+        assert len(gathers) == 8
         for m in (6, 12):
             assert generalized_n_like_witness(zmod(m), 11) == zmod_n_like_witness(m, 11), m
+
+    def test_powers_past_the_chain_match_repeated_squaring(self, catalog_rings):
+        for ring in catalog_rings:
+            for n in (*range(2, 45), 10 ** 12 + 7):
+                assert predicates._nth_powers(ring, n).tolist() == \
+                    [ring.pow(x, n) for x in range(ring.order)], (ring.label, n)
+
+    def test_huge_exponent_takes_no_time_linear_in_n(self):
+        def expected(n):  # Z/12 in Python integers, with modular powers
+            return next(((a, b) for a in range(12) for b in range(12) if (
+                pow(a * b, n, 12) - a * pow(b, n, 12) - pow(a, n, 12) * b + a * b) % 12), None)
+
+        for n in (10 ** 5, 10 ** 18 + 1):
+            started = time.perf_counter()
+            assert generalized_n_like_witness(zmod(12), n) == expected(n), n
+            assert time.perf_counter() - started < 0.1, n
 
     @pytest.mark.parametrize("q", SUPPORTED_FIELD_ORDERS)
     def test_field_closed_form(self, q):
