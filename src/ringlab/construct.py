@@ -381,11 +381,15 @@ def corner(r: FiniteRing, e: int, label: str | None = None) -> FiniteRing:
     Without a ``label``, the first corner built at e is reused, whatever it is
     called (``FiniteRing.derived``); if there is none, one is built as
     ``"e<e>(<label>)e<e>"``.  A non-idempotent e raises ``NotIdempotent`` and
-    stores nothing.
+    stores nothing.  At e = 1 the corner is R itself (1R1 = R), so ``r`` is
+    returned, whatever the ``label``, and nothing is built.
     """
     e = r.elem(e).index
     if r.mul(e, e) != e:
         raise NotIdempotent(f"{r.label}: element {e} is not idempotent")
+    if e == r.one:
+        return r
+
     def build(name: str) -> FiniteRing:
         return r.subring(np.unique(r.mul_table[r.mul_table[e, :], e]), e, name)
 
@@ -636,21 +640,29 @@ def default_catalog() -> list[RingCatalogEntry]:
     """The deterministic verification catalog.
 
     The rings of ``CATALOG_SOURCES`` come first, each built from its source;
-    then, for each of them, the corner ring of every idempotent and the
-    quotient by the Jacobson radical, skipping derived rings whose canonical
-    tables duplicate an earlier entry byte for byte.
+    then, for each of them, the corner ring of every idempotent but 1 (the
+    corner at 1 is the ring itself) and the quotient by the Jacobson radical,
+    skipping derived rings whose canonical tables duplicate an earlier entry
+    byte for byte.
+
+    The rings of one catalog with equal tables share one memo, so each value
+    is built once per distinct table (``FiniteRing.share_memo``): primary
+    twins such as ``zmod:2`` and ``gf:2``, the derived rings, and every ring
+    derived from them later (the suites' corners and quotients).  The map of
+    tables is made fresh per call and doubles as the dedup set, so nothing
+    is shared between two catalogs.
     """
     entries = [RingCatalogEntry(build_from_provenance(source), source, CATALOG_EXPECTED.get(source))
                for source in CATALOG_SOURCES]
-    seen = {e.ring.table_bytes() for e in entries}
+    twins: dict[bytes, FiniteRing] = {}
+    for entry in entries:
+        entry.ring.share_memo(twins)
     derived: list[RingCatalogEntry] = []
     for entry in entries:
         r, source = entry.ring, entry.provenance
         candidates = [(corner(r, e, f"corner {e} of {r.label}"), f"corner:{source}:{e}")
-                      for e in idempotents(r).members]
+                      for e in idempotents(r).members if e != r.one]
         for ring, provenance in candidates + [(subsets.radical_quotient(r), f"jquot:{source}")]:
-            key = ring.table_bytes()
-            if key not in seen:
-                seen.add(key)
+            if twins[ring.table_bytes()] is ring:  # the first ring with its tables
                 derived.append(RingCatalogEntry(ring, provenance))
     return entries + derived

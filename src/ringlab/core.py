@@ -255,7 +255,8 @@ def _check_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
                      NotAbelianGroupUnderAdd, "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})",
                      lambda i, y: (start + i, g, y))
     at = np.array(gens, dtype=np.intp)
-    ab, gg = mul[at], mul[np.ix_(at, at)]
+    ab = mul.take(at, axis=0)
+    gg = ab.take(at, axis=1)
     # a*(b+c) == a*b + a*c for a, c in G and every b, gathered as [a, c, b]
     _require(ab[:, add[at]], add[ab[:, None, :], gg[:, :, None]],
              NotDistributive, "left: x{0}*(x{1}+x{2}) != x{0}*x{1} + x{0}*x{2}",
@@ -331,8 +332,10 @@ class FiniteRing:
     (unit masks, power matrix, radicals, spectra, ...) is built lazily, once
     per ring, through ``memo(key, build)``: the key names the computation and
     never its caps, ndarray values are stored read-only, and a ``None`` value
-    is stored like any other.  Concurrent readers are safe; worst case a value
-    is recomputed.
+    is stored like any other.  Every value is a function of the tables alone
+    (they fix zero and one), so rings with equal tables may share one memo:
+    the rings of one catalog do (``share_memo``).  Concurrent readers are
+    safe; worst case a value is recomputed.
     """
 
     label: str
@@ -343,6 +346,8 @@ class FiniteRing:
     one: int = 0
     elem_names: tuple[str, ...] | None = None
     _memo: dict = field(default_factory=dict, repr=False)
+    # one catalog's map from table bytes to the first ring with those tables
+    _twins: dict | None = field(default=None, init=False, repr=False)
 
     @staticmethod
     def from_tables(
@@ -381,8 +386,11 @@ class FiniteRing:
         """The value stored under ``key``, else ``build()``, stored and returned.
 
         A key names one computation, such as ``"units_mask"`` or
-        ``(("quotient", members), label)``; callers check caps on every call,
-        outside the key.  A ``build`` that raises stores nothing.
+        ``("ideal_witness", members)``; callers check caps on every call,
+        outside the key.  A ``build`` that raises stores nothing.  The memo
+        may be shared with rings of equal tables (``share_memo``), so a value
+        that names its ring, such as an ``Ideal`` or a label, is either keyed
+        per ring or rebound to the ring that asks.
         """
         if key in self._memo:
             return self._memo[key]
@@ -392,18 +400,41 @@ class FiniteRing:
         self._memo[key] = value
         return value
 
+    def share_memo(self, twins: dict[bytes, "FiniteRing"]) -> None:
+        """Share one memo with the rings of equal tables in ``twins``.
+
+        ``twins`` maps ``table_bytes()`` to the first ring with those tables;
+        ``construct.default_catalog`` makes one per catalog, so nothing is
+        shared between two catalogs.  This ring becomes the first ring for
+        its tables, or adopts that ring's memo.  Every ring it derives later
+        joins ``twins`` too (``derived``).
+        """
+        first = twins.setdefault(self.table_bytes(), self)
+        self._memo, self._twins = first._memo, twins
+
     def derived(self, key: Hashable, label: str | None, default: str,
                 build: Callable[[str], "FiniteRing"]) -> "FiniteRing":
         """The derived ring ``build(label)``, memoised per ``key`` and label.
 
         Without a ``label``, the first ring built under ``key`` is reused,
         whatever it is called; if there is none, one is built as ``default``.
+        A derived ring carries this ring's names, so its memo keys hold this
+        ring object: twins that share a memo (``share_memo``) never share
+        derived rings.  A ring derived from a ring in ``twins`` joins them,
+        and so adopts the memo of the first ring with its tables.
         """
         if label is None:
-            label = self.memo(("label", key), lambda: default)
+            label = self.memo(("label", self, key), lambda: default)
         else:
-            self.memo(("label", key), lambda: label)
-        return self.memo((key, label), lambda: build(label))
+            self.memo(("label", self, key), lambda: label)
+
+        def build_and_share() -> FiniteRing:
+            ring = build(label)
+            if self._twins is not None:
+                ring.share_memo(self._twins)
+            return ring
+
+        return self.memo((self, key, label), build_and_share)
 
     # -- element arithmetic (index level) ------------------------------------
 
@@ -570,8 +601,8 @@ class FiniteRing:
             raise ClosureViolation(f"{label}: an index is out of range [0, {self.order})")
         pos = np.full(self.order, -1, dtype=np.int32)
         pos[members] = np.arange(len(members), dtype=np.int32)
-        add = pos[self.add_table[np.ix_(members, members)]]
-        mul = pos[self.mul_table[np.ix_(members, members)]]
+        add = pos[self.add_table.take(members, axis=0).take(members, axis=1)]
+        mul = pos[self.mul_table.take(members, axis=0).take(members, axis=1)]
         if pos[self.zero] < 0 or pos[one] < 0 or (add < 0).any() or (mul < 0).any():
             raise ClosureViolation(f"{label}: member set is not a subring with identity x{one}")
         bad = _unfixed_by(mul, int(pos[one]))
@@ -627,8 +658,8 @@ class FiniteRing:
         if witness is not None:
             return witness
         gens = self.additive_generators()
-        if (mask[self.mul_table[np.ix_(gens, mem)]].all()
-                and mask[self.mul_table[np.ix_(mem, gens)]].all()):
+        if (mask[mul.take(gens, axis=0).take(mem, axis=1)].all()
+                and mask[mul.take(mem, axis=0).take(gens, axis=1)].all()):
             return None
         everything = np.arange(self.order)
         return (first_escape(everything, mem, lambda a, b: mul[a:b].take(mem, axis=1))
@@ -651,8 +682,8 @@ class FiniteRing:
         reps = np.flatnonzero(rep == np.arange(self.order))
         pos = np.full(self.order, -1, dtype=np.int32)
         pos[reps] = np.arange(len(reps), dtype=np.int32)
-        add = pos[rep[self.add_table[np.ix_(reps, reps)]]]
-        mul = pos[rep[self.mul_table[np.ix_(reps, reps)]]]
+        add = pos[rep[self.add_table.take(reps, axis=0).take(reps, axis=1)]]
+        mul = pos[rep[self.mul_table.take(reps, axis=0).take(reps, axis=1)]]
         names = "[" + self.name_array()[reps] + "]"
         return FiniteRing._canonical(label, add, mul, int(pos[rep[self.zero]]),
                                      int(pos[rep[self.one]]), tuple(names.tolist()))

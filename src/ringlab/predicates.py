@@ -41,6 +41,7 @@ from .subsets import (
     _idempotent_array,
     _nilpotent_mask,
     _potent_mask,
+    _some_power,
     _units_mask,
     central_idempotents,
     jacobson_radical,
@@ -103,18 +104,6 @@ def _split_counts(r: FiniteRing, complement: np.ndarray, parts: np.ndarray) -> n
         differences = r.sub_table[start:stop].take(parts, axis=1)
         counts[start:stop] = complement.take(differences).sum(axis=1)
     return counts
-
-
-def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
-    """Per element a, whether the per-element vector ok holds at some a^m.
-
-    Each block of power-matrix rows reads ``ok`` with one ``take``.
-    """
-    powers = r.power_matrix()
-    hit = np.empty(r.order, dtype=bool)
-    for start, stop in _row_blocks(r.order, powers.shape[1]):
-        hit[start:stop] = ok.take(powers[start:stop]).any(axis=1)
-    return hit
 
 
 def _multiples(r: FiniteRing, left: bool = False) -> np.ndarray:
@@ -634,10 +623,17 @@ class PredicateVector:
 
 
 def predicate_vector(r: FiniteRing) -> PredicateVector:
-    """Evaluate the full predicate battery on one ring."""
+    """Evaluate the full predicate battery on one ring.
+
+    The scans are memoised per table and the vector, which carries the
+    label, per label: rings with equal tables that share a memo
+    (``FiniteRing.share_memo``) run the scans once and each get their own
+    label.
+    """
     def build() -> PredicateVector:
-        scans = {name: scan(r) for name, scan in _PREDICATE_SCANS.items()}
+        scans = r.memo("predicate_scans",
+                       lambda: {name: scan(r) for name, scan in _PREDICATE_SCANS.items()})
         return PredicateVector(r.label, {name: w is None for name, w in scans.items()},
                                {name: w for name, w in scans.items() if w is not None})
 
-    return r.memo("predicate_vector", build)
+    return r.memo(("predicate_vector", r.label), build)

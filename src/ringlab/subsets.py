@@ -17,7 +17,10 @@ memoised call, ``spectrum``, which reads only the ideals above J.  Only
 ideal-count guard.
 
 Everything is a pure function of an immutable ring; results are memoised on
-the ring and safe for concurrent readers.
+the ring and safe for concurrent readers.  Rings with equal tables may share
+their memo (``FiniteRing.share_memo``), so the ideals and spectra read from it
+are rebound to the ring that asks (``_of``): ``jacobson_radical(r).ring`` and
+``spectrum(r).ring`` are always ``r``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .core import FiniteRing, _join_cyclic, _row_blocks
-from .errors import InternalInvariantViolation, LatticeCapExceeded, NotProperIdeal
+from .errors import InternalInvariantViolation, LatticeCapExceeded, NotAnIdeal, NotProperIdeal
 
 DEFAULT_LATTICE_ORDER_CAP = 256
 # a fixed guard, not an option: a lattice of more ideals than this is refused
@@ -77,14 +80,18 @@ class Ideal:
     members: tuple[int, ...]
 
     def mask(self) -> np.ndarray:
-        """The member set as a boolean mask; a member outside [0, order) raises."""
-        members = np.asarray(self.members, dtype=np.int64)
-        if members.size and (members.min() < 0 or members.max() >= self.ring.order):
-            raise ValueError(
-                f"{self.ring.label}: ideal member index out of range [0, {self.ring.order})")
-        m = np.zeros(self.ring.order, dtype=bool)
-        m[members] = True
-        return m
+        """The member set as a read-only boolean mask, memoised on the ring per
+        member tuple; a member outside [0, order) raises on every call."""
+        def build() -> np.ndarray:
+            members = np.asarray(self.members, dtype=np.int64)
+            if members.size and (members.min() < 0 or members.max() >= self.ring.order):
+                raise ValueError(
+                    f"{self.ring.label}: ideal member index out of range [0, {self.ring.order})")
+            m = np.zeros(self.ring.order, dtype=bool)
+            m[members] = True
+            return m
+
+        return self.ring.memo(("mask", self.members), build)
 
     def bitmask(self) -> int:
         """The member set as an int whose bit i is set iff i is a member."""
@@ -109,6 +116,13 @@ class SpectrumReport:
     j_spec: tuple[Ideal, ...]
     j_star: Ideal
     prime_radical: Ideal
+
+
+def _of(r: FiniteRing, ideal: Ideal) -> Ideal:
+    """``ideal`` as an ideal of ``r``: a memo shared with a ring of equal
+    tables may hold it as an ideal of that ring, and only its members are
+    table data."""
+    return ideal if ideal.ring is r else Ideal(r, ideal.members)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +192,18 @@ def potents(r: FiniteRing) -> ElemClass:
     return ElemClass(r, "potents", tuple(int(i) for i in np.flatnonzero(mask)))
 
 
+def _some_power(r: FiniteRing, ok: np.ndarray) -> np.ndarray:
+    """Per element a, whether the per-element vector ok holds at some a^m.
+
+    Each block of power-matrix rows reads ``ok`` with one ``take``.
+    """
+    powers = r.power_matrix()
+    hit = np.empty(r.order, dtype=bool)
+    for start, stop in _row_blocks(r.order, powers.shape[1]):
+        hit[start:stop] = ok.take(powers[start:stop]).any(axis=1)
+    return hit
+
+
 def _potent_mask(r: FiniteRing) -> np.ndarray:
     # a is potent when a^n = a for some n >= 2, i.e. the power trail cycles
     # back to its first entry.
@@ -211,7 +237,7 @@ def jacobson_radical(r: FiniteRing) -> Ideal:
                 f"{r.label}: quasi-regularity set is not a two-sided ideal")
         return ideal
 
-    return r.memo("jacobson", build)
+    return _of(r, r.memo("jacobson", build))
 
 
 def _ideal_closure(r: FiniteRing, seeds: Iterable[int],
@@ -274,8 +300,9 @@ def _principal_ideals(r: FiniteRing, inside: np.ndarray, floor: np.ndarray,
             continue
         orbit = np.zeros(r.order, dtype=bool)
         orbit[mul[units, x]] = True
-        orbit[mul[np.ix_(np.flatnonzero(orbit), units)]] = True  # u*x*v
-        covered[r.add_table[np.ix_(np.flatnonzero(orbit), below)]] = True  # u*x*v + f
+        orbit[mul.take(np.flatnonzero(orbit), axis=0).take(units, axis=1)] = True  # u*x*v
+        # u*x*v + f
+        covered[r.add_table.take(np.flatnonzero(orbit), axis=0).take(below, axis=1)] = True
         mask, joined = _ideal_closure(r, [x], floor)
         principal.setdefault(mask.tobytes(), (mask, joined))
     return principal
@@ -294,7 +321,8 @@ def _blocks(r: FiniteRing) -> np.ndarray:
     def build() -> np.ndarray:
         idem = _idempotent_array(r)
         ci = idem[_central_mask(r)[idem] & (idem != r.zero)]
-        below = r.mul_table[np.ix_(ci, ci)] == ci[:, None]  # [f, e]: f*e = f, so f <= e
+        # [f, e]: f*e = f, so f <= e
+        below = r.mul_table.take(ci, axis=0).take(ci, axis=1) == ci[:, None]
         return ci[below.sum(axis=0) == 1]
 
     return r.memo("blocks", build)
@@ -312,7 +340,7 @@ def ideal_lattice(r: FiniteRing, *,
     if lattice is None:
         raise LatticeCapExceeded(r.order, DEFAULT_LATTICE_COUNT_CAP,
                                  f"more than {DEFAULT_LATTICE_COUNT_CAP} ideals")
-    return lattice
+    return lattice if lattice[0].ring is r else tuple(_of(r, i) for i in lattice)
 
 
 def _ideals_above(r: FiniteRing, floor: Ideal) -> tuple[Ideal, ...] | None:
@@ -404,7 +432,8 @@ def _nilpotency_index(r: FiniteRing, ideal: Ideal) -> int:
         if 2 ** (k + 1) > r.order:
             raise InternalInvariantViolation(
                 f"{r.label}: J^{k + 1} is not 0 but 2^{k + 1} > {r.order}: J is not nilpotent")
-        mask, joined = _ideal_closure(r, r.mul_table[np.ix_(joined, gens)].ravel().tolist())
+        products = r.mul_table.take(joined, axis=0).take(gens, axis=1)
+        mask, joined = _ideal_closure(r, products.ravel().tolist())
         k += 1
     return k
 
@@ -499,7 +528,11 @@ def spectrum(r: FiniteRing) -> SpectrumReport:
         return SpectrumReport(r, maximal, prime, prime,
                               _intersection(r, maximal), _intersection(r, prime))
 
-    return r.memo("spectrum", build)
+    sp = r.memo("spectrum", build)
+    if sp.ring is r:
+        return sp
+    maximal, prime = (tuple(_of(r, i) for i in ideals) for ideals in (sp.maximal, sp.prime))
+    return SpectrumReport(r, maximal, prime, prime, _of(r, sp.j_star), _of(r, sp.prime_radical))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +564,18 @@ def radical_quotient(r: FiniteRing) -> FiniteRing:
 def quotient_is_torsion(r: FiniteRing, p: Ideal) -> bool:
     """Whether every nonzero element of R/P has some power equal to 1.
 
-    "Torsion" is taken multiplicatively: for each nonzero coset x there is an
-    m >= 1 with x^m = 1.
+    "Torsion" is taken multiplicatively: for each nonzero coset x + P there
+    is an m >= 1 with (x + P)^m = 1 + P.  As (x + P)^m = x^m + P, that holds
+    exactly when some power of x lies in 1 + P, so it is read from R's power
+    matrix (``_some_power``) for every x outside P, and R/P is not built.
+    The members must form a proper two-sided ideal of ``r``: the whole ring
+    raises ``NotProperIdeal``, any other set that is not an ideal
+    ``NotAnIdeal``.
     """
     if not p.is_proper():
         raise NotProperIdeal(f"{r.label}: quotient by the whole ring")
-    q = quotient_ring(r, p)
-    hits_one = (q.power_matrix() == q.one).any(axis=1)
-    return bool(np.delete(hits_one, q.zero).all())
+    if r.ideal_witness(p.members) is not None:
+        raise NotAnIdeal(f"{r.label}: {p.members} is not a two-sided ideal")
+    inside = _of(r, p).mask()
+    one_plus_p = inside.take(r.sub_table[:, r.one])  # y - 1 in P
+    return bool(_some_power(r, one_plus_p)[~inside].all())

@@ -282,8 +282,12 @@ def run_verify(config: RunConfig | None = None,
 
     By default the suites run in this process, on the catalog's own rings, so
     they reuse what building the catalog memoised (idempotents, corners, R/J).
-    Results are deterministic: rows follow catalog order regardless of the
-    parallelism degree.
+    The rings of a ``default_catalog`` with equal tables share one memo, as
+    do the rings the suites derive from them, so each value is built once per
+    distinct table.  The catalog is built per call unless one is given, so
+    a second run does the same work as the first.  Results are
+    deterministic: rows follow catalog order regardless of the parallelism
+    degree.
     """
     config = config or RunConfig()
     if catalog is None:
@@ -297,8 +301,8 @@ def run_verify(config: RunConfig | None = None,
     if per_ring:
         jobs = config.effective_jobs()
         if jobs > 1 and len(catalog) > 1:
-            # workers get the catalog's own rings, without the parent's memo;
-            # map keeps catalog order
+            # workers get the catalog's own rings, without the parent's memo
+            # or its twins, so they share nothing; map keeps catalog order
             work = [(i, replace(e.ring, _memo={}), per_ring) for i, e in enumerate(catalog)]
             with ProcessPoolExecutor(max_workers=min(jobs, len(catalog))) as pool:
                 results = [rows for _, rows in pool.map(_worker, work)]

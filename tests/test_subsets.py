@@ -427,7 +427,36 @@ class TestLatticeAndSpectrum:
         assert doc["j_star"] == doc["prime_radical"] == [0]
 
 
+def reference_quotient_is_torsion(ring, p):
+    """Oracle: the torsion test on a built R/P, before it was read from R's
+    power matrix: every nonzero coset has a power row that reaches 1 + P."""
+    q = quotient_ring(ring, p)
+    hits_one = (q.power_matrix() == q.one).any(axis=1)
+    return bool(np.delete(hits_one, q.zero).all())
+
+
 class TestQuotientTorsion:
+    def test_matches_the_quotient_on_every_catalog_prime(self, catalog_rings):
+        seen = set()
+        for ring in catalog_rings:
+            for p in spectrum(ring).j_spec:
+                seen.add(quotient_is_torsion(ring, p))
+                assert quotient_is_torsion(ring, p) == reference_quotient_is_torsion(ring, p), \
+                    (ring.label, p.members)
+        assert seen == {True, False}
+
+    @pytest.mark.large
+    @pytest.mark.parametrize("source", ["tri:zmod2:4", "eqdiag:gf4:3"])
+    def test_matches_the_quotient_on_large_rings(self, source):
+        ring = parse_ring_source(source)
+        for p in spectrum(ring).j_spec:
+            assert quotient_is_torsion(ring, p) == reference_quotient_is_torsion(ring, p)
+
+    def test_a_set_that_is_not_an_ideal_is_rejected(self):
+        z6 = zmod(6)
+        with pytest.raises(NotAnIdeal):
+            quotient_is_torsion(z6, Ideal(z6, (0, 2)))
+
     def test_examples(self):
         z6 = zmod(6)
         p = [i for i in spectrum(z6).prime if i.members == (0, 2, 4)][0]
@@ -586,6 +615,15 @@ class TestIdealInvariants:
         # (-3, 0) would otherwise mark index 3
         with pytest.raises(ValueError, match="out of range"):
             Ideal(zmod(6), members).mask()
+
+    def test_ideal_mask_is_memoised_read_only(self, catalog_rings):
+        for ring in catalog_rings:
+            for ideal in ideal_lattice(ring):
+                mask = ideal.mask()
+                reference = np.zeros(ring.order, dtype=bool)
+                reference[list(ideal.members)] = True
+                np.testing.assert_array_equal(mask, reference)
+                assert not mask.flags.writeable and ideal.mask() is mask
 
     def test_gf_fields_have_trivial_radical(self):
         for q in (2, 3, 4, 5, 7, 8, 9):
