@@ -1,10 +1,12 @@
 """Ring constructors and the default verification catalog.
 
-Every constructor emits canonical tables: zero at index 0, one at index 1, and
-stable human-readable element names.  Rebuilding any catalog entry reproduces
-byte-identical tables, so golden files and cross-run diffs stay stable.  The
-catalog is data: ``CATALOG_SOURCES`` lists its primary rings as ring sources
-(see ``sources``), and each is built from its source, the one path that also
+Every constructor hands its tables to ``FiniteRing._canonical``, which
+normalizes them in place, zero to index 0 and one to index 1, so one pair of
+tables is live, and gives the elements stable human-readable names.
+Rebuilding any catalog entry reproduces byte-identical tables, so golden
+files and cross-run diffs stay stable.  The catalog is data:
+``CATALOG_SOURCES`` lists its primary rings as ring sources (see
+``sources``), and each is built from its source, the one path that also
 re-executes a provenance id.
 
 Rings on R x S share one table builder, ``_pair_table``, which puts element
@@ -39,11 +41,11 @@ folds of ``_pair_table`` give, from either side.  Two builders use it:
   other cell is zero.  Row r of a product depends only on row r of the left
   factor, so each product row is tabulated on the encodings of that row's
   entries and the multiplication table is a sum of one row take per matrix
-  row.  Closure is verified, not assumed: under + by checking that each tie
-  image is additive, under * cell by cell (each product cell that is not a
-  home must equal zero or its tie image).  ``_matrix_ring`` then checks that
-  its identity fixes every element; the normalization pass moves it to
-  index 1.
+  row, added a row block at a time.  Closure is verified, not assumed: under
+  + by checking that each tie image is additive, under * cell by cell and
+  row block by row block (each product cell that is not a home must equal
+  zero or its tie image).  ``_matrix_ring`` then checks that its identity
+  fixes every element; normalization moves it to index 1.
 """
 
 from __future__ import annotations
@@ -277,33 +279,37 @@ def _matrix_tables(
         return _encode((cells[r, mid] for mid in row), q), cols
 
     rows = [row_of_products(r) for r in range(k)]
+    n = q ** m
 
-    def product_cell(r: int, c: int) -> np.ndarray | int:
-        """Cell (r, c) of every product; ``base.zero`` where it is zero by support."""
+    def product_cell(r: int, c: int, start: int, stop: int) -> np.ndarray | int:
+        """Cell (r, c) of the products x*y for x in start..stop-1 and every y;
+        ``base.zero`` where it is zero by support."""
         left, cols = rows[r]
-        return cols[c].take(left, axis=0) if c in cols else base.zero
+        return cols[c].take(left[start:stop], axis=0) if c in cols else base.zero
 
     add = _power_table(base.add_table, m)
     # the index is the sum over t of q^(m-1-t) * coordinate t, added one
-    # matrix row at a time; base.zero is index 0, so a coordinate that is zero
-    # by support adds nothing
-    mul = np.zeros((q ** m, q ** m), dtype=np.int32)
+    # matrix row and one row block at a time; base.zero is index 0, so a
+    # coordinate that is zero by support adds nothing
+    mul = np.zeros((n, n), dtype=np.int32)
     for r, (left, cols) in enumerate(rows):
         weighted = [cols[c] * q ** (m - 1 - t) for t, (hr, c) in enumerate(homes)
                     if hr == r and c in cols]
         if weighted:
-            mul += sum(weighted).take(left, axis=0)
+            row_sum = sum(weighted)
+            for start, stop in _row_blocks(n, n):
+                mul[start:stop] += row_sum.take(left[start:stop], axis=0)
     tie_of = {cell: (t, image) for cell, t, image in ties}
-    held = {t: product_cell(*homes[t]) for t, _ in tie_of.values()}  # what tied cells must match
     for r, c in itertools.product(range(k), repeat=2):
         if (r, c) in homes or c not in rows[r][1]:
             continue
-        want = base.zero
-        if (r, c) in tie_of:
-            t, image = tie_of[r, c]
-            want = image[held[t]]
-        if (product_cell(r, c) != want).any():
-            raise ClosureViolation(f"{label}: products leave the family at cell {(r, c)}")
+        for start, stop in _row_blocks(n, n):
+            want = base.zero
+            if (r, c) in tie_of:  # a tied cell must match its home's image
+                t, image = tie_of[r, c]
+                want = image[product_cell(*homes[t], start, stop)]
+            if (product_cell(r, c, start, stop) != want).any():
+                raise ClosureViolation(f"{label}: products leave the family at cell {(r, c)}")
     return add, mul, cells
 
 

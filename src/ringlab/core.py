@@ -3,8 +3,12 @@
 A ring of order n is stored as two n-by-n numpy tables: ``add_table[i, j]``
 and ``mul_table[i, j]`` give the index of x_i + x_j and x_i * x_j.  Canonical
 rings keep the additive identity at index 0 and the multiplicative identity at
-index 1 (index 0 for the order-1 ring); ``FiniteRing.from_tables`` relabels
-arbitrary input into that form.
+index 1 (index 0 for the order-1 ring).  Every ring is made from a pair of
+tables it owns, relabelled into that form in place (``FiniteRing._canonical``),
+so one pair is live while a ring is built: ``from_tables`` copies what its
+caller passed, while the constructors, ``subring``, ``quotient_by`` and the
+ring-file loader hand over tables they built.  The loader reads a file as
+bytes and fills the int32 tables a block of rows at a time.
 
 Validation is exact; there are no probabilistic shortcuts.  Commutativity,
 identities, inverses and zero annihilation are O(n^2) scans.  The other axioms
@@ -118,6 +122,53 @@ def _growing_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + size, rows)
         start += size
         size = min(2 * size, most)
+
+
+def _normalize_in_place(table: np.ndarray, zero: int, one: int) -> np.ndarray:
+    """Relabel an n x n table in place so that zero is index 0 and one index 1.
+
+    Every other index keeps its relative order, so it moves up by at most
+    two places: by two below min(zero, one), by one between them, and not at
+    all above.  Rows zero and one are saved, then the rows move as slice
+    copies a row block at a time (``_row_blocks``), highest block first, so
+    no row is overwritten before it is read; each block's columns move the
+    same way and its values map through one ``take``.  Returns the map from
+    old index to new.
+    """
+    n = len(table)
+    lo, hi = sorted((zero, one))
+    new_of_old = np.arange(n, dtype=np.int32)
+    new_of_old[:lo] += 2
+    new_of_old[lo + 1:hi] += 1
+    new_of_old[zero], new_of_old[one] = 0, 1
+    # (first new index, end, places moved) of each nonempty run of moved indices
+    runs = [(first, end, shift) for first, end, shift in
+            ((hi + 1, n, 0), (lo + 2, hi + 1, 1), (2, lo + 2, 2)) if first < end]
+
+    def relabel(rows: np.ndarray, out: np.ndarray) -> None:
+        moved = np.empty_like(rows)
+        moved[:, 0], moved[:, 1] = rows[:, zero], rows[:, one]
+        for first, end, shift in runs:
+            moved[:, first:end] = rows[:, first - shift:end - shift]
+        new_of_old.take(moved, out=out, mode="clip")  # "clip" writes out unbuffered
+
+    head = table.take((zero, one), axis=0)
+    for first, end, shift in runs:
+        for start, stop in reversed(list(_row_blocks(end - first, n))):
+            relabel(table[first + start - shift:first + stop - shift],
+                    table[first + start:first + stop])
+    relabel(head, table[:2])
+    return new_of_old
+
+
+def _unshared(table: np.ndarray, passed) -> np.ndarray:
+    """``table``, or a copy of it when it may share memory with ``passed``,
+    the value it was converted from: only a list or tuple, or an array
+    whose memory ``table`` does not overlap, is known to share none."""
+    if isinstance(passed, (list, tuple)) or (
+            isinstance(passed, np.ndarray) and not np.may_share_memory(table, passed)):
+        return table
+    return table.copy()
 
 
 def _as_table(table, order: int, name: str) -> np.ndarray:
@@ -361,26 +412,47 @@ class FiniteRing:
         """Validate candidate tables and return the canonical ring.
 
         The error raised on failure names the first failing check, with a
-        witness index tuple that breaks the named law (see ``errors``).  No order cap is
+        witness index tuple that breaks the named law (see ``errors``).
+        ``elem_names``, when given, must hold one ``str`` per element, else
+        ``RingValidationError``.  The ring keeps its own copy of the tables,
+        so the arrays passed stay as they were, writable.  No order cap is
         applied here: the constructors and the loader check theirs before
         they allocate tables.
         """
-        add, mul = validate_tables(add, mul, zero, one, len(add))
+        checked = validate_tables(add, mul, zero, one, len(add))
+        if elem_names is not None:
+            elem_names = tuple(elem_names)
+            if len(elem_names) != len(add):
+                raise RingValidationError(
+                    f"elem_names has {len(elem_names)} names for a ring of order {len(add)}")
+            bad = [x for x in elem_names if not isinstance(x, str)]
+            if bad:
+                raise RingValidationError(f"elem_names holds {bad[0]!r}, not a str")
+        add, mul = (_unshared(table, passed) for table, passed in zip(checked, (add, mul)))
         return FiniteRing._canonical(label, add, mul, zero, one, elem_names)
 
     @staticmethod
     def _canonical(label: str, add: np.ndarray, mul: np.ndarray, zero: int, one: int,
                    elem_names: Sequence[str] | None) -> "FiniteRing":
         """The ring on int32 tables that are known to be a ring, normalized and
-        frozen: after ``validate_tables`` in ``from_tables``, or after the
-        checks of ``subring``, ``quotient_by`` or a constructor's theorem (see
-        the module docstring).
+        frozen: after ``validate_tables`` in ``from_tables`` and the loader,
+        or after the checks of ``subring``, ``quotient_by`` or a constructor's
+        theorem (see the module docstring).
+
+        The ring takes the tables over: they are normalized in place
+        (``_normalize_in_place``) and made read-only, so no second pair is
+        built beside them.
         """
-        ring = FiniteRing(label, len(add), add, mul, zero, one,
-                          tuple(elem_names) if elem_names is not None else None).normalized()
-        ring.add_table.setflags(write=False)
-        ring.mul_table.setflags(write=False)
-        return ring
+        names = tuple(elem_names) if elem_names is not None else None
+        if zero != 0 or (one != 1 and len(add) > 1):
+            new_of_old = _normalize_in_place(add, zero, one)
+            _normalize_in_place(mul, zero, one)
+            if names is not None:
+                names = tuple(np.array(names, dtype=object)[np.argsort(new_of_old)].tolist())
+            zero, one = 0, 1
+        add.setflags(write=False)
+        mul.setflags(write=False)
+        return FiniteRing(label, len(add), add, mul, zero, one, names)
 
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The value stored under ``key``, else ``build()``, stored and returned.
@@ -544,26 +616,23 @@ class FiniteRing:
 
     # -- relabeling and derived tables ----------------------------------------
 
-    def normalized(self) -> "FiniteRing":
-        """Relabel so zero sits at index 0 and one at index 1.
-
-        Remaining indices keep their relative order, which makes the canonical
-        tables of a deterministic constructor stable across runs.
-        """
-        if self.zero == 0 and (self.one == 1 or self.order == 1):
-            return self
-        rest = [i for i in range(self.order) if i not in (self.zero, self.one)]
-        old_order = [self.zero, self.one] + rest
-        return self.relabeled(old_order)
-
     def relabeled(self, old_order: Sequence[int]) -> "FiniteRing":
         """Rebuild with new index k standing for old index old_order[k].
 
-        Each table is gathered with ``take`` (on a wide permutation far
-        cheaper than a two-index gather) and mapped a block of rows at a
-        time, so no n-by-n temporary is live beside the result.
+        ``old_order`` must be a permutation of 0..order-1, else
+        ``ValueError``.  Zero and one go wherever the permutation sends them:
+        the result is not normalized.  Each table is gathered with ``take``
+        (on a wide permutation far cheaper than a two-index gather) and
+        mapped a block of rows at a time, so no n-by-n temporary is live
+        beside the result.
         """
         old_order = np.asarray(old_order, dtype=np.intp)
+        if old_order.shape != (self.order,):
+            raise ValueError(f"a relabeling of {self.label} needs {self.order} indices, "
+                             f"got an array of shape {old_order.shape}")
+        if not np.array_equal(np.sort(old_order), np.arange(self.order)):
+            raise ValueError(f"a relabeling of {self.label} must list each index "
+                             f"0..{self.order - 1} once, got {old_order.tolist()}")
         new_of_old = np.empty(self.order, dtype=np.int32)
         new_of_old[old_order] = np.arange(self.order, dtype=np.int32)
 
@@ -774,41 +843,80 @@ def _int_matrix(run: np.ndarray) -> np.ndarray | None:
     only between tokens.  Its non-digit bytes must then spell the canonical
     skeleton ``[[,,],[,,],[,,]]`` for n, and the digit runs between them fill
     exactly the number slots.
+
+    The n + 1 bytes "]" fix n and the rows; the whole run is read only to
+    find them (``_row_ends``).  The table is then filled a block of rows at
+    a time (``_row_blocks``), each block checked and decoded on its own
+    (``_decode_rows``), so every index array is the size of a block.
     """
-    digit = (run - 48) < 10  # uint8 wraps, so only b"0".."9" land below 10
-    if (run < 44).any():  # JSON whitespace (or a stray byte) sorts below ","
-        keep = np.flatnonzero(~np.isin(run, _BLANK))
-        if (digit[keep[:-1]] & digit[keep[1:]] & (np.diff(keep) > 1)).any():
-            return None  # whitespace inside a number
-        run, digit = run[keep], digit[keep]
-    sep = np.flatnonzero(~digit)
-    n = math.isqrt(sep.size) - 1
-    if (n + 1) ** 2 != sep.size:
+    ends = _row_ends(run)
+    if ends is None or run[0] != ord("[") or ends[-1] != run.size - 1:
         return None
-    row = b"[" + b"," * (n - 1) + b"]"
-    if run[sep].tobytes() != b"[" + b",".join([row] * n) + b"]":
-        return None
-    # row i's separators: its "[", n - 1 commas, its "]" and the comma after
-    # it (the last row has none; that slot is never read)
-    bounds = np.empty(n * (n + 2), dtype=sep.dtype)
-    bounds[:-1] = sep[1:-1]
-    bounds = bounds.reshape(n, n + 2)
-    start = bounds[:, :n] + 1
-    width = bounds[:, 1:n + 1] - start
-    if width.sum() != run.size - sep.size or width.min() < 1 or width.max() > 9:
-        return None  # digits outside the slots, an empty slot, or a long number
-    lead = run[start]
-    if ((lead == 48) & (width > 1)).any():
-        return None
-    table = lead.astype(np.int32) - 48
-    for k in range(1, int(width.max())):
-        digit_k = run.take(start + k, mode="clip")
-        table = np.where(width > k, table * 10 + digit_k - 48, table)
+    n = ends.size - 1
+    if not np.isin(run[ends[-2] + 1:ends[-1]], _BLANK).all():
+        return None  # the last row's "]" and the final "]" hold only whitespace
+    table = np.empty((n, n), dtype=np.int32)
+    for start, stop in _row_blocks(n, n):
+        # from just after the "]" that ends the row before (or the outer "[")
+        first = ends[start - 1] + 1 if start else 1
+        if not _decode_rows(run[first:ends[stop - 1] + 1], start > 0, table[start:stop]):
+            return None
     return table
 
 
-def _ring_fields(text: str) -> tuple:
-    """Label, add, mul, zero and one of a ring JSON text, type-checked.
+def _row_ends(run: np.ndarray) -> np.ndarray | None:
+    """The offsets of every "]" in ``run``, found 16 row blocks of bytes at a
+    time; None once there are more than isqrt(run.size), since a table of n
+    rows spells (n + 1)^2 separators."""
+    most, step = math.isqrt(run.size), 16 * _ROW_BLOCK_CELLS
+    ends, found = [], 0
+    for start in range(0, run.size, step):
+        ends.append(np.flatnonzero(run[start:start + step] == ord("]")) + start)
+        found += ends[-1].size
+        if found > most:
+            return None
+    return np.concatenate(ends) if found > 1 else None
+
+
+def _decode_rows(block: np.ndarray, after_row: bool, out: np.ndarray) -> bool:
+    """Decode the rows of ``out`` (each of n numbers) from ``block`` into it.
+
+    ``block`` runs from just after the "]" of the row before, so it opens
+    with that row's "," when ``after_row``, to the "]" of its last row.
+    Returns whether it spells exactly those rows (see ``_int_matrix``).
+    """
+    rows, n = out.shape
+    value = block - 48  # uint8 wraps, so only b"0".."9" land below 10
+    if (block < 44).any():  # JSON whitespace (or a stray byte) sorts below ","
+        digit = value < 10
+        keep = np.flatnonzero(~np.isin(block, _BLANK))
+        if (digit[keep[:-1]] & digit[keep[1:]] & (np.diff(keep) > 1)).any():
+            return False  # whitespace inside a number
+        block, value = block[keep], value[keep]
+    sep = np.flatnonzero(value > 9)
+    row = b"[" + b"," * (n - 1) + b"]"
+    if block[sep].tobytes() != b"," * after_row + b",".join([row] * rows):
+        return False
+    # row i's separators, a view: its "[", n - 1 commas and its "]"
+    bounds = np.lib.stride_tricks.as_strided(
+        sep[after_row:], (rows, n + 1), ((n + 2) * sep.itemsize, sep.itemsize), writeable=False)
+    start = bounds[:, :n] + 1
+    width = bounds[:, 1:] - start
+    longest = int(width.max())
+    if width.sum() != block.size - sep.size or width.min() < 1 or longest > 9:
+        return False  # digits outside the slots, an empty slot, or a long number
+    lead = value.take(start)
+    if ((lead == 0) & (width > 1)).any():
+        return False  # a leading zero
+    out[:] = lead
+    for k in range(1, longest):  # digit k of each number, from a view k bytes on
+        np.copyto(out, out * 10 + value[k:].take(start, mode="clip"), where=width > k)
+    return True
+
+
+def _ring_fields(text: str | bytes) -> tuple:
+    """Label, add, mul, zero and one of a ring JSON text (or its UTF-8
+    bytes), type-checked.
 
     Each table that ``_int_matrix`` accepts goes to numpy straight from the
     text and is read back by ``json.loads`` as a ``NaN`` placeholder, in
@@ -818,7 +926,7 @@ def _ring_fields(text: str) -> tuple:
     for a correct result, only for speed: any run the lexer gives up on stays
     in the text.
     """
-    data = text.encode("utf-8", "surrogatepass")
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     tables: list[np.ndarray | None] = []  # one per constant json.loads will meet
     pieces, done, pos = [], 0, 0
     while (token := _TOKEN.search(data, pos)) is not None:
@@ -877,15 +985,17 @@ def _ring_fields(text: str) -> tuple:
     return label, add, mul, zero, one
 
 
-def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
+def load_ring_json(text: str | bytes, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
     """Parse the ring JSON format and validate.
 
     Schema: ``{"label": str, "order": n, "add": [[int]], "mul": [[int]],
     "zero": int, "one": int}`` with row-major tables, in any JSON whitespace
-    layout.  The loader normalizes zero to index 0 and one to index 1 by
-    permutation.  A fractional number, ``NaN`` or ``Infinity`` anywhere, a
-    table entry that is not an integer (a string, a boolean, null), a label
-    that is not a string, or an ``order`` other than the number of rows of
+    layout.  ``text`` is the JSON text, or its UTF-8 bytes as
+    ``load_ring_file`` reads them.  The loader normalizes zero to index 0
+    and one to index 1 by permutation, in place in the tables the lexer
+    filled.  A fractional number, ``NaN`` or ``Infinity`` anywhere, a table
+    entry that is not an integer (a string, a boolean, null), a label that
+    is not a string, or an ``order`` other than the number of rows of
     ``add``, is rejected.  Tables of more than ``order_cap`` rows raise
     ``OrderCapExceeded`` before any validation.
     """
@@ -894,7 +1004,7 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
     if len(fields[1]) > order_cap:
         raise OrderCapExceeded(len(fields[1]), order_cap)
     try:
-        return FiniteRing.from_tables(*fields)
+        add, mul = validate_tables(fields[1], fields[2], fields[3], fields[4], len(fields[1]))
     except RingValidationError as exc:
         # The frames of the validators hold the tables.  A caller that keeps
         # the error in a reference cycle (a frame its own traceback reaches)
@@ -903,8 +1013,26 @@ def load_ring_json(text: str, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRi
         # the message and the witness.
         del fields
         raise exc.with_traceback(None)
+    return FiniteRing._canonical(fields[0], add, mul, fields[3], fields[4], None)
 
 
 def load_ring_file(path, *, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteRing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_ring_json(fh.read(), order_cap=order_cap)
+    """Load a ring JSON file (see ``load_ring_json``), read as bytes so that
+    the text is held once.
+
+    The bytes read as a text-mode read gives them: bytes that are not UTF-8
+    raise the same ``UnicodeDecodeError``, and "\\r\\n" and "\\r" read as "\\n".
+    """
+    return load_ring_json(_text_bytes(path), order_cap=order_cap)
+
+
+def _text_bytes(path) -> bytes:
+    """The bytes of the file at ``path``, checked and translated as a
+    text-mode read checks and translates them (see ``load_ring_file``)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("utf-8")  # raises the error a text-mode read raises
+    if b"\r" in data:  # one fast scan; a search for b"\r\n" is much slower
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data

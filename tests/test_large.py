@@ -5,6 +5,7 @@ Deselected by default; run with ``pytest -m large``.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from sympy import catalan, divisor_count
 from ringlab import (gf, jacobson_radical, load_ring_json, nilpotents, product, ring_report,
                      spectrum, units)
 from ringlab.cli import main
-from ringlab.core import validate_tables
+from ringlab.core import load_ring_file, validate_tables
 from ringlab.predicates import GENERALIZED_RANGE, _nth_powers, generalized_n_like_witness
 from ringlab.sources import parse_ring_source
 from ringlab.subsets import ideal_lattice
@@ -156,6 +157,52 @@ def test_order_4096_report_memory_budget(source):
     finally:
         tracemalloc.stop()
     assert peak <= 300e6, f"{source}: peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("source", ["tri:gf4:3", "product:zmod64,zmod64"])
+def test_order_4096_build_peak_within_half_again_its_tables(source):
+    # the builder's tables are normalized in place, and a matrix family adds
+    # its products a row block at a time, so no second pair is ever live
+    tracemalloc.start()
+    try:
+        ring = parse_ring_source(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = ring.add_table.nbytes + ring.mul_table.nbytes
+    assert peak <= 1.5 * tables, f"{source}: peak {peak / tables:.2f} x its tables"
+
+
+def write_ring_json(ring, path) -> None:
+    """``ring.to_json()`` into ``path``, with one row as Python ints at a
+    time: as lists, the two tables of an order-4096 ring take over a gigabyte."""
+    def table(name):
+        rows = getattr(ring, f"{name}_table")
+        return "[" + ",".join("[" + ",".join(map(str, row.tolist())) + "]" for row in rows) + "]"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{"add":{table("add")},"label":{json.dumps(ring.label)},"mul":{table("mul")},'
+                 f'"one":{ring.one},"order":{ring.order},"zero":{ring.zero}}}\n')
+
+
+def test_order_4096_file_load_memory_budget(tmp_path):
+    small = tmp_path / "small.json"
+    write_ring_json(parse_ring_source("tri:zmod2:2"), small)
+    assert small.read_text() == parse_ring_source("tri:zmod2:2").to_json()
+    path = tmp_path / "zmod4096.json"
+    write_ring_json(parse_ring_source("zmod:4096"), path)
+    tracemalloc.start()
+    try:
+        ring = load_ring_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text once, the tables once (filled a row block at a time and
+    # normalized in place), and 16 MB of block temporaries
+    tables = ring.add_table.nbytes + ring.mul_table.nbytes
+    budget = path.stat().st_size + tables + 16e6
+    assert peak <= budget, f"peak {peak / 1e6:.0f} MB over {budget / 1e6:.0f} MB"
+    assert ring.table_bytes() == parse_ring_source("zmod:4096").table_bytes()
 
 
 def test_raised_env_cap_admits_an_order_above_the_default(capsys, monkeypatch):
