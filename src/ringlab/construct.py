@@ -66,7 +66,7 @@ from .errors import (
     UnsupportedFieldOrder,
 )
 from .subsets import Ideal, idempotents
-from . import subsets
+from . import core, subsets
 
 # Field order q -> (p, lower coefficients c_0, ..., c_{d-1} of a monic
 # irreducible x^d + c_{d-1} x^(d-1) + ... + c_0 over Z/p), in catalog order.
@@ -493,9 +493,11 @@ def ideal_extension(spec: BimoduleSpec, *, order_cap: int = DEFAULT_ORDER_CAP) -
     s_part = spec.s_add[spec.s_add[spec.s_mul[None, :, None, :], spec.left[:, None, None, :]],
                         spec.right[None, :, :, None]]
     names = "(" + r.name_array()[:, None] + ";s" + np.arange(ns).astype(str).astype(object) + ")"
-    add, mul = _pair_table(r.add_table, spec.s_add), _pair_table(r.mul_table, s_part)
-    return FiniteRing.from_tables(f"I({r.label};{spec.label})", add, mul,
-                                  0, r.one * ns, tuple(names.ravel().tolist()))
+    # the tables are built here, so the ring takes them over once validated
+    add, mul = core.validate_tables(_pair_table(r.add_table, spec.s_add),
+                                    _pair_table(r.mul_table, s_part), 0, r.one * ns, n)
+    return FiniteRing._canonical(f"I({r.label};{spec.label})", add, mul,
+                                 0, r.one * ns, names.ravel().tolist())
 
 
 def strict_upper_bimodule(base: FiniteRing, k: int) -> BimoduleSpec:

@@ -13,20 +13,33 @@ bytes and fills the int32 tables a block of rows at a time.
 Validation is exact; there are no probabilistic shortcuts.  Commutativity,
 identities, inverses and zero annihilation are O(n^2) scans.  The other axioms
 are then checked on a greedy additive generating set G of at most log2(n)
-elements, where each step is a theorem:
+elements, where each step is a theorem.  Generator g_i is the least element
+outside H_{i-1} (H_0 = {0}); the walk x -> x + g_i from every member of
+H_{i-1} reaches H_i = H_{i-1} + <g_i> in d_i cosets, d_i the least d with
+d*g_i in H_{i-1}.  Its edge rows are H_{i-1} + {0, ..., d_i - 2}*g_i, and
+its relation row is (d_i - 1)*g_i.
 
-1. Associativity of +, by Light's test: the elements g with
-   (x+g)+y = x+(g+y) for all x, y contain 0 and are closed under +, so when
-   the test holds on G it holds on every sum of generators, every element.
-2. Distributivity: once + is associative, the elements c with
-   (b+c)*a = b*a + c*a for all a, b are closed under +, so checking c in G
-   decides right distributivity.  Every right multiplication x -> x*a is
-   then additive, so for each b, c the map a -> a*(b+c) - a*b - a*c is
-   additive in a and vanishes everywhere once it vanishes on G.  For a
-   fixed a the elements c with a*(b+c) = a*b + a*c for all b are again
-   closed under +, so left distributivity needs only a and c in G.
+1. Associativity of +, by Light's test (x+g)+y = x+(g+y) on the edge rows
+   and the relation row of each generator g, and the commutation
+   g+(h+y) = h+(g+y) of every two generators: the translations y -> x + y
+   then form an abelian group generated by those of G, in which the
+   translation of g_i to the power d_i lies in the group of H_{i-1}.  So it
+   has at most n elements; it holds the n distinct translations, so it is
+   exactly them, and the translation of x then of y is that of x + y.  A
+   walk that meets an element twice shows + is no group: Light's test then
+   fails on the row of the least u with u + g_i = 0 (see
+   ``_check_on_generators``).
+2. Distributivity: right distributivity (x+g)*a = x*a + g*a on the same
+   rows makes every right multiplication x -> x*a respect the relations of
+   that presentation of (R, +), so it is additive.  Then for each b, c the
+   map a -> a*(b+c) - a*b - a*c is additive in a and vanishes everywhere
+   once it vanishes on G.  For a fixed a the elements c with a*(b+c) =
+   a*b + a*c for all b are closed under +, so left distributivity needs
+   only a and c in G.
 3. Associativity of *: the associator is additive in each argument, so it
    vanishes everywhere once it vanishes on G^3.
+
+Steps 1 and 2 read n - 1 + |G| rows per law, not n per generator.
 
 A table is rejected at the first check that fails, with a witness that
 breaks the law the error names.  Rings are immutable after validation (the
@@ -225,22 +238,27 @@ def _unfixed_by(mul: np.ndarray, one: int) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _additive_generators(add: np.ndarray, zero: int) -> Iterator[int]:
-    """Greedy generators of the additive magma, yielded as they are chosen.
+def _generator_walks(add: np.ndarray, zero: int) -> Iterator[tuple[int, np.ndarray, bool]]:
+    """Greedy generators of the additive magma, each yielded as it is chosen
+    with its coset walk (``_coset_walk``) and whether the walk met an
+    element twice.
 
-    Each generator g is the least element not yet reached; the reached set
-    then takes in its sums with g, g+g, (g+g)+(g+g), ... until a round adds
-    nothing.  Whatever the table, every reached element is a sum of
-    generators.  When + is a group the rounds reach the subgroup generated so
-    far in O(log n) steps, and each generator at least doubles it, so at most
-    log2(n) generators are yielded.
+    Generator g_i is the least element outside H_{i-1}, the elements the
+    walks so far reached (H_0 = {0}); its walk from every member of H_{i-1}
+    reaches H_i.  When + is a group H_i is the subgroup generated so far and
+    at least doubles at each generator, so at most log2(n) are yielded.
     """
-    reached = np.zeros(add.shape[0], dtype=bool)
-    reached[zero] = True
-    while not reached.all():
-        g = int(np.argmin(reached))
-        yield g
-        _join_cyclic(add, reached, g)
+    n = add.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    inside[zero] = True
+    members = np.array([zero], dtype=np.intp)  # H_{i-1}, zero first
+    while members.size < n:
+        g = int(np.argmin(inside))
+        walk = _coset_walk(add[g], members, inside)
+        members = walk.ravel()
+        inside = np.zeros(n, dtype=bool)
+        inside[members] = True
+        yield g, walk, np.count_nonzero(inside) < members.size
 
 
 def _join_cyclic(add: np.ndarray, reached: np.ndarray, y: int) -> None:
@@ -270,41 +288,91 @@ def _require(lhs: np.ndarray, rhs: np.ndarray, error: type, message: str,
         raise error(message.format(*triple), triple)
 
 
-def _check_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
+_ADD_ASSOCIATIVE = "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})"
+
+
+def _check_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> list[int]:
     """Raise the first failure of + associative, * distributive and *
     associative, decided on a greedy additive generating set G (see the
-    module docstring) for tables that passed the O(n^2) checks.
+    module docstring) for tables that passed the O(n^2) checks; else return
+    G, the generators ``FiniteRing.additive_generators`` picks for a ring.
 
-    Each generator g is checked as soon as it is chosen, a block of rows x
-    at a time: right distributivity (x+g)*a, then Light's test (x+g)+y.
-    Then left distributivity for a, c in G, then associativity of * on G^3.
-    The witness, (x, g, a), (x, g, y), (a, b, c) or (g_i, g_j, g_k), is the
-    first mismatch of the failing block or gather: it breaks its named law,
-    though it need not be the least triple that breaks some law.
+    Write T_x for the translation y -> x + y, so T_x(0) = x, and x + g =
+    T_g(x) as + is commutative.  H_0 = {0}.  Generator g = g_i is the least
+    element outside H_{i-1} (``_generator_walks``), and is checked as soon as
+    it is chosen:
 
-    No bound on |G| is needed.  The elements that pass Light's test contain
-    0 and are closed under +: for g, h among them, (x+(g+h))+y =
-    ((x+g)+h)+y = (x+g)+(h+y) = x+(g+(h+y)) = x+((g+h)+y).  The reached set
-    only ever holds sums of generators that passed, so if the loop reaches
-    every element (at most n rounds), + is associative; otherwise Light's
-    test fails at some generator, with a witness.
+    1. T_g commutes with T_h for every earlier generator h
+       (``_require_commuting``).
+    2. The walk x -> x + g runs from every member of H_{i-1}
+       (``_coset_walk``) until it meets d*g in H_{i-1}: d = d_i is the
+       least such d, and H_i is H_{i-1} + {0, ..., d-1}*g.
+    3. Right distributivity (x+g)*a = x*a + g*a, then Light's test
+       (x+g)+y = x+(g+y), for every a and y, on the edge rows x of
+       H_{i-1} + {0, ..., d-2}*g and the relation row (d-1)*g, in ascending
+       order, a block of rows at a time.  These are |H_i| - |H_{i-1}| + 1
+       rows, so the generators take n - 1 + |G| rows per law.  When the
+       walk meets an element twice, the check reads instead the one row of
+       u, the least element with u + g = 0, where it must fail.
+
+    Then left distributivity for a, c in G, and associativity of * on G^3.
+    The witness of each failure, (x, g, a), (x, g, y), (a, b, c) or
+    (g_i, g_j, g_k), is the first mismatch of the failing block or gather:
+    it breaks its named law, though it need not be the least triple that
+    breaks some law.
+
+    Why this decides associativity of +, by induction on i: A_{i-1}, the
+    set of T_h for h in H_{i-1}, is a group of |H_{i-1}| permutations with
+    T_h T_k = T_{h+k}, generated by the commuting T_{g_j}, j < i.  Light's
+    test on the edge rows gives T_{h+(k+1)g} = T_{h+kg} T_g, so T_{h+kg} =
+    T_h T_g^k, and on the relation row T_{dg} = T_g^d, which lies in
+    A_{i-1}.  So A_i, generated by A_{i-1} and T_g, which commute, is the
+    union of A_{i-1} T_g^k for k < d: it has at most d |A_{i-1}| elements.
+    The walk met no element twice, so H_i has d |H_{i-1}| elements, whose
+    translations lie in A_i and are distinct (T_x(0) = x).  Hence A_i is
+    exactly the T_x for x in H_i; it is closed under composition, so T_x T_y
+    = T_z with z = T_x(T_y(0)) = x+y; and T_g is a permutation, as T_g^d is
+    one, so A_i is a group.  Once H_i is every element, x+(y+w) = (x+y)+w.
+
+    Why a walk that meets an element twice fails on row u: were T_g
+    injective, it would be a permutation commuting with A_{i-1}, and the
+    meeting T_g^k(h) = T_g^l(h'), l <= k, would give T_g^(k-l)(h) = h'.
+    For l = k that makes h = h'.  For l < k, T_h(T_g^(k-l)(0)) = h', so
+    (k-l)*g = T_h^-1(h') lies in H_{i-1}, which the walk rules out for its
+    first k steps (it stops at the first multiple of g in H_{i-1}, and a
+    walk of more than n / |H_{i-1}| steps meets an element twice).  So T_g
+    is not injective, while (u+g)+y = 0+y = y for every y: Light's test
+    fails on row u, and so on every set of rows that holds it.
+
+    Why right distributivity on those rows suffices, once + is a group:
+    x -> x*a is additive on H_{i-1} by induction, and the rows give
+    (h + kg)*a = h*a + k(g*a) for k < d and (dg)*a = d(g*a).  H_i is
+    H_{i-1} x Z modulo the multiples of (-dg, d), on which (h, k) -> h*a +
+    k(g*a) vanishes, so it is a homomorphism on H_i that agrees with
+    x -> x*a.
     """
     n = add.shape[0]
     sums = add.ravel()
     gens: list[int] = []
-    for g in _additive_generators(add, zero):
-        gens.append(g)
-        # + is commutative, so row g of add lists x+g, and the flat index
-        # n*(g*a) + x*a names the cell add[g*a, x*a] = x*a + g*a
+    for g, walk, repeated in _generator_walks(add, zero):
+        _require_commuting(add, gens, g)
+        step = add[g]  # x + g for every x
+        rows = (np.flatnonzero(step == zero)[:1] if repeated
+                else np.sort(np.append(walk[:-1].ravel(), walk[-1, 0])))
         ga_cell = mul[g].astype(np.intp) * n
-        for start, stop in _row_blocks(n, n):
-            x_plus_g = add[g, start:stop]
-            _require(mul.take(x_plus_g, axis=0), sums.take(ga_cell + mul[start:stop]),
+        for start, stop in _row_blocks(rows.size, n):
+            xs = rows[start:stop]
+            x_plus_g = step.take(xs)
+            # the flat index n*(g*a) + x*a names the cell add[g*a, x*a] = x*a + g*a
+            _require(mul.take(x_plus_g, axis=0), sums.take(ga_cell + mul.take(xs, axis=0)),
                      NotDistributive, "right: (x{0}+x{1})*x{2} != x{0}*x{2} + x{1}*x{2}",
-                     lambda i, a: (start + i, g, a))
-            _require(add.take(x_plus_g, axis=0), add[start:stop].take(add[g], axis=1),
-                     NotAbelianGroupUnderAdd, "(x{0}+x{1})+x{2} != x{0}+(x{1}+x{2})",
-                     lambda i, y: (start + i, g, y))
+                     lambda i, a: (int(xs[i]), g, a))
+            _require(add.take(x_plus_g, axis=0), add.take(xs, axis=0).take(step, axis=1),
+                     NotAbelianGroupUnderAdd, _ADD_ASSOCIATIVE,
+                     lambda i, y: (int(xs[i]), g, y))
+        if repeated:
+            raise AssertionError(f"Light's test held on the row of -x{g}, whose walk repeats")
+        gens.append(g)
     at = np.array(gens, dtype=np.intp)
     ab = mul.take(at, axis=0)
     gg = ab.take(at, axis=1)
@@ -315,6 +383,40 @@ def _check_on_generators(add: np.ndarray, mul: np.ndarray, zero: int) -> None:
     _require(mul[gg[:, :, None], at], mul[at[:, None, None], gg],
              NonAssociativeMul, "(x{0}*x{1})*x{2} != x{0}*(x{1}*x{2})",
              lambda i, j, k: (gens[i], gens[j], gens[k]))
+    return gens
+
+
+def _require_commuting(add: np.ndarray, gens: list[int], g: int) -> None:
+    """Raise unless g+(h+y) = h+(g+y) for every h in ``gens`` and every y,
+    with whichever of (g, h, y) and (h, g, y) breaks associativity of + as
+    the witness: one does, since g+h = h+g."""
+    if not gens:
+        return
+    earlier = add.take(gens, axis=0)  # h + y
+    ahead = add[g].take(earlier)      # g + (h + y)
+    _require(ahead, earlier.take(add[g], axis=1), NotAbelianGroupUnderAdd, _ADD_ASSOCIATIVE,
+             lambda j, y: (g, gens[j], y) if add[add[g, gens[j]], y] != ahead[j, y]
+             else (gens[j], g, y))
+
+
+def _coset_walk(step: np.ndarray, members: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The walk x -> x + g from every member of H, one row per step.
+
+    ``step`` lists x + g for every x, ``members`` lists H with zero first,
+    and ``inside`` marks H.  Row k holds the k-th step from each member, so
+    it opens with k*g.  The walk stops before the first k with k*g in H, or
+    once it has more rows than the n // |H| disjoint cosets of H that fit.
+    The rows double at each round: with rows 0..m-1 known and ``power``
+    the step map applied m times, one ``take`` gives rows m..2m-1 and one
+    more squares ``power``, so a walk of d rows takes about log2(d) rounds.
+    """
+    most = step.size // members.size
+    walk, power = members[None, :], step
+    while len(walk) <= most and not inside.take(walk[1:, 0]).any():
+        walk = np.concatenate((walk, power.take(walk)))
+        power = power.take(power)
+    back = np.flatnonzero(inside.take(walk[1:, 0]))
+    return walk[:back[0] + 1 if back.size else most + 1]
 
 
 def validate_tables(
@@ -328,9 +430,9 @@ def validate_tables(
 
     The O(n^2) axioms are scanned in full.  Associativity of + (Light's
     test), distributivity and associativity of * are then checked on a greedy
-    additive generating set G of at most log2(n) elements, which decides them
-    for the whole ring (see the module docstring and
-    ``_check_on_generators``).
+    additive generating set G of at most log2(n) elements, each generator
+    on the rows its coset walk needs, which decides them for the whole ring
+    (see the module docstring and ``_check_on_generators``).
 
     Returns the tables as int32 arrays; otherwise raises a
     ``RingValidationError`` subclass for the first check that fails, with a
@@ -552,7 +654,7 @@ class FiniteRing:
         first, and memoised.
         """
         return self.memo("additive_generators", lambda: np.array(
-            list(_additive_generators(self.add_table, self.zero)), dtype=np.intp))
+            [g for g, _, _ in _generator_walks(self.add_table, self.zero)], dtype=np.intp))
 
     def power_trail(self, x: int) -> PowerTrail:
         """Successive powers of x up to (excluding) the first repetition."""
@@ -827,55 +929,109 @@ def _reject_float(literal: str):
 # its closing quote, or to the end when unterminated), the opening "[[" of an
 # array of arrays, and the constants json.loads would read as floats.
 _TOKEN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|\[[ \t\n\r]*\[|NaN|Infinity', re.S)
-# The first "]]" (with JSON whitespace between) closes a matrix whose rows
-# hold only numbers.
-_MATRIX_END = re.compile(rb'\][ \t\n\r]*\]')
 _BLANK = np.frombuffer(b" \t\n\r", dtype=np.uint8)
+_IS_BLANK = np.isin(np.arange(256), _BLANK)  # whether each byte value is JSON whitespace
 
 
 def _int_matrix(run: np.ndarray) -> np.ndarray | None:
-    """The n x n int32 table spelled by ``run``, else None.
+    """The n x n int32 table spelled by ``run`` up to its close, else None
+    (``_matrix_at``)."""
+    found = _matrix_at(run)
+    return None if found is None else found[1]
 
-    ``run`` holds the bytes from an opening "[[" to a closing "]]".  It counts
-    only when it is exactly a JSON array of n arrays of n non-negative decimal
-    integers: no leading zeros, no empty slots, no ragged or deeper rows, at
-    most 9 digits a number (so every value fits int32), and JSON whitespace
-    only between tokens.  Its non-digit bytes must then spell the canonical
-    skeleton ``[[,,],[,,],[,,]]`` for n, and the digit runs between them fill
-    exactly the number slots.
 
-    The n + 1 bytes "]" fix n and the rows; the whole run is read only to
-    find them (``_row_ends``).  The table is then filled a block of rows at
-    a time (``_row_blocks``), each block checked and decoded on its own
-    (``_decode_rows``), so every index array is the size of a block.
+def _matrix_at(run: np.ndarray) -> tuple[int, np.ndarray | None] | None:
+    """(close, table) for the bytes ``run`` from an opening "[[" on: the
+    offset of its close (``_brackets``) and the table it spells up to there,
+    or None for the table.  None when nothing closes the run.
+
+    The table counts only when the run is exactly a JSON array of n arrays
+    of n non-negative decimal integers: no leading zeros, no empty slots, no
+    ragged or deeper rows, at most 9 digits a number (so every value fits
+    int32), and JSON whitespace only between tokens.  Its non-digit bytes
+    must then spell the canonical skeleton ``[[,,],[,,],[,,]]`` for n, and
+    the digit runs between them fill exactly the number slots.
+
+    The n + 1 bytes "]" through the close fix n and the rows; one scan finds
+    them and the close (``_scan_run``).  The table is then filled a block of
+    rows at a time (``_row_blocks``), each block checked and decoded on its
+    own (``_decode_rows``), so every index array is the size of a block.
     """
-    ends = _row_ends(run)
-    if ends is None or run[0] != ord("[") or ends[-1] != run.size - 1:
+    found = _scan_run(run)
+    if found is None:
         return None
+    close, ends = found
+    if ends is None or run[0] != ord("["):
+        return close, None
     n = ends.size - 1
-    if not np.isin(run[ends[-2] + 1:ends[-1]], _BLANK).all():
-        return None  # the last row's "]" and the final "]" hold only whitespace
     table = np.empty((n, n), dtype=np.int32)
     for start, stop in _row_blocks(n, n):
         # from just after the "]" that ends the row before (or the outer "[")
         first = ends[start - 1] + 1 if start else 1
         if not _decode_rows(run[first:ends[stop - 1] + 1], start > 0, table[start:stop]):
-            return None
-    return table
+            return close, None
+    return close, table
+
+
+def _brackets(run: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
+    """The offsets of the "]" bytes in ``run``, a chunk of bytes at a time,
+    each with whether its chunk holds the close: the first "]" that follows
+    another "]" with only JSON whitespace between.  The scan stops there, so
+    the close is the last offset yielded.  The first chunk is 256 bytes and
+    each next one twice as long, up to 16 row blocks of bytes, so a scan
+    reads less than twice as far as its close, plus 256 bytes."""
+    most = 16 * _ROW_BLOCK_CELLS
+    size = min(256, most)
+    last = np.empty(0, dtype=np.intp)  # the last "]" of the chunks before
+    start = 0
+    while start < run.size:
+        at = np.flatnonzero(run[start:start + size] == ord("]")) + start
+        start, size = start + size, min(2 * size, most)
+        pairs = np.concatenate((last, at))
+        before, after = pairs[:-1], pairs[1:]
+        closes = after == before + 1
+        # a gap that opens and ends with whitespace may hold nothing else
+        spaced = np.flatnonzero(_IS_BLANK.take(run.take(before + 1))
+                                & _IS_BLANK.take(run.take(after - 1)))
+        if spaced.size:
+            lo, hi = before[spaced[0]] + 1, after[spaced[-1]] + 1
+            solid = np.flatnonzero(~_IS_BLANK.take(run[lo:hi])) + lo
+            closes[spaced] = solid[np.searchsorted(solid, before[spaced] + 1)] == after[spaced]
+        if closes.any():
+            yield at[:int(closes.argmax()) + 2 - last.size], True
+            return
+        last = pairs[-1:]
+        yield at, False
+
+
+def _scan_run(run: np.ndarray) -> tuple[int, np.ndarray | None] | None:
+    """(close, ends) for ``run``: the offset of its close (``_brackets``) and
+    the offsets of every "]" through it, or None for ``ends`` when they are
+    more than isqrt of its length through the close, since a table of n rows
+    spells (n + 1)^2 separators.  None when nothing closes the run.  Past
+    isqrt(run.size) "]" the scan stops keeping them and only seeks the close."""
+    most = math.isqrt(run.size)
+    ends: list[np.ndarray] | None = []
+    found = 0
+    for at, closed in _brackets(run):
+        found += at.size
+        if found > most:
+            ends = None
+        elif ends is not None:
+            ends.append(at)
+        if closed:
+            close = int(at[-1])
+            if ends is None or found > math.isqrt(close + 1):
+                return close, None
+            return close, np.concatenate(ends)
+    return None
 
 
 def _row_ends(run: np.ndarray) -> np.ndarray | None:
-    """The offsets of every "]" in ``run``, found 16 row blocks of bytes at a
-    time; None once there are more than isqrt(run.size), since a table of n
-    rows spells (n + 1)^2 separators."""
-    most, step = math.isqrt(run.size), 16 * _ROW_BLOCK_CELLS
-    ends, found = [], 0
-    for start in range(0, run.size, step):
-        ends.append(np.flatnonzero(run[start:start + step] == ord("]")) + start)
-        found += ends[-1].size
-        if found > most:
-            return None
-    return np.concatenate(ends) if found > 1 else None
+    """The offsets of every "]" in ``run`` through its close, or None
+    (``_scan_run``)."""
+    found = _scan_run(run)
+    return None if found is None else found[1]
 
 
 def _decode_rows(block: np.ndarray, after_row: bool, out: np.ndarray) -> bool:
@@ -937,11 +1093,10 @@ def _ring_fields(text: str | bytes) -> tuple:
         if first != ord("["):
             tables.append(None)
             continue
-        close = _MATRIX_END.search(data, start)
-        if close is None:
+        found = _matrix_at(np.frombuffer(data, np.uint8, offset=start))
+        if found is None:
             break  # no matrix can start here or later
-        end = close.end()
-        table = _int_matrix(np.frombuffer(data, np.uint8, end - start, start))
+        end, table = start + found[0] + 1, found[1]
         if table is not None:
             tables.append(table)
             pieces += (data[done:start], b"NaN")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 import tracemalloc
 
@@ -267,7 +268,8 @@ class TestGeneratorCheck:
         assert sum(rejected for _, rejected in swept) > 300
 
     @pytest.mark.large
-    @pytest.mark.parametrize("source", ["eqdiag:gf4:3", "matrix:zmod2:3"])
+    @pytest.mark.parametrize("source", ["eqdiag:gf4:3", "matrix:zmod2:3", "matrix:gf4:2",
+                                        "product:zmod4,zmod64"])
     def test_agrees_with_full_scan_on_large_corruptions(self, source):
         ring = parse_ring_source(source)
         rng = np.random.default_rng(ring.order)
@@ -377,6 +379,101 @@ class TestGeneratorCheck:
         finally:
             tracemalloc.stop()
         assert peak < relabeled.add_table.nbytes
+
+    def test_agrees_with_full_scan_on_non_cyclic_corruptions(self):
+        # several generators, so the walks leave rows out and the later
+        # generators meet the corruptions; one or two cells of + (mirrored,
+        # or on the diagonal) or of *
+        rng = np.random.default_rng(20261022)
+        z2 = zmod(2)
+        bases = [product(z2, zmod(4)), product(product(z2, z2), z2), product(zmod(4), zmod(4)),
+                 product(z2, zmod(8)), matrix_ring(z2, 2), product(zmod(3), zmod(3))]
+        checked = rejected = 0
+        for ring in bases:
+            assert len(ring.additive_generators()) > 1
+            for trial in range(300):
+                base = ring.relabeled(rng.permutation(ring.order))
+                n = base.order
+                add, mul = base.add_table.copy(), base.mul_table.copy()
+                kind = trial // 2 % 3
+                for _ in range(1 + trial % 2):
+                    i, j = (int(v) for v in rng.integers(0, n, size=2))
+                    if kind == 0:
+                        add[i, j] = add[j, i] = rng.integers(0, n)
+                    elif kind == 1:
+                        add[i, i] = rng.integers(0, n)
+                    else:
+                        mul[i, j] = rng.integers(0, n)
+                try:
+                    _check_quadratic_axioms(add, mul, base.zero, base.one)
+                except RingValidationError:
+                    continue
+                checked += 1
+                rejected += _assert_matches_full_scan(add, mul, base.zero, base.one) is not None
+        assert checked > 1000 and rejected > 0.8 * checked
+
+    @staticmethod
+    def _klein_tables(*cells):
+        """The Boolean ring GF(2)^2 (xor, and; one at 3), with + changed at
+        each cell (i, j, v) and its mirror."""
+        idx = np.arange(4)
+        add = idx[:, None] ^ idx[None, :]
+        for i, j, v in cells:
+            add[i, j] = add[j, i] = v
+        return add, idx[:, None] & idx[None, :]
+
+    def test_walk_that_meets_itself_fails_on_the_row_of_minus_g(self):
+        # Z/4 with 1 + 2 = 2: the walk 0, 1, 2, 2 from the generator 1 meets
+        # 2 twice, and Light's test fails on the row of 3, where 3 + 1 = 0
+        add, mul = modular_tables(4)
+        add[1, 2] = add[2, 1] = 2
+        walk = core._coset_walk(add[1], np.array([0]), np.arange(4) == 0)
+        assert walk.ravel().tolist()[:4] == [0, 1, 2, 2]
+        error, _, witness = _assert_matches_full_scan(add, mul, 0, 1)
+        assert error is NotAbelianGroupUnderAdd and witness == (3, 1, 2)
+
+    def test_generators_whose_translations_do_not_commute(self, monkeypatch):
+        # 1 + 1 = 0 closes the walk of 1 on the rows 0 and 1, which pass;
+        # with 2 + 3 = 3, 2 + (1 + 2) = 3 but 1 + (2 + 2) = 1, so the
+        # generator 2 fails before any of its rows is read
+        read = []
+        blocks = core._row_blocks
+        monkeypatch.setattr(core, "_row_blocks", lambda rows, width: read.append(rows) or
+                            blocks(rows, width))
+        add, mul = self._klein_tables((2, 3, 3))
+        error, _, witness = _assert_matches_full_scan(add, mul, 0, 3)
+        assert error is NotAbelianGroupUnderAdd and witness == (1, 2, 2)
+        assert read == [2]
+
+    def test_generator_row_that_is_not_a_permutation(self):
+        # 1 + 2 = 2 makes row 1 hold 2 twice, though the walk 0, 1, 0 of the
+        # generator 1 meets no element twice: Light's test fails on its
+        # relation row 1
+        add, mul = self._klein_tables((1, 2, 2))
+        assert sorted(add[1]) != [0, 1, 2, 3]
+        error, _, witness = _assert_matches_full_scan(add, mul, 0, 3)
+        assert error is NotAbelianGroupUnderAdd and witness == (1, 1, 3)
+
+    def test_validation_generators_are_the_ring_generators(self, catalog_rings):
+        rng = np.random.default_rng(31)
+        for ring in catalog_rings:
+            for base in (ring, ring.relabeled(rng.permutation(ring.order))):
+                assert core._check_on_generators(base.add_table, base.mul_table, base.zero) \
+                    == base.additive_generators().tolist(), ring.label
+
+    def test_group_table_reads_n_minus_1_plus_G_rows_per_law(self, catalog_rings, monkeypatch):
+        # each generator's rows go through one _row_blocks walk, and both
+        # laws read them
+        read = []
+        blocks = core._row_blocks
+        monkeypatch.setattr(core, "_row_blocks", lambda rows, width: read.append(rows) or
+                            blocks(rows, width))
+        rng = np.random.default_rng(32)
+        for ring in catalog_rings + [matrix_ring(zmod(2), 3)]:
+            base = ring.relabeled(rng.permutation(ring.order))
+            read.clear()
+            validate_tables(base.add_table, base.mul_table, base.zero, base.one, base.order)
+            assert sum(read) == ring.order - 1 + len(base.additive_generators()), ring.label
 
 
 def _reference_ideal_witness(ring, members):
@@ -817,6 +914,32 @@ class TestLoaderMatchesReference:
         with pytest.raises(ValueError):
             load_ring_json(text)
         assert time.perf_counter() - start < 1.0
+
+    def test_many_short_runs_lex_in_linear_time(self):
+        # 20000 closed runs one after another: each scan must stop near its
+        # close, not read on through the rest of the text (about 5 s)
+        text = "[" + "[[x]]," * 20000 + "[[x]]]"
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            load_ring_json(text)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("cells", [1, 3, 1 << 16])
+    def test_close_is_the_first_bracket_pair(self, monkeypatch, cells):
+        # the close of a run is where a regex search for "]", JSON
+        # whitespace, "]" ends, also when a block of bytes splits the pair
+        monkeypatch.setattr(core, "_ROW_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        alphabet = np.frombuffer(b"[] \n\t,0x", dtype=np.uint8)
+        for _ in range(600):
+            run = alphabet[rng.choice(alphabet.size, rng.integers(1, 120),
+                                      p=rng.dirichlet(np.ones(alphabet.size)))]
+            close = re.search(rb"\][ \t\n\r]*\]", run.tobytes())
+            scanned = list(core._brackets(run))
+            assert scanned[-1][1] == (close is not None)
+            ends = np.concatenate([at for at, _ in scanned]).tolist()
+            assert ends == [i for i in range(close.end() if close else run.size)
+                            if run[i] == ord("]")]
 
     def test_ring_tables_come_straight_from_the_text(self):
         text = zmod(5).to_json()
