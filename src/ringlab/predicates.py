@@ -34,7 +34,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import FiniteRing, _growing_blocks, _next_powers, _row_blocks
+from .core import FiniteRing, _growing_blocks, _row_blocks
 from .subsets import (
     Ideal,
     _central_mask,
@@ -99,9 +99,10 @@ def _split_counts(r: FiniteRing, complement: np.ndarray, parts: np.ndarray) -> n
         in_parts = np.zeros(r.order, dtype=bool)
         in_parts[parts] = True
         complement, parts = in_parts, others
+    minus_parts = r.neg_table.take(parts)
     counts = np.empty(r.order, dtype=np.intp)
     for start, stop in _row_blocks(r.order, len(parts)):
-        differences = r.sub_table[start:stop].take(parts, axis=1)
+        differences = r.add_table[start:stop].take(minus_parts, axis=1)
         counts[start:stop] = complement.take(differences).sum(axis=1)
     return counts
 
@@ -134,7 +135,7 @@ def _corner_counts(r: FiniteRing, left: bool) -> np.ndarray:
     n = r.order
     flat = _multiples(r, left).ravel()
     idem = _idempotent_array(r)
-    one_minus = r.sub_table[r.one]
+    one_minus = r.add_table[r.one].take(r.neg_table)
     co_idem = one_minus.take(idem)
     counts = np.empty(n, dtype=np.intp)
     for start, stop in _row_blocks(n, len(idem)):
@@ -171,7 +172,7 @@ def clean_decompositions(r: FiniteRing, a: int) -> list[tuple[int, int]]:
     """All pairs (e, u) with e idempotent, u a unit, e + u = a, ordered by e."""
     idem = _idempotent_array(r)
     umask = _units_mask(r)
-    compl = r.sub_table[r.elem(a).index, idem]
+    compl = r.add_table[r.elem(a).index, r.neg_table[idem]]
     return [(int(e), int(u)) for e, u in zip(idem, compl) if umask[u]]
 
 
@@ -190,7 +191,7 @@ def is_uniquely_pi_clean_element(r: FiniteRing, a: int) -> tuple[bool, int | Non
 def is_uniquely_nil_clean_element(r: FiniteRing, a: int) -> bool:
     """Exactly one idempotent e with a - e nilpotent."""
     idem = _idempotent_array(r)
-    return int(_nilpotent_mask(r)[r.sub_table[r.elem(a).index, idem]].sum()) == 1
+    return int(_nilpotent_mask(r)[r.add_table[r.elem(a).index, r.neg_table[idem]]].sum()) == 1
 
 
 def pi_clean_witness(r: FiniteRing, a: int) -> CleanWitness | None:
@@ -243,7 +244,7 @@ def strongly_clean_witness(r: FiniteRing) -> Witness:
     """Every a = e + u with e idempotent, u a unit, and e commuting with a."""
     idem = _idempotent_array(r)
     commutes = r.mul_table[:, idem] == r.mul_table[idem, :].T
-    return _first_false((_units_mask(r)[r.sub_table[:, idem]] & commutes).any(axis=1))
+    return _first_false((_units_mask(r)[r.add_table[:, r.neg_table[idem]]] & commutes).any(axis=1))
 
 
 def is_strongly_clean(r: FiniteRing) -> bool:
@@ -373,29 +374,15 @@ def generalized_n_like_witness(r: FiniteRing, n: int) -> Witness:
     and the identity holds at (a, b) exactly when d(ab) = a d(b) + d(a) b.
     The scan (``_n_like_scan``) therefore reads n only through the vector d,
     and two exponents with the same d have the same witness: the scan is
-    memoised on the ring per d.  x^n is read from the ring's memoised chain
-    of powers (``_low_powers``) for n <= 9, else from its power matrix
-    (``_nth_powers``).
+    memoised on the ring per d.  x^n is read from the ring's power matrix
+    (``_nth_powers``) for every n, and d(x) from the flat add table at
+    n*x^n + (-x).
     """
     if n < 2:
         raise ValueError(f"generalized n-like needs n >= 2, got {n}")
-    chain = _low_powers(r)
-    pow_n = chain[n - 1] if n <= len(chain) else _nth_powers(r, n)
-    d = r.sub_table.ravel().take(np.multiply(pow_n, r.order, dtype=np.intp) + np.arange(r.order))
+    pow_n = _nth_powers(r, n)
+    d = r.add_table.ravel().take(np.multiply(pow_n, r.order, dtype=np.intp) + r.neg_table)
     return r.memo(("n_like", d.tobytes()), lambda: _n_like_scan(r, d))
-
-
-def _low_powers(r: FiniteRing) -> np.ndarray:
-    """x^1, ..., x^9 for every x (row k - 1 holds x^k), the powers that
-    ``GENERALIZED_RANGE`` reads: one chain of 8 flat gathers
-    (``core._next_powers``), memoised."""
-    def build() -> np.ndarray:
-        chain = [np.arange(r.order, dtype=np.int32)]
-        for _ in GENERALIZED_RANGE:
-            chain.append(_next_powers(r.mul_table, chain[-1]))
-        return np.stack(chain)
-
-    return r.memo("low_powers", build)
 
 
 def _nth_powers(r: FiniteRing, n: int) -> np.ndarray:
@@ -452,15 +439,16 @@ def idempotents_lift_uniquely_mod(r: FiniteRing, ideal: Ideal) -> bool:
 def _lifting_scan(r: FiniteRing, ideal: Ideal, unique: bool) -> bool:
     mask = ideal.mask()
     idx = np.arange(r.order)
-    candidates = mask[r.sub_table[r.mul_table[idx, idx], idx]]  # x^2 - x in the ideal
+    candidates = mask[r.add_table[r.mul_table[idx, idx], r.neg_table]]  # x^2 - x in the ideal
     counts = _split_counts(r, mask, _idempotent_array(r))[candidates]
     return bool((counts == 1).all() if unique else (counts >= 1).all())
 
 
 def radical_unit_set(r: FiniteRing) -> tuple[int, ...]:
     """{x : x^m - 1 is a unit for every m >= 1}: no power of x lands where
-    "y - 1 is not a unit", a mask precomposed once."""
-    not_shifted_unit = ~_units_mask(r).take(r.sub_table[:, r.one])
+    "y - 1 is not a unit", a mask precomposed once.  As + commutes, y - 1
+    for every y is the add-table row of -1."""
+    not_shifted_unit = ~_units_mask(r).take(r.add_table[r.neg_table[r.one]])
     return tuple(np.flatnonzero(~_some_power(r, not_shifted_unit)).tolist())
 
 
@@ -508,8 +496,8 @@ def characterization(r: FiniteRing, thm_id: str) -> bool:
         cidem = np.array(central_idempotents(r).members, dtype=np.int32)
         return _pi_shift_into(r, jacobson_radical(r).mask(), cidem, unique=False)
     if thm_id == "C2.9":
-        umask = _units_mask(r)
-        shifted = tuple(int(x) for x in np.flatnonzero(umask[r.sub_table[:, r.one]]))
+        umask = _units_mask(r)  # read at y - 1, the add-table row of -1
+        shifted = tuple(int(x) for x in np.flatnonzero(umask[r.add_table[r.neg_table[r.one]]]))
         return is_uniquely_pi_clean(r) and shifted == jacobson_radical(r).members
     if thm_id == "T2.10":
         j = jacobson_radical(r)
@@ -522,7 +510,7 @@ def characterization(r: FiniteRing, thm_id: str) -> bool:
                 and bool(j.mask()[nilp].all()))
     if thm_id == "C2.12":
         # units = {x : some x^m - 1 lies in J}
-        in_j_plus_one = jacobson_radical(r).mask()[r.sub_table[:, r.one]]
+        in_j_plus_one = jacobson_radical(r).mask()[r.add_table[r.neg_table[r.one]]]
         return bool(np.array_equal(_some_power(r, in_j_plus_one), _units_mask(r)))
     if thm_id == "T3.3":
         if not is_abelian(r):

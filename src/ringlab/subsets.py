@@ -577,5 +577,5 @@ def quotient_is_torsion(r: FiniteRing, p: Ideal) -> bool:
     if r.ideal_witness(p.members) is not None:
         raise NotAnIdeal(f"{r.label}: {p.members} is not a two-sided ideal")
     inside = _of(r, p).mask()
-    one_plus_p = inside.take(r.sub_table[:, r.one])  # y - 1 in P
+    one_plus_p = inside.take(r.add_table[r.neg_table[r.one]])  # y - 1 in P, + commutes
     return bool(_some_power(r, one_plus_p)[~inside].all())

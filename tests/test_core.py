@@ -736,25 +736,17 @@ class TestNormalizationAndJson:
 
     @pytest.mark.parametrize("derived", [
         lambda r: r.neg_table,
-        lambda r: r.sub_table,
         lambda r: r.power_matrix(),
         lambda r: r.additive_generators(),
         lambda r: subsets._units_mask(r),
         lambda r: predicates._clean_counts(r),
         lambda r: predicates._multiples(r),
-    ], ids=["neg_table", "sub_table", "power_matrix", "additive_generators",
+    ], ids=["neg_table", "power_matrix", "additive_generators",
             "units_mask", "clean_counts", "multiples"])
     def test_derived_arrays_immutable(self, derived):
         arr = derived(zmod(6))
         with pytest.raises(ValueError):
             arr[0] = 1
-
-    def test_sub_table_is_c_ordered_differences(self):
-        ring = matrix_ring(zmod(2), 3)
-        sub = ring.sub_table
-        assert sub.flags.c_contiguous
-        x, y = np.meshgrid(np.arange(ring.order), np.arange(ring.order), indexing="ij")
-        np.testing.assert_array_equal(sub, ring.add_table[x, ring.neg_table[y]])
 
     def test_memo_stores_none_and_skips_failed_builds(self):
         ring = zmod(5)

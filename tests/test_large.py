@@ -159,6 +159,22 @@ def test_order_4096_report_memory_budget(source):
     assert peak <= 300e6, f"{source}: peak {peak / 1e6:.0f} MB"
 
 
+@pytest.mark.parametrize("source", ["zmod:4096", "tri:gf4:3", "product:zmod64,zmod64"])
+def test_order_4096_report_peak_below_its_tables(source):
+    # differences are read through add_table and neg_table, and no n x n
+    # difference table is stored, so analysing a built ring allocates well
+    # under the two tables it reads
+    ring = parse_ring_source(source)
+    tracemalloc.start()
+    try:
+        ring_report(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = ring.add_table.nbytes + ring.mul_table.nbytes
+    assert peak <= 0.6 * tables, f"{source}: peak {peak / tables:.2f} x its tables"
+
+
 @pytest.mark.parametrize("source", ["tri:gf4:3", "product:zmod64,zmod64"])
 def test_order_4096_build_peak_within_half_again_its_tables(source):
     # the builder's tables are normalized in place, and a matrix family adds

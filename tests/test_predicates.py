@@ -66,7 +66,8 @@ def reference_n_like_witness(ring, n):
     t1 = pow_n[ab]                      # (ab)^n
     t2 = ring.mul_table[:, pow_n]       # a * b^n
     t3 = ring.mul_table[pow_n, :]       # a^n * b
-    total = ring.add_table[ring.sub_table[t1, t2], ring.sub_table[ab, t3]]
+    neg = ring.neg_table
+    total = ring.add_table[ring.add_table[t1, neg[t2]], ring.add_table[ab, neg[t3]]]
     bad = np.argwhere(total != ring.zero)
     return (int(bad[0][0]), int(bad[0][1])) if len(bad) else None
 
@@ -288,23 +289,25 @@ class TestGeneralizedNLike:
             assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
 
     def test_one_power_chain_per_ring(self, monkeypatch):
-        # x^2 ... x^9 are one chain of 8 gathers, shared by every n; an n
-        # past the chain reads the power matrix, with no gather of its own
+        # every n reads x^n from the power matrix: the only power gathers
+        # are those of its one build, one per column past the first
         gathers = []
 
         def counted(mul, powers):
             gathers.append(len(mul))
             return step(mul, powers)
 
-        step = predicates._next_powers
-        monkeypatch.setattr(predicates, "_next_powers", counted)
+        step = core._next_powers
+        monkeypatch.setattr(core, "_next_powers", counted)
         ring = parse_ring_source("matrix:zmod2:2")
+        larger = (10, 13, 10 ** 12 + 7)
         witnesses = [generalized_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
-        assert len(gathers) == len(GENERALIZED_RANGE) == 8
-        assert witnesses == [reference_n_like_witness(ring, n) for n in GENERALIZED_RANGE]
-        for n in (10, 13, 10 ** 12 + 7):
-            assert generalized_n_like_witness(ring, n) == reference_n_like_witness(ring, n), n
-        assert len(gathers) == 8
+        built = len(gathers)  # counted before the matrix is read below
+        assert built == ring.power_matrix().shape[1] - 1 > 0
+        witnesses += [generalized_n_like_witness(ring, n) for n in larger]
+        assert len(gathers) == built
+        assert witnesses == [reference_n_like_witness(ring, n)
+                             for n in (*GENERALIZED_RANGE, *larger)]
         for m in (6, 12):
             assert generalized_n_like_witness(zmod(m), 11) == zmod_n_like_witness(m, 11), m
 
@@ -349,7 +352,7 @@ class TestSplitCounts:
                           np.flatnonzero(subsets._potent_mask(ring)), np.arange(ring.order))
             for complement in complements:
                 for parts in parts_list:
-                    expected = complement[ring.sub_table[:, parts]].sum(axis=1)
+                    expected = complement[ring.add_table[:, ring.neg_table[parts]]].sum(axis=1)
                     np.testing.assert_array_equal(
                         predicates._split_counts(ring, complement, parts), expected)
                     sides.add(int(complement.sum()) < len(parts))
